@@ -53,7 +53,7 @@ def _train_config(args) -> TrainConfig:
                           cls=args.lambda_cls, neg_z=args.lambda_negz,
                           neg_m=args.lambda_negm)
     return TrainConfig(learning_rate=args.lr, iterations=args.iters,
-                       alpha=args.alpha, weights=weights, seed=args.seed,
+                       alpha=args.alpha, weights=weights,
                        injection_enabled=not args.no_inject)
 
 
@@ -67,7 +67,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-negz", type=float, default=0.1)
     p.add_argument("--lambda-negm", type=float, default=500.0)
     p.add_argument("--no-inject", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_synth(args) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvariantError, NonFiniteError
+from .errors import NonFiniteError
 from .head import PersonalState, build_forward
 from .losses import DICE_EPS, PROB_CLAMP, LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
@@ -41,9 +41,6 @@ def _check(stage: str, *arrays) -> None:
 def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
              weights: LossWeights) -> tuple[LossBreakdown, Gradients]:
     """Forward pass plus exact gradients of the weighted total loss."""
-    if snapshot.num_proposals != state.w_z.shape[0]:
-        # Bank-tiled (concatenated) snapshots are evaluation-only.
-        raise InvariantError("backward requires the state's native proposal count")
     cache = build_forward(snapshot, state)
     _check("forward", cache.s, cache.c, cache.p, cache.q)
     breakdown = total_loss(cache, gt, weights)

@@ -164,22 +164,11 @@ def label_map(q: np.ndarray) -> np.ndarray:
     return q.argmax(axis=2)
 
 
-def _tile_bank_weights(w: np.ndarray, num: int, native: int) -> np.ndarray:
-    """Repeat per-proposal weights across merged proposal banks."""
-    if num == native:
-        return w
-    if num % native:
-        raise InvariantError(
-            f"snapshot has {num} proposals, state expects a multiple of {native}")
-    return np.tile(w, num // native)
-
-
 def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
     """Run the personalized pipeline for one snapshot.
 
-    Concatenated evaluation snapshots carry an integer multiple of the
-    trained proposal count; the negative-branch weights are then tiled
-    bank-wise (and the embedding combination averaged over banks).
+    The snapshot must carry exactly the state's proposal count,
+    ``len(state.w_z)``.
     """
     state.validate()
     if state.t_per.shape[0] != snapshot.embed_dim:
@@ -189,16 +178,16 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCach
         raise InvariantError(
             f"personal index {state.k} != vocabulary size {snapshot.vocab_size}")
     n = snapshot.num_proposals
+    if n != state.w_z.shape[0]:
+        raise InvariantError(
+            f"snapshot has {n} proposals, state expects {state.w_z.shape[0]}")
     t_eff = effective_embedding(state.t_per, state.f_per, state.alpha)
     t_full = augment_text(snapshot.t_open, t_eff, state.k)
 
     if state.negative_enabled:
-        w_z = _tile_bank_weights(state.w_z, n, state.w_z.shape[0])
-        w_m = _tile_bank_weights(state.w_m, n, state.w_m.shape[0])
-        banks = n // state.w_z.shape[0]
-        z_neg = negative_embedding(snapshot.z_open, w_z) / banks
+        z_neg = negative_embedding(snapshot.z_open, state.w_z)
         z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
-        m_neg, m_neg_logits = negative_mask(snapshot.m_open, w_m, state.b_m)
+        m_neg, m_neg_logits = negative_mask(snapshot.m_open, state.w_m, state.b_m)
         m = np.concatenate([snapshot.m_open, m_neg[:, :, None]], axis=2)
         j = n
     else:

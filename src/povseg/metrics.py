@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InvariantError
 from .head import PersonalState, build_forward, build_frozen_forward, label_map
-from .personalize import check_state_matches
 from .snapshot import FrozenSnapshot, Manifest, load_mask, load_snapshot
 
 
@@ -153,8 +152,6 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
         snap = sample.snapshot
         if snap.vocab_size != k:
             raise InvariantError(f"sample {idx} vocabulary size differs")
-        if state is not None:
-            check_state_matches(state, snap)
         proxy = None
         if state is None and personal_class_name in snap.vocab_names:
             proxy = snap.vocab_names.index(personal_class_name)

@@ -19,13 +19,12 @@ from .errors import (
     FormatError,
     InvariantError,
     NonFiniteError,
-    TruncatedPayloadError,
     VersionMismatchError,
 )
 from .grad import backward
 from .head import PersonalState
 from .losses import LossWeights
-from .snapshot import FrozenSnapshot, downsample_mask
+from .snapshot import FrozenSnapshot, _Reader, downsample_mask
 
 STATE_MAGIC = b"POVP"
 STATE_VERSION = 1
@@ -40,7 +39,6 @@ class TrainConfig:
     iterations: int = 200
     alpha: float = 0.1
     weights: LossWeights = field(default_factory=LossWeights)
-    seed: int = 0
     injection_enabled: bool = True
     negative_enabled: bool = True
 
@@ -159,51 +157,27 @@ def save_state(state: PersonalState, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> PersonalState:
+    """Read a POVP file; non-finite values are rejected as a format error."""
     path = Path(path)
-    data = path.read_bytes()
-
-    def take(off: int, count: int) -> bytes:
-        if off + count > len(data):
-            raise TruncatedPayloadError(f"{path}: truncated at offset {off}")
-        return data[off:off + count]
-
+    rd = _Reader(path.read_bytes(), path)
     magic, version, flags, d, n, alpha, k = _STATE_HEADER.unpack(
-        take(0, _STATE_HEADER.size))
+        rd.take(_STATE_HEADER.size))
     if magic != STATE_MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != STATE_VERSION:
         raise VersionMismatchError(f"{path}: version {version}, expected {STATE_VERSION}")
-    off = _STATE_HEADER.size
-
-    def array(count: int) -> np.ndarray:
-        nonlocal off
-        out = np.frombuffer(take(off, 8 * count), dtype="<f8").astype(np.float64)
-        off += 8 * count
-        return out
-
-    t_per = array(d)
-    w_z = array(n)
-    w_m = array(n)
-    b_m = float(array(1)[0])
-    f_per = array(d) if flags & _SFLAG_VISUAL else None
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} trailing bytes")
+    t_per = rd.array(d, "<f8")
+    w_z = rd.array(n, "<f8")
+    w_m = rd.array(n, "<f8")
+    b_m = float(rd.array(1, "<f8")[0])
+    f_per = rd.array(d, "<f8") if flags & _SFLAG_VISUAL else None
+    rd.finish()
+    for name, value in (("alpha", alpha), ("t_per", t_per), ("w_z", w_z),
+                        ("w_m", w_m), ("b_m", b_m), ("f_per", f_per)):
+        if value is not None and not np.isfinite(value).all():
+            raise FormatError(f"{path}: non-finite value in {name}")
     state = PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k,
                           alpha=alpha, f_per=f_per,
                           negative_enabled=bool(flags & _SFLAG_NEGATIVE))
     state.validate()
     return state
-
-
-def check_state_matches(state: PersonalState, snapshot: FrozenSnapshot) -> None:
-    """Validate a loaded state against the snapshot it will be applied to."""
-    if state.t_per.shape[0] != snapshot.embed_dim:
-        raise InvariantError(
-            f"state dim {state.t_per.shape[0]} != snapshot dim {snapshot.embed_dim}")
-    if state.k != snapshot.vocab_size:
-        raise InvariantError(
-            f"state personal index {state.k} != vocabulary size {snapshot.vocab_size}")
-    n, native = snapshot.num_proposals, state.w_z.shape[0]
-    if n % native:
-        raise InvariantError(
-            f"snapshot proposal count {n} is not a multiple of the state's {native}")

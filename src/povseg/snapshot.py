@@ -126,8 +126,21 @@ class _Reader:
         self.off += count
         return out
 
-    def array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
+    def array(self, count: int, dtype: str = "<f4") -> np.ndarray:
+        raw = self.take(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(raw, dtype=dtype).astype(np.float64)
+
+    def text(self, count: int) -> str:
+        start = self.off
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{self.path}: invalid UTF-8 at offset {start + exc.start}") from exc
+
+    def finish(self) -> None:
+        if self.off != len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
 
 
 def load_snapshot(path: str | Path) -> FrozenSnapshot:
@@ -155,9 +168,8 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
     names = []
     for _ in range(count):
         (nbytes,) = struct.unpack("<H", rd.take(2))
-        names.append(rd.take(nbytes).decode("utf-8"))
-    if rd.off != len(rd.data):
-        raise FormatError(f"{path}: {len(rd.data) - rd.off} trailing bytes")
+        names.append(rd.text(nbytes))
+    rd.finish()
 
     snap = FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
                           vocab_names=names, logit_scale=logit_scale,
@@ -193,11 +205,6 @@ def load_mask(path: str | Path, h: int, w: int) -> np.ndarray:
             f"{path}: mask byte {int(arr[bad][0])} at flat index "
             f"{int(np.flatnonzero(bad)[0])} is not 0/1")
     return arr.copy()
-
-
-def mask_is_degenerate(mask: np.ndarray) -> bool:
-    """All-foreground or all-background masks are legal but degenerate."""
-    return bool(mask.all() or not mask.any())
 
 
 def downsample_mask(mask: np.ndarray, hf: int, wf: int) -> np.ndarray:
@@ -251,8 +258,12 @@ def load_manifest(path: str | Path) -> Manifest:
     """Parse a tab-separated manifest; paths resolve against its directory."""
     path = Path(path)
     base = path.parent
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at offset {exc.start}") from exc
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

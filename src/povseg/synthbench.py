@@ -469,8 +469,20 @@ def concat_pairs(manifest: Manifest) -> list[EvalSample]:
     return [concat(p, q) for p, q in zip(positives, negatives)]
 
 
+def tile_state(state: PersonalState, banks: int) -> PersonalState:
+    """Repeat per-proposal weights across ``banks`` concatenated proposal banks.
+
+    ``w_z`` is divided by the bank count so the negative embedding averages
+    the banks' combinations.
+    """
+    return replace(state, w_z=np.tile(state.w_z, banks) / banks,
+                   w_m=np.tile(state.w_m, banks))
+
+
 def concat_evaluate(data_dir: str | Path, state: PersonalState | None
                     ) -> MetricsReport:
     manifest = load_manifest(Path(data_dir) / "manifest.tsv")
     pairs = concat_pairs(manifest)
+    if state is not None:
+        state = tile_state(state, 2)
     return evaluate_samples(pairs, manifest.personal_class_name, state=state)

@@ -1,4 +1,8 @@
+import numpy as np
+
 from povseg.cli import main
+from povseg.personalize import load_state, save_state
+from povseg.snapshot import load_manifest
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
 FAST_TRAIN = ["--iters", "10"]
@@ -117,3 +121,45 @@ def test_corrupt_state_file_exits_one(tmp_path, capsys):
     code = main(["eval", "--data", str(data), "--state", str(bad),
                  "--report", str(tmp_path / "r.tsv")])
     assert code == 1
+
+
+def test_non_finite_state_file_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    state_path = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state_path), "--iters", "1"])
+    state = load_state(state_path)
+    state.t_per[3] = np.nan
+    save_state(state, state_path)
+    code = main(["eval", "--data", str(data), "--state", str(state_path),
+                 "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "povseg: validation error" in err
+    assert str(state_path) in err and "t_per" in err
+
+
+def test_bad_utf8_vocab_name_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    snapshot = load_manifest(data / "manifest.tsv").split("test")[0].snapshot
+    blob = bytearray(snapshot.read_bytes())
+    blob[-1] = 0xFF  # last byte of the last vocabulary name
+    snapshot.write_bytes(bytes(blob))
+    code = main(["eval", "--data", str(data), "--frozen-only",
+                 "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "povseg: validation error" in err and str(snapshot) in err
+
+
+def test_bad_utf8_manifest_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    manifest = data / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\t", b"\t\xff", 1))
+    code = main(["eval", "--data", str(data), "--frozen-only",
+                 "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "povseg: validation error" in err and str(manifest) in err

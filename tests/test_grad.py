@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,31 @@ def test_backward_rejects_bank_tiled_snapshots():
     from povseg.errors import InvariantError
     with pytest.raises(InvariantError):
         backward(doubled, state, gt, weights)
+
+
+def _no_negative_branch(snapshot, state, gt):
+    return snapshot, replace(state, negative_enabled=False), gt
+
+
+def _no_visual_embedding(snapshot, state, gt):
+    return snapshot, replace(state, f_per=None, alpha=0.0), gt
+
+
+def _visual_only(snapshot, state, gt):
+    return snapshot, replace(state, alpha=1.0), gt
+
+
+def _empty_foreground(snapshot, state, gt):
+    # no foreground pixel, so the recognition (cls) term is zero
+    return snapshot, state, np.zeros_like(gt)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("variant", [_no_negative_branch, _no_visual_embedding,
+                                     _visual_only, _empty_foreground])
+def test_gradcheck_unreached_branches(variant, seed):
+    snapshot, state, gt, weights = random_instance(seed)
+    snapshot, state, gt = variant(snapshot, state, gt)
+    _, analytic = backward(snapshot, state, gt, weights)
+    numeric = finite_diff(snapshot, state, gt, weights)
+    assert max(relative_errors(analytic, numeric).values()) <= 1e-5

@@ -18,6 +18,7 @@ from povseg.head import (
     similarity,
 )
 from povseg.snapshot import FrozenSnapshot
+from povseg.synthbench import tile_state
 
 rng = np.random.default_rng(11)
 
@@ -271,7 +272,7 @@ def test_forward_bank_tiling(tiny_snapshot):
         vocab_names=tiny_snapshot.vocab_names,
         logit_scale=tiny_snapshot.logit_scale,
     )
-    cache = build_forward(doubled, state)
+    cache = build_forward(doubled, tile_state(state, 2))
     assert cache.z_full.shape[0] == 2 * tiny_snapshot.num_proposals + 1
     # averaged bank combination reproduces the native negative embedding
     native = build_forward(tiny_snapshot, state)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,9 @@ from povseg.errors import (
     TruncatedPayloadError,
 )
 from povseg.grad import backward, random_instance
+from povseg.head import build_forward
 from povseg.personalize import (
     TrainConfig,
-    check_state_matches,
     compute_visual_embedding,
     init_state,
     load_state,
@@ -131,7 +134,7 @@ def test_iterations_validation():
 
 def test_single_step_is_one_gradient_update():
     samples = make_samples()
-    config = TrainConfig(iterations=1, injection_enabled=False, seed=0)
+    config = TrainConfig(iterations=1, injection_enabled=False)
     init_vec = samples[0][0].t_open.mean(axis=0)
     state, trace = run_personalization(samples, config, init_vector=init_vec)
     assert len(trace) == 1
@@ -269,13 +272,29 @@ def test_state_format_errors(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("field", ["alpha", "t_per", "w_z", "w_m", "b_m", "f_per"])
+def test_non_finite_state_field_rejected(tmp_path, field):
+    _, state, _, _ = random_instance(0)
+    path = tmp_path / "s.povp"
+    save_state(state, path)
+    d, n = state.t_per.size, state.w_z.size
+    offsets = {"alpha": 14, "t_per": 26, "w_z": 26 + 8 * d,
+               "w_m": 26 + 8 * (d + n), "b_m": 26 + 8 * (d + 2 * n),
+               "f_per": 26 + 8 * (d + 2 * n + 1)}
+    blob = bytearray(path.read_bytes())
+    blob[offsets[field]:offsets[field] + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .* {field}$"):
+        load_state(path)
+
+
 def test_state_snapshot_compatibility(tmp_path):
     snapshot, state, _, _ = random_instance(0)
-    check_state_matches(state, snapshot)
+    build_forward(snapshot, state)
     bad = FrozenSnapshot(t_open=snapshot.t_open[:, :4],
                          z_open=snapshot.z_open[:, :4],
                          m_open=snapshot.m_open,
                          vocab_names=snapshot.vocab_names,
                          logit_scale=1.0)
     with pytest.raises(InvariantError):
-        check_state_matches(state, bad)
+        build_forward(bad, state)

@@ -10,13 +10,14 @@ from povseg.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from povseg.grad import random_instance
+from povseg.personalize import load_state, save_state
 from povseg.snapshot import (
     FrozenSnapshot,
     downsample_mask,
     load_manifest,
     load_mask,
     load_snapshot,
-    mask_is_degenerate,
     save_mask,
     save_snapshot,
 )
@@ -126,6 +127,43 @@ def test_trailing_bytes_rejected(tmp_path):
         load_snapshot(path)
 
 
+def _saved_povs(path):
+    snapshot, _, _, _ = random_instance(0)
+    save_snapshot(snapshot, path)
+
+
+def _saved_povp(path):
+    _, state, _, _ = random_instance(0)
+    save_state(state, path)
+
+
+@pytest.mark.parametrize("save, load", [
+    (_saved_povs, load_snapshot),
+    (_saved_povp, load_state),
+], ids=["povs", "povp"])
+def test_every_prefix_and_trailing_byte_rejected(tmp_path, save, load):
+    path = tmp_path / "file"
+    save(path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        load(path)
+
+
+def test_bad_utf8_vocab_name_rejected(tmp_path):
+    path = tmp_path / "s.povs"
+    save_snapshot(minimal_snapshot(), path)
+    data = bytearray(path.read_bytes())
+    data[-1] = 0xFF  # last byte of the last vocabulary name
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"offset {len(data) - 1}"):
+        load_snapshot(path)
+
+
 def test_payload_nan_rejected(tmp_path):
     path = tmp_path / "s.povs"
     save_snapshot(minimal_snapshot(), path)
@@ -158,12 +196,6 @@ def test_mask_bad_byte(tmp_path):
     path.write_bytes(bytes([0, 1, 2, 0]))
     with pytest.raises(FormatError):
         load_mask(path, 2, 2)
-
-
-def test_mask_degenerate_flag():
-    assert mask_is_degenerate(np.zeros((2, 2), dtype=np.uint8))
-    assert mask_is_degenerate(np.ones((2, 2), dtype=np.uint8))
-    assert not mask_is_degenerate(np.eye(2, dtype=np.uint8))
 
 
 # --- downsampling ---
@@ -268,3 +300,4 @@ def test_manifest_errors(tmp_path):
     for lines in cases:
         with pytest.raises(FormatError):
             load_manifest(write_dataset(tmp_path, lines))
+
