@@ -58,14 +58,14 @@ def _train_config(args) -> TrainConfig:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lambda-dice", type=float, default=1.0)
-    p.add_argument("--lambda-bce", type=float, default=1.0)
-    p.add_argument("--lambda-cls", type=float, default=1.0)
-    p.add_argument("--lambda-negz", type=float, default=0.1)
-    p.add_argument("--lambda-negm", type=float, default=500.0)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--lambda-dice", type=float, default=LossWeights.dice)
+    p.add_argument("--lambda-bce", type=float, default=LossWeights.bce)
+    p.add_argument("--lambda-cls", type=float, default=LossWeights.cls)
+    p.add_argument("--lambda-negz", type=float, default=LossWeights.neg_z)
+    p.add_argument("--lambda-negm", type=float, default=LossWeights.neg_m)
     p.add_argument("--no-inject", action="store_true")
 
 

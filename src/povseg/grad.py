@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import InvariantError, NonFiniteError
 from .head import PersonalState, build_forward
 from .losses import DICE_EPS, PROB_CLAMP, LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
@@ -227,6 +227,10 @@ def gradcheck(seed: int = 0, eps: float = 1e-4, tol: float = 1e-5,
               v: int = 5, d: int = 8, n: int = 6, h: int = 16,
               w: int = 16) -> GradcheckReport:
     """Analytic vs central-difference gradients on a seeded instance."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise InvariantError(f"gradcheck eps must be finite and positive, got {eps}")
+    if not tol > 0:
+        raise InvariantError(f"gradcheck tol must be positive, got {tol}")
     start = time.perf_counter()
     snapshot, state, gt, weights = random_instance(seed, v=v, d=d, n=n, h=h, w=w)
     _, analytic = backward(snapshot, state, gt, weights)

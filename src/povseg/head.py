@@ -62,7 +62,6 @@ class ForwardCache:
     c: np.ndarray                    # column-stochastic class probabilities
     m: np.ndarray                    # (H, W, channels)
     m_neg: np.ndarray | None         # (H, W) negative mask, None if disabled
-    m_neg_logits: np.ndarray | None  # pre-sigmoid activations
     p: np.ndarray                    # (H, W, classes) composed scores
     q: np.ndarray                    # (H, W, classes) per-pixel normalized
     coverage: np.ndarray             # (H, W) per-pixel mass sum_v P(p, v)
@@ -107,17 +106,12 @@ def negative_embedding(z_open: np.ndarray, w_z: np.ndarray) -> np.ndarray:
     return w_z @ z_open
 
 
-def negative_mask(m_open: np.ndarray, w_m: np.ndarray,
-                  b_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid of a 1x1 combination over proposal channels.
-
-    Returns (mask, pre-sigmoid logits); the logits feed the backward pass.
-    """
+def negative_mask(m_open: np.ndarray, w_m: np.ndarray, b_m: float) -> np.ndarray:
+    """Sigmoid of a 1x1 combination over proposal channels."""
     if m_open.shape[2] != w_m.shape[0]:
         raise InvariantError(
             f"w_m length {w_m.shape[0]} != {m_open.shape[2]} proposals")
-    logits = m_open @ w_m + b_m
-    return sigmoid(logits), logits
+    return sigmoid(m_open @ w_m + b_m)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -187,21 +181,20 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCach
     if state.negative_enabled:
         z_neg = negative_embedding(snapshot.z_open, state.w_z)
         z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
-        m_neg, m_neg_logits = negative_mask(snapshot.m_open, state.w_m, state.b_m)
+        m_neg = negative_mask(snapshot.m_open, state.w_m, state.b_m)
         m = np.concatenate([snapshot.m_open, m_neg[:, :, None]], axis=2)
         j = n
     else:
         z_full = snapshot.z_open
         m = snapshot.m_open
-        m_neg = m_neg_logits = None
+        m_neg = None
         j = None
 
     s = similarity(t_full, z_full, snapshot.logit_scale)
     c = class_probs(s)
     p, q, coverage = predict(m, c)
     return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=c, m=m,
-                        m_neg=m_neg, m_neg_logits=m_neg_logits, p=p, q=q,
-                        coverage=coverage, k=state.k, j=j)
+                        m_neg=m_neg, p=p, q=q, coverage=coverage, k=state.k, j=j)
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
@@ -210,5 +203,5 @@ def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
     c = class_probs(s)
     p, q, coverage = predict(snapshot.m_open, c)
     return ForwardCache(t_full=snapshot.t_open, z_full=snapshot.z_open, s=s,
-                        c=c, m=snapshot.m_open, m_neg=None, m_neg_logits=None,
-                        p=p, q=q, coverage=coverage, k=None, j=None)
+                        c=c, m=snapshot.m_open, m_neg=None, p=p, q=q,
+                        coverage=coverage, k=None, j=None)

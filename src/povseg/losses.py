@@ -30,8 +30,10 @@ class LossWeights:
 
     def validate(self) -> None:
         for name in ("dice", "bce", "cls", "neg_z", "neg_m"):
-            if getattr(self, name) < 0:
-                raise InvariantError(f"loss weight {name} must be nonnegative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise InvariantError(f"loss weight {name} must be finite and nonnegative, "
+                                     f"got {value}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .head import PersonalState, build_forward, build_frozen_forward, label_map
-from .snapshot import FrozenSnapshot, Manifest, load_mask, load_snapshot
+from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
 
 
 @dataclass
@@ -88,10 +88,9 @@ def precision_recall(counts: ConfusionCounts, k: int) -> tuple[float, float]:
     return precision, recall
 
 
-def pseudo_label(snapshot: FrozenSnapshot, personal_mask: np.ndarray | None = None,
+def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray | None = None,
                  k: int | None = None) -> np.ndarray:
-    """Frozen-model label map, with the personal region overridden to ``k``."""
-    labels = label_map(build_frozen_forward(snapshot).q)
+    """The frozen model's label map, with the personal region overridden to ``k``."""
     if personal_mask is not None:
         if k is None:
             raise InvariantError("personal override needs the personal index")
@@ -120,25 +119,16 @@ class MetricsReport:
     n_negative: int
 
 
-def _decode(snapshot: FrozenSnapshot, state: PersonalState | None,
-            proxy_index: int | None, k: int) -> np.ndarray:
-    if state is not None:
-        return label_map(build_forward(snapshot, state).q)
-    labels = label_map(build_frozen_forward(snapshot).q)
-    if proxy_index is not None:
-        labels = labels.copy()
-        labels[labels == proxy_index] = k
-    return labels
-
-
 def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
 
-    ``state=None`` evaluates the frozen baseline (with the class-name proxy
-    when the vocabulary contains ``personal_class_name``). ``per_image``
-    averages scalar metrics over images instead of aggregating counts.
+    Each sample's frozen label map is decoded once: it is the ground truth
+    and, for the frozen baseline, the prediction. ``state=None`` evaluates
+    the frozen baseline (with the class-name proxy when the vocabulary
+    contains ``personal_class_name``). ``per_image`` averages scalar
+    metrics over images instead of aggregating counts.
     """
     if not samples:
         raise InvariantError("empty evaluation sample set")
@@ -152,20 +142,24 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
         snap = sample.snapshot
         if snap.vocab_size != k:
             raise InvariantError(f"sample {idx} vocabulary size differs")
-        proxy = None
-        if state is None and personal_class_name in snap.vocab_names:
-            proxy = snap.vocab_names.index(personal_class_name)
+        frozen = label_map(build_frozen_forward(snap).q)
         if sample.polarity == "positive":
             if sample.personal_mask is None:
                 raise InvariantError(f"positive sample {idx} lacks a personal mask")
-            gt = pseudo_label(snap, sample.personal_mask, k)
+            gt = pseudo_label(frozen, sample.personal_mask, k)
             n_pos += 1
         elif sample.polarity == "negative":
-            gt = pseudo_label(snap)
+            gt = frozen
             n_neg += 1
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
-        pred = _decode(snap, state, proxy, k)
+        if state is not None:
+            pred = label_map(build_forward(snap, state).q)
+        elif personal_class_name in snap.vocab_names:
+            proxy = snap.vocab_names.index(personal_class_name)
+            pred = np.where(frozen == proxy, k, frozen)
+        else:
+            pred = frozen
         image_counts = accumulate(pred, gt, ConfusionCounts.zeros(num_classes))
         if per_image:
             p, r = precision_recall(image_counts, k)
@@ -187,15 +181,15 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
                          n_positive=n_pos, n_negative=n_neg)
 
 
+def load_sample(entry: ManifestEntry) -> EvalSample:
+    """Read one manifest entry's snapshot and, when it names one, its mask."""
+    snap = load_snapshot(entry.snapshot)
+    mask = None if entry.mask is None else load_mask(entry.mask, *snap.grid_shape)
+    return EvalSample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
+
+
 def load_eval_samples(manifest: Manifest, split: str = "test") -> list[EvalSample]:
-    samples = []
-    for entry in manifest.split(split):
-        snap = load_snapshot(entry.snapshot)
-        mask = None
-        if entry.mask is not None:
-            mask = load_mask(entry.mask, *snap.grid_shape)
-        samples.append(EvalSample(snapshot=snap, personal_mask=mask,
-                                  polarity=entry.polarity))
+    samples = [load_sample(entry) for entry in manifest.split(split)]
     if not samples:
         raise InvariantError(f"manifest has no '{split}' entries")
     return samples

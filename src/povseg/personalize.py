@@ -45,8 +45,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise InvariantError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise InvariantError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvariantError(
+                f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvariantError(f"alpha {self.alpha} outside [0, 1]")
         self.weights.validate()

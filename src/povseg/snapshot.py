@@ -278,9 +278,9 @@ def load_manifest(path: str | Path) -> Manifest:
         mask_path = None if mask_rel == "-" else base / mask_rel
         if split == "train" and mask_path is None:
             raise FormatError(f"{path}:{lineno}: train entry without a mask")
-        if not snap_path.exists():
+        if not snap_path.is_file():
             raise FormatError(f"{path}:{lineno}: missing snapshot {snap_path}")
-        if mask_path is not None and not mask_path.exists():
+        if mask_path is not None and not mask_path.is_file():
             raise FormatError(f"{path}:{lineno}: missing mask {mask_path}")
         entries.append(ManifestEntry(snap_path, mask_path, split, polarity, class_name))
     if not entries:

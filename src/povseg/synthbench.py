@@ -31,14 +31,13 @@ from .metrics import (
     MetricsReport,
     evaluate_samples,
     load_eval_samples,
+    load_sample,
 )
 from .personalize import TrainConfig, run_personalization
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
     load_manifest,
-    load_mask,
-    load_snapshot,
     save_mask,
     save_snapshot,
 )
@@ -300,23 +299,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def _load_train_samples(manifest: Manifest, limit: int | None = None
-                        ) -> list[tuple[FrozenSnapshot, np.ndarray]]:
-    entries = manifest.split("train")
-    if limit is not None:
-        if limit > len(entries):
-            raise InvariantError(
-                f"requested {limit} training samples, manifest has {len(entries)}")
-        entries = entries[:limit]
-    samples = []
-    for entry in entries:
-        snap = load_snapshot(entry.snapshot)
-        samples.append((snap, load_mask(entry.mask, *snap.grid_shape)))
-    if not samples:
-        raise InvariantError("manifest has no train entries")
-    return samples
-
-
 def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
     name = manifest.personal_class_name
     if name not in snapshot.vocab_names:
@@ -329,7 +311,12 @@ def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
 def train_on_manifest(manifest: Manifest, config: TrainConfig,
                       k: int | None = None) -> tuple[PersonalState, list[float]]:
     """Personalize using the manifest's train split (first ``k`` entries)."""
-    samples = _load_train_samples(manifest, k)
+    entries = manifest.split("train")
+    if k is not None and k > len(entries):
+        raise InvariantError(f"requested {k} training samples, manifest has {len(entries)}")
+    samples = [(s.snapshot, s.personal_mask) for s in map(load_sample, entries[:k])]
+    if not samples:
+        raise InvariantError("manifest has no train entries")
     init = _init_vector(manifest, samples[0][0])
     return run_personalization(samples, config, init_vector=init)
 

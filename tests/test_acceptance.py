@@ -242,8 +242,8 @@ def test_criterion_7_determinism_and_formats(tmp_path, tiny_snapshot):
 
 def test_criterion_8_injection_neutrality(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    from povseg.synthbench import _load_train_samples, _init_vector
-    samples = _load_train_samples(manifest)
+    from povseg.synthbench import _init_vector
+    samples = [(s.snapshot, s.personal_mask) for s in load_eval_samples(manifest, "train")]
     init = _init_vector(manifest, samples[0][0])
 
     disabled_cfg = TrainConfig(injection_enabled=False)

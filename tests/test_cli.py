@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from povseg.cli import main
-from povseg.personalize import load_state, save_state
+from povseg.cli import _train_config, build_parser, main
+from povseg.personalize import TrainConfig, load_state, save_state
 from povseg.snapshot import load_manifest
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
@@ -163,3 +164,29 @@ def test_bad_utf8_manifest_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "povseg: validation error" in err and str(manifest) in err
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                        ("--lambda-negm", "nan"),
+                                        ("--lambda-dice", "inf")])
+def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    code = main(["personalize", "--data", str(data), "--out", str(tmp_path / "s.povp"),
+                 *FAST_TRAIN, flag, value])
+    assert code == 1
+    assert "povseg: validation error" in capsys.readouterr().err
+    assert not (tmp_path / "s.povp").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"),
+                                        ("--eps", "inf"), ("--tol", "nan"),
+                                        ("--tol", "0")])
+def test_bad_gradcheck_flag_exits_one(capsys, flag, value):
+    assert main(["gradcheck", flag, value]) == 1
+    assert f"gradcheck {flag[2:]} must be" in capsys.readouterr().err
+
+
+def test_personalize_defaults_are_train_config():
+    args = build_parser().parse_args(["personalize", "--data", "d", "--out", "s.povp"])
+    assert _train_config(args) == TrainConfig()

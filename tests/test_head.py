@@ -93,27 +93,26 @@ def test_negative_embedding_matches_dot_oracle():
 
 def test_negative_mask_zero_weights():
     m = rng.uniform(size=(3, 3, 2))
-    mask, logits = negative_mask(m, np.zeros(2), 0.0)
+    mask = negative_mask(m, np.zeros(2), 0.0)
     np.testing.assert_array_equal(mask, np.full((3, 3), 0.5))
-    np.testing.assert_array_equal(logits, np.zeros((3, 3)))
 
 
 def test_negative_mask_monotone_in_bias():
     m = rng.uniform(size=(4, 4, 3))
     w = rng.normal(size=3)
-    prev = negative_mask(m, w, -30.0)[0]
+    prev = negative_mask(m, w, -30.0)
     for b in (-5.0, 0.0, 5.0, 30.0):
-        cur = negative_mask(m, w, b)[0]
+        cur = negative_mask(m, w, b)
         assert (cur >= prev).all()
         prev = cur
-    assert negative_mask(m, w, 60.0)[0].min() > 1.0 - 1e-9
+    assert negative_mask(m, w, 60.0).min() > 1.0 - 1e-9
 
 
 def test_negative_mask_matches_scalar_oracle():
     m = rng.uniform(size=(2, 2, 2))
     w = rng.normal(size=2)
     b = 0.3
-    mask, _ = negative_mask(m, w, b)
+    mask = negative_mask(m, w, b)
     for y in range(2):
         for x in range(2):
             z = w[0] * m[y, x, 0] + w[1] * m[y, x, 1] + b

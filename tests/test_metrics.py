@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
-from povseg.head import PersonalState
+from povseg.head import PersonalState, build_frozen_forward, label_map
 from povseg.metrics import (
     ConfusionCounts,
     EvalSample,
@@ -144,17 +144,18 @@ def test_pseudo_label_hand_decoded():
     snap = crafted_snapshot()
     # column 0 favors class 0, column 1 favors class 1; top row uses
     # proposal 0, bottom row proposal 1
-    labels = pseudo_label(snap)
+    labels = pseudo_label(label_map(build_frozen_forward(snap).q))
     np.testing.assert_array_equal(labels, [[0, 0], [1, 1]])
 
 
 def test_pseudo_label_override():
     snap = crafted_snapshot()
     mask = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-    labels = pseudo_label(snap, mask, k=2)
+    labels = pseudo_label(label_map(build_frozen_forward(snap).q), mask, k=2)
     np.testing.assert_array_equal(labels, [[2, 0], [1, 1]])
     # all-zero mask leaves the frozen prediction untouched
-    labels = pseudo_label(snap, np.zeros((2, 2), dtype=np.uint8), k=2)
+    labels = pseudo_label(label_map(build_frozen_forward(snap).q),
+                          np.zeros((2, 2), dtype=np.uint8), k=2)
     np.testing.assert_array_equal(labels, [[0, 0], [1, 1]])
 
 
@@ -204,6 +205,25 @@ def test_two_sample_hand_trace():
     assert report.precision_per == pytest.approx(0.5)
     assert report.iou_per == pytest.approx(0.5)
     assert report.n_positive == 1 and report.n_negative == 1
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_one_frozen_decode_per_sample(monkeypatch, with_state):
+    calls = []
+
+    def counting(snapshot):
+        calls.append(snapshot)
+        return build_frozen_forward(snapshot)
+
+    monkeypatch.setattr("povseg.metrics.build_frozen_forward", counting)
+    mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+    samples = [EvalSample(crafted_snapshot(), mask, "positive"),
+               EvalSample(crafted_snapshot(), None, "negative"),
+               EvalSample(crafted_snapshot(), mask, "positive")]
+    state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
+                          w_m=np.zeros(2), b_m=-50.0, k=2) if with_state else None
+    evaluate_samples(samples, "zero", state=state)
+    assert [id(c) for c in calls] == [id(s.snapshot) for s in samples]
 
 
 def test_report_format(tmp_path):

@@ -13,6 +13,7 @@ from povseg.errors import (
 )
 from povseg.grad import backward, random_instance
 from povseg.head import build_forward
+from povseg.metrics import load_eval_samples
 from povseg.personalize import (
     TrainConfig,
     compute_visual_embedding,
@@ -22,7 +23,6 @@ from povseg.personalize import (
     save_state,
 )
 from povseg.snapshot import FrozenSnapshot, load_manifest
-from povseg.synthbench import _load_train_samples
 
 rng = np.random.default_rng(17)
 
@@ -213,7 +213,7 @@ def test_defaults_match_reported_settings():
 
 def test_descent_on_bundled_benchmark(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    samples = _load_train_samples(manifest)
+    samples = [(s.snapshot, s.personal_mask) for s in load_eval_samples(manifest, "train")]
     state, trace = run_personalization(samples, TrainConfig())
     assert np.isfinite(trace).all()
     assert np.mean(trace[-10:]) < np.mean(trace[:10])

@@ -11,6 +11,7 @@ from povseg.errors import (
     VersionMismatchError,
 )
 from povseg.grad import random_instance
+from povseg.metrics import load_sample
 from povseg.personalize import load_state, save_state
 from povseg.snapshot import (
     FrozenSnapshot,
@@ -21,6 +22,7 @@ from povseg.snapshot import (
     save_mask,
     save_snapshot,
 )
+from povseg.synthbench import SynthConfig, generate
 
 
 def minimal_snapshot():
@@ -301,3 +303,34 @@ def test_manifest_errors(tmp_path):
         with pytest.raises(FormatError):
             load_manifest(write_dataset(tmp_path, lines))
 
+
+# NUL, the two mask bits, field/line/path separators and '-', digits (which
+# can turn one file name into another that exists), a letter, and bytes that
+# are never valid UTF-8 on their own.
+CORRUPTION_BYTES = (0x00, 0x01, 0x09, 0x0A, 0x0D, 0x20, 0x2D, 0x2F, 0x30, 0x31,
+                    0x41, 0x80, 0xFF)
+
+
+def test_single_byte_corruption_loads_or_raises_format_error(tmp_path):
+    config = SynthConfig(v=6, d=10, n=4, h=8, w=8, hf=4, wf=4,
+                         instances_per_class=2, k_train=2, n_test_pos=1,
+                         n_test_neg=1)
+    manifest_path = generate(config, tmp_path)
+    mask_path = load_manifest(manifest_path).split("train")[0].mask
+    outcomes = {"loaded": 0, "format_error": 0}
+    for target in (manifest_path, mask_path):
+        original = target.read_bytes()
+        for offset in range(len(original)):
+            for value in CORRUPTION_BYTES:
+                blob = bytearray(original)
+                blob[offset] = value
+                target.write_bytes(bytes(blob))
+                try:
+                    for entry in load_manifest(manifest_path).entries:
+                        load_sample(entry)
+                except FormatError:
+                    outcomes["format_error"] += 1
+                else:
+                    outcomes["loaded"] += 1
+        target.write_bytes(original)
+    assert outcomes["loaded"] > 0 and outcomes["format_error"] > 0, outcomes
