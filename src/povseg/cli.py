@@ -86,8 +86,6 @@ def _cmd_synth(args) -> int:
 def _cmd_personalize(args) -> int:
     if args.iters < 1:
         raise InvariantError(f"--iters must be >= 1, got {args.iters}")
-    if args.lr <= 0:
-        raise InvariantError(f"--lr must be positive, got {args.lr}")
     config = _train_config(args)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = load_manifest(Path(args.data) / "manifest.tsv")

@@ -2,10 +2,10 @@
 
 The computation graph is small and fixed, so the chain rule is written out
 by hand: interpolation -> text augmentation -> similarity -> column softmax
--> mask composition -> per-pixel normalization -> the five loss terms, plus
-the sigmoid branch of the negative mask. ``finite_diff`` re-evaluates the
-loss with central differences and is the contract ``backward`` is checked
-against.
+-> personal-channel composition -> per-pixel normalization -> the five loss
+terms, plus the sigmoid branch of the negative mask. ``finite_diff``
+re-evaluates the loss with central differences and is the contract
+``backward`` is checked against.
 
 Only (t_per, w_z, w_m, b_m) receive gradients; every frozen tensor is left
 untouched.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvariantError, NonFiniteError
-from .head import PersonalState, build_forward
+from .head import COVERAGE_EPS, PersonalState, build_forward
 from .losses import DICE_EPS, PROB_CLAMP, LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
 
@@ -42,15 +42,14 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
              weights: LossWeights) -> tuple[LossBreakdown, Gradients]:
     """Forward pass plus exact gradients of the weighted total loss."""
     cache = build_forward(snapshot, state)
-    _check("forward", cache.s, cache.c, cache.p, cache.q)
+    _check("forward", cache.s, cache.c, cache.q_per)
     breakdown = total_loss(cache, gt, weights)
     _check("loss", np.array([breakdown.total]))
 
     g = gt.astype(np.float64)
-    fg = g > 0
     n_fg = float(g.sum())
     n_pix = g.size
-    q_per = cache.q[..., cache.k]
+    q_per, k, j = cache.q_per, cache.k, cache.j
 
     # d total / d q_per, accumulated over dice, bce and cls.
     gq_per = np.zeros_like(q_per)
@@ -69,44 +68,40 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
         gq_per += weights.cls * inside * (-g / qc) / n_fg
     _check("loss-to-q", gq_per)
 
-    # Per-pixel normalization Q = P / coverage (uniform fallback has no grad).
-    covered = cache.coverage > 1e-12
-    gp = np.zeros_like(cache.p)
+    # Per-pixel normalization q_per = M C[k] / coverage (uniform fallback has no grad).
+    covered = cache.coverage > COVERAGE_EPS
     scale = np.where(covered, gq_per / np.where(covered, cache.coverage, 1.0), 0.0)
-    gp[..., cache.k] = scale
-    gp -= (scale * q_per)[..., None]
-    _check("normalize", gp)
+    _check("normalize", scale)
 
-    # Composition P = M C^T.
-    flat_gp = gp.reshape(-1, gp.shape[2])
-    flat_m = cache.m.reshape(-1, cache.m.shape[2])
-    gc = flat_gp.T @ flat_m
-    gm = gp @ cache.c
+    # Composition reads only row k of C.
+    gc = np.zeros_like(cache.c)
+    gc[k] = np.tensordot(scale, cache.m, axes=([0, 1], [0, 1]))
 
     # Negative-column uniformity loss feeds C directly.
-    if cache.j is not None and weights.neg_z:
-        col = cache.c[:, cache.j]
+    if j is not None and weights.neg_z:
+        col = cache.c[:, j]
         v_np = col.shape[0] - 1
         inside = col > PROB_CLAMP
         contrib = np.where(inside, -1.0 / (v_np * np.clip(col, PROB_CLAMP, 1.0)), 0.0)
-        contrib[cache.k] = 0.0
-        gc[:, cache.j] += weights.neg_z * contrib
-    _check("composition", gc, gm)
+        contrib[k] = 0.0
+        gc[:, j] += weights.neg_z * contrib
+    _check("composition", gc)
 
     # Column softmax.
     colsum = (gc * cache.c).sum(axis=0, keepdims=True)
     gs = cache.c * (gc - colsum)
 
-    # Similarity S = tau T Z^T.
-    gt_full = snapshot.logit_scale * (gs @ cache.z_full)
-    gz_full = snapshot.logit_scale * (gs.T @ cache.t_full)
-    _check("similarity", gt_full, gz_full)
+    # Similarity S = tau T Z^T: only row k of T and row j of Z are trained.
+    tau = snapshot.logit_scale
+    g_t_eff = tau * (gs[k] @ cache.z_full)
+    g_z_neg = None if j is None else tau * (gs[:, j] @ cache.t_full)
+    _check("similarity", g_t_eff, g_z_neg)
 
-    g_t_per = (1.0 - state.alpha) * gt_full[state.k]
+    g_t_per = (1.0 - state.alpha) * g_t_eff
 
-    if cache.j is not None:
-        g_w_z = snapshot.z_open @ gz_full[cache.j]
-        gm_neg = gm[..., cache.j].copy()
+    if j is not None:
+        g_w_z = snapshot.z_open @ g_z_neg
+        gm_neg = scale * (cache.c[k, j] - q_per)
         if weights.neg_m:
             comp = 1.0 - g
             inside = (cache.m_neg > PROB_CLAMP) & (cache.m_neg < 1.0 - PROB_CLAMP)

@@ -54,19 +54,18 @@ class PersonalState:
 
 @dataclass
 class ForwardCache:
-    """All intermediates of one forward pass, consumed by losses and grads."""
+    """Intermediates of one forward pass; the frozen pass fills the first five."""
 
     t_full: np.ndarray               # (V+1, D) or (V, D) frozen
     z_full: np.ndarray               # (N+1, D) or (N, D)
     s: np.ndarray                    # similarity logits
     c: np.ndarray                    # column-stochastic class probabilities
     m: np.ndarray                    # (H, W, channels)
-    m_neg: np.ndarray | None         # (H, W) negative mask, None if disabled
-    p: np.ndarray                    # (H, W, classes) composed scores
-    q: np.ndarray                    # (H, W, classes) per-pixel normalized
-    coverage: np.ndarray             # (H, W) per-pixel mass sum_v P(p, v)
-    k: int | None                    # personal class index, None for frozen
-    j: int | None                    # negative column/channel index
+    m_neg: np.ndarray | None = None  # (H, W) negative mask, None if disabled
+    coverage: np.ndarray | None = None  # (H, W) sum_n M(p, n) = sum_v P(p, v)
+    q_per: np.ndarray | None = None  # (H, W) personal channel Q[..., k]
+    k: int | None = None             # personal class index, None for frozen
+    j: int | None = None             # negative column/channel index
 
 
 def effective_embedding(t_per: np.ndarray, f_per: np.ndarray | None,
@@ -149,13 +148,18 @@ def predict(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     coverage = p.sum(axis=2)
     covered = coverage > COVERAGE_EPS
     q = np.full_like(p, 1.0 / p.shape[2])
-    q[covered] = p[covered] / coverage[covered][:, None]
+    np.divide(p, coverage[..., None], out=q, where=covered[..., None])
     return p, q, coverage
 
 
 def label_map(q: np.ndarray) -> np.ndarray:
     """Per-pixel argmax; ties break to the smallest class index."""
     return q.argmax(axis=2)
+
+
+def decode(cache: ForwardCache) -> np.ndarray:
+    """Label map of a forward pass, composing every class."""
+    return label_map(predict(cache.m, cache.c)[1])
 
 
 def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
@@ -192,16 +196,17 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCach
 
     s = similarity(t_full, z_full, snapshot.logit_scale)
     c = class_probs(s)
-    p, q, coverage = predict(m, c)
-    return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=c, m=m,
-                        m_neg=m_neg, p=p, q=q, coverage=coverage, k=state.k, j=j)
+    coverage = m.sum(axis=2)
+    covered = coverage > COVERAGE_EPS
+    q_per = np.where(covered, (m @ c[state.k]) / np.where(covered, coverage, 1.0),
+                     1.0 / c.shape[0])
+    return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=c, m=m, m_neg=m_neg,
+                        coverage=coverage, q_per=q_per, k=state.k, j=j)
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
     """Run the unmodified pipeline (no personal row, no negative branch)."""
     s = similarity(snapshot.t_open, snapshot.z_open, snapshot.logit_scale)
     c = class_probs(s)
-    p, q, coverage = predict(snapshot.m_open, c)
     return ForwardCache(t_full=snapshot.t_open, z_full=snapshot.z_open, s=s,
-                        c=c, m=snapshot.m_open, m_neg=None, p=p, q=q,
-                        coverage=coverage, k=None, j=None)
+                        c=c, m=snapshot.m_open)

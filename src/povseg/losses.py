@@ -62,13 +62,14 @@ def bce_loss(prob: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean(-g * np.log(p) - (1.0 - g) * np.log(1.0 - p)))
 
 
-def cls_loss(q: np.ndarray, gt: np.ndarray, k: int) -> float:
-    """Mean over foreground pixels of -log Q(p, k); 0 on empty foreground."""
+def cls_loss(prob: np.ndarray, gt: np.ndarray) -> float:
+    """Mean over foreground pixels of -log prob; 0 on empty foreground."""
+    if prob.shape != gt.shape:
+        raise InvariantError(f"shape mismatch {prob.shape} vs {gt.shape}")
     fg = gt.astype(bool)
     if not fg.any():
         return 0.0
-    qk = np.clip(q[..., k][fg], PROB_CLAMP, 1.0)
-    return float(np.mean(-np.log(qk)))
+    return float(np.mean(-np.log(np.clip(prob[fg], PROB_CLAMP, 1.0))))
 
 
 def neg_z_loss(c: np.ndarray, j: int, k: int) -> float:
@@ -91,10 +92,9 @@ def total_loss(cache: ForwardCache, gt: np.ndarray,
     weights.validate()
     if cache.k is None:
         raise InvariantError("total_loss needs a personalized forward pass")
-    q_per = cache.q[..., cache.k]
-    dice = dice_loss(q_per, gt)
-    bce = bce_loss(q_per, gt)
-    cls = cls_loss(cache.q, gt, cache.k)
+    dice = dice_loss(cache.q_per, gt)
+    bce = bce_loss(cache.q_per, gt)
+    cls = cls_loss(cache.q_per, gt)
     if cache.j is not None:
         neg_z = neg_z_loss(cache.c, cache.j, cache.k)
         neg_m = neg_m_loss(cache.m_neg, gt)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantError
-from .head import PersonalState, build_forward, build_frozen_forward, label_map
+from .head import PersonalState, build_forward, build_frozen_forward, decode
 from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
 
 
@@ -142,7 +142,7 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
         snap = sample.snapshot
         if snap.vocab_size != k:
             raise InvariantError(f"sample {idx} vocabulary size differs")
-        frozen = label_map(build_frozen_forward(snap).q)
+        frozen = decode(build_frozen_forward(snap))
         if sample.polarity == "positive":
             if sample.personal_mask is None:
                 raise InvariantError(f"positive sample {idx} lacks a personal mask")
@@ -154,7 +154,7 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
         if state is not None:
-            pred = label_map(build_forward(snap, state).q)
+            pred = decode(build_forward(snap, state))
         elif personal_class_name in snap.vocab_names:
             proxy = snap.vocab_names.index(personal_class_name)
             pred = np.where(frozen == proxy, k, frozen)

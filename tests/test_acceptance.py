@@ -11,7 +11,7 @@ import pytest
 
 from povseg.cli import main as cli_main
 from povseg.grad import backward, gradcheck
-from povseg.head import PersonalState, build_forward, build_frozen_forward, class_probs, label_map, predict
+from povseg.head import PersonalState, build_forward, build_frozen_forward, class_probs, decode, label_map, predict
 from povseg.losses import LossWeights, total_loss
 from povseg.metrics import (
     ConfusionCounts,
@@ -199,7 +199,7 @@ def test_criterion_6_frozen_model_preservation(bench_dir):
         reduced_c = class_probs(cache.s[:v, :n])
         _, reduced_q, _ = predict(cache.m[:, :, :n], reduced_c)
         frozen = build_frozen_forward(snapshot)
-        np.testing.assert_array_equal(label_map(reduced_q), label_map(frozen.q))
+        np.testing.assert_array_equal(label_map(reduced_q), decode(frozen))
         checked += 1
     report(f"criterion 6: frozen labels reproduced exactly on all {checked} test images")
 

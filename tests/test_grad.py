@@ -164,9 +164,19 @@ def _empty_foreground(snapshot, state, gt):
     return snapshot, state, np.zeros_like(gt)
 
 
+def _uncovered_pixels(snapshot, state, gt):
+    # with the negative branch off, a zeroed proposal block puts its pixels
+    # on the uniform coverage fallback
+    m_open = snapshot.m_open.copy()
+    m_open[:4, :4, :] = 0.0
+    return (replace(snapshot, m_open=m_open), replace(state, negative_enabled=False),
+            gt)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("variant", [_no_negative_branch, _no_visual_embedding,
-                                     _visual_only, _empty_foreground])
+                                     _visual_only, _empty_foreground,
+                                     _uncovered_pixels])
 def test_gradcheck_unreached_branches(variant, seed):
     snapshot, state, gt, weights = random_instance(seed)
     snapshot, state, gt = variant(snapshot, state, gt)

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
+from povseg.grad import random_instance
 from povseg.head import (
     PersonalState,
     augment_text,
     build_forward,
     build_frozen_forward,
     class_probs,
+    decode,
     effective_embedding,
     label_map,
     negative_embedding,
@@ -236,7 +239,23 @@ def test_forward_frozen_subblock_preserved(tiny_snapshot):
     np.testing.assert_array_equal(
         label_map(predict(cache.m[:, :, :n],
                           class_probs(cache.s[:v, :n]))[1]),
-        label_map(frozen.q))
+        decode(frozen))
+
+
+def test_forward_personal_channel_matches_full_composition():
+    cases = [random_instance(seed)[:2] for seed in (0, 1, 2)]
+    # n=4 keeps the class count (V+1 = 6) apart from the proposal count
+    snapshot, state = random_instance(0, n=4)[:2]
+    m_open = snapshot.m_open.copy()
+    m_open[:4, :4, :] = 0.0
+    cases.append((replace(snapshot, m_open=m_open),
+                  replace(state, negative_enabled=False)))
+    for snapshot, state in cases:
+        cache = build_forward(snapshot, state)
+        _, q, _ = predict(cache.m, cache.c)
+        np.testing.assert_allclose(cache.q_per, q[..., state.k], rtol=0, atol=1e-12)
+    # the last case puts a block on the uniform fallback
+    np.testing.assert_array_equal(cache.q_per[:4, :4], 1.0 / (state.k + 1))
 
 
 def test_forward_zero_wz_gives_zero_negative_embedding(tiny_snapshot):
@@ -250,8 +269,10 @@ def test_forward_alpha_zero_ignores_visual(tiny_snapshot):
     with_f = make_state(tiny_snapshot, t_per=base.t_per, w_z=base.w_z,
                         w_m=base.w_m, b_m=base.b_m, alpha=0.0,
                         f_per=rng.normal(size=tiny_snapshot.embed_dim))
-    np.testing.assert_array_equal(build_forward(tiny_snapshot, base).p,
-                                  build_forward(tiny_snapshot, with_f).p)
+    plain = build_forward(tiny_snapshot, base)
+    injected = build_forward(tiny_snapshot, with_f)
+    np.testing.assert_array_equal(plain.c, injected.c)
+    np.testing.assert_array_equal(plain.q_per, injected.q_per)
 
 
 def test_forward_negative_disabled_shapes(tiny_snapshot):

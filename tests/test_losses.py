@@ -70,19 +70,19 @@ def test_cls_cases():
     q = np.zeros((2, 2, 4))
     q[..., 3] = 1.0
     gt = np.ones((2, 2), dtype=np.uint8)
-    assert cls_loss(q, gt, 3) == pytest.approx(0.0, abs=1e-12)
+    assert cls_loss(q[..., 3], gt) == pytest.approx(0.0, abs=1e-12)
 
     q = np.full((2, 2, 4), 0.25)
-    assert cls_loss(q, gt, 3) == pytest.approx(math.log(4.0), rel=1e-12)
+    assert cls_loss(q[..., 3], gt) == pytest.approx(math.log(4.0), rel=1e-12)
 
     # two foreground pixels with probabilities 0.5 and 0.25
     q = np.full((1, 2, 4), 0.25)
     q[0, 0, 3] = 0.5
-    assert cls_loss(q, np.ones((1, 2), dtype=np.uint8), 3) == pytest.approx(
+    assert cls_loss(q[..., 3], np.ones((1, 2), dtype=np.uint8)) == pytest.approx(
         (math.log(2.0) + math.log(4.0)) / 2.0, rel=1e-12)
 
     # degenerate: empty foreground
-    assert cls_loss(q, np.zeros((1, 2), dtype=np.uint8), 3) == 0.0
+    assert cls_loss(q[..., 3], np.zeros((1, 2), dtype=np.uint8)) == 0.0
 
 
 def test_neg_z_uniform_minimum():
@@ -134,10 +134,10 @@ def test_total_loss_equals_weighted_sum_of_parts():
     weights = LossWeights(0.7, 1.3, 2.0, 0.4, 3.0)
     breakdown = total_loss(cache, gt, weights)
 
-    q_per = cache.q[..., cache.k]
+    q_per = cache.q_per
     parts = (weights.dice * dice_loss(q_per, gt)
              + weights.bce * bce_loss(q_per, gt)
-             + weights.cls * cls_loss(cache.q, gt, cache.k)
+             + weights.cls * cls_loss(q_per, gt)
              + weights.neg_z * neg_z_loss(cache.c, cache.j, cache.k)
              + weights.neg_m * neg_m_loss(cache.m_neg, gt))
     assert breakdown.total == pytest.approx(parts, abs=1e-12)

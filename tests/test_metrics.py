@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
-from povseg.head import PersonalState, build_frozen_forward, label_map
+from povseg.head import PersonalState, build_frozen_forward, decode
 from povseg.metrics import (
     ConfusionCounts,
     EvalSample,
@@ -144,17 +144,17 @@ def test_pseudo_label_hand_decoded():
     snap = crafted_snapshot()
     # column 0 favors class 0, column 1 favors class 1; top row uses
     # proposal 0, bottom row proposal 1
-    labels = pseudo_label(label_map(build_frozen_forward(snap).q))
+    labels = pseudo_label(decode(build_frozen_forward(snap)))
     np.testing.assert_array_equal(labels, [[0, 0], [1, 1]])
 
 
 def test_pseudo_label_override():
     snap = crafted_snapshot()
     mask = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-    labels = pseudo_label(label_map(build_frozen_forward(snap).q), mask, k=2)
+    labels = pseudo_label(decode(build_frozen_forward(snap)), mask, k=2)
     np.testing.assert_array_equal(labels, [[2, 0], [1, 1]])
     # all-zero mask leaves the frozen prediction untouched
-    labels = pseudo_label(label_map(build_frozen_forward(snap).q),
+    labels = pseudo_label(decode(build_frozen_forward(snap)),
                           np.zeros((2, 2), dtype=np.uint8), k=2)
     np.testing.assert_array_equal(labels, [[0, 0], [1, 1]])
 
