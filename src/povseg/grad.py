@@ -2,8 +2,9 @@
 
 The computation graph is small and fixed, so the chain rule is written out
 by hand: interpolation -> text augmentation -> similarity -> column softmax
--> personal-channel composition -> per-pixel normalization -> the five loss
-terms, plus the sigmoid branch of the negative mask. ``finite_diff``
+-> personal-channel composition -> per-pixel normalization, plus the sigmoid
+branch of the negative mask. Each loss term returns its own derivative
+(``losses.total_loss``), so this module holds no clamp. ``finite_diff``
 re-evaluates the loss with central differences and is the contract
 ``backward`` is checked against.
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantError, NonFiniteError
 from .head import COVERAGE_EPS, PersonalState, build_forward
-from .losses import DICE_EPS, PROB_CLAMP, LossBreakdown, LossWeights, total_loss
+from .losses import LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
 
 
@@ -43,48 +44,21 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     """Forward pass plus exact gradients of the weighted total loss."""
     cache = build_forward(snapshot, state)
     _check("forward", cache.s, cache.c, cache.q_per)
-    breakdown = total_loss(cache, gt, weights)
+    breakdown, gq_per, gc_j, gm_loss = total_loss(cache, gt, weights)
     _check("loss", np.array([breakdown.total]))
-
-    g = gt.astype(np.float64)
-    n_fg = float(g.sum())
-    n_pix = g.size
-    q_per, k, j = cache.q_per, cache.k, cache.j
-
-    # d total / d q_per, accumulated over dice, bce and cls.
-    gq_per = np.zeros_like(q_per)
-    if weights.dice:
-        inter = float((q_per * g).sum())
-        denom = float(q_per.sum()) + float(g.sum()) + DICE_EPS
-        gq_per += weights.dice * ((2.0 * inter + DICE_EPS) / denom ** 2
-                                  - 2.0 * g / denom)
-    if weights.bce:
-        inside = (q_per > PROB_CLAMP) & (q_per < 1.0 - PROB_CLAMP)
-        qc = np.clip(q_per, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        gq_per += weights.bce * inside * (-g / qc + (1.0 - g) / (1.0 - qc)) / n_pix
-    if weights.cls and n_fg > 0:
-        inside = q_per > PROB_CLAMP
-        qc = np.clip(q_per, PROB_CLAMP, 1.0)
-        gq_per += weights.cls * inside * (-g / qc) / n_fg
     _check("loss-to-q", gq_per)
+    k, j = cache.k, cache.j
 
     # Per-pixel normalization q_per = M C[k] / coverage (uniform fallback has no grad).
     covered = cache.coverage > COVERAGE_EPS
     scale = np.where(covered, gq_per / np.where(covered, cache.coverage, 1.0), 0.0)
     _check("normalize", scale)
 
-    # Composition reads only row k of C.
+    # Composition reads only row k of C; the uniformity loss reads column j.
     gc = np.zeros_like(cache.c)
     gc[k] = np.tensordot(scale, cache.m, axes=([0, 1], [0, 1]))
-
-    # Negative-column uniformity loss feeds C directly.
-    if j is not None and weights.neg_z:
-        col = cache.c[:, j]
-        v_np = col.shape[0] - 1
-        inside = col > PROB_CLAMP
-        contrib = np.where(inside, -1.0 / (v_np * np.clip(col, PROB_CLAMP, 1.0)), 0.0)
-        contrib[k] = 0.0
-        gc[:, j] += weights.neg_z * contrib
+    if j is not None:
+        gc[:, j] += gc_j
     _check("composition", gc)
 
     # Column softmax.
@@ -101,12 +75,8 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
 
     if j is not None:
         g_w_z = snapshot.z_open @ g_z_neg
-        gm_neg = scale * (cache.c[k, j] - q_per)
-        if weights.neg_m:
-            comp = 1.0 - g
-            inside = (cache.m_neg > PROB_CLAMP) & (cache.m_neg < 1.0 - PROB_CLAMP)
-            mc = np.clip(cache.m_neg, PROB_CLAMP, 1.0 - PROB_CLAMP)
-            gm_neg += weights.neg_m * inside * (-comp / mc + (1.0 - comp) / (1.0 - mc)) / n_pix
+        gm_neg = scale * (cache.c[k, j] - cache.q_per)
+        gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
         g_w_m = np.tensordot(ga, snapshot.m_open, axes=([0, 1], [0, 1]))
         g_b_m = float(ga.sum())
@@ -122,7 +92,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
 
 def _loss_at(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
              weights: LossWeights) -> float:
-    return total_loss(build_forward(snapshot, state), gt, weights).total
+    return total_loss(build_forward(snapshot, state), gt, weights)[0].total
 
 
 def finite_diff(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,

@@ -48,9 +48,6 @@ class PersonalState:
         if self.f_per is not None and self.f_per.shape != self.t_per.shape:
             raise InvariantError("f_per dimension differs from t_per")
 
-    def num_trainable(self) -> int:
-        return self.t_per.size + self.w_z.size + self.w_m.size + 1
-
 
 @dataclass
 class ForwardCache:
@@ -68,48 +65,27 @@ class ForwardCache:
     j: int | None = None             # negative column/channel index
 
 
+# The stage functions below trust their shapes: build_forward checks the
+# state against the snapshot once.
+
 def effective_embedding(t_per: np.ndarray, f_per: np.ndarray | None,
                         alpha: float) -> np.ndarray:
     """Interpolate the visual embedding into the personal text embedding."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvariantError(f"alpha {alpha} outside [0, 1]")
-    if f_per is None:
-        if alpha != 0.0:
-            raise InvariantError("alpha must be 0 without a visual embedding")
-        return t_per.copy()
-    if f_per.shape != t_per.shape:
-        raise InvariantError("f_per dimension differs from t_per")
-    if alpha == 0.0:
-        return t_per.copy()
-    if alpha == 1.0:
-        return f_per.copy()
-    return alpha * f_per + (1.0 - alpha) * t_per
+    return t_per if f_per is None else alpha * f_per + (1.0 - alpha) * t_per
 
 
-def augment_text(t_open: np.ndarray, t_eff: np.ndarray, k: int) -> np.ndarray:
-    """Append the personal embedding as row ``k``; refuses re-augmentation."""
-    if t_open.ndim != 2 or t_eff.ndim != 1 or t_open.shape[1] != t_eff.shape[0]:
-        raise InvariantError("text bank and personal embedding dims disagree")
-    if t_open.shape[0] != k:
-        raise InvariantError(
-            f"text bank has {t_open.shape[0]} rows; personal row must land at {k} "
-            "(already augmented?)")
+def augment_text(t_open: np.ndarray, t_eff: np.ndarray) -> np.ndarray:
+    """Append the personal embedding as the last row (index ``V``)."""
     return np.vstack([t_open, t_eff[None, :]])
 
 
 def negative_embedding(z_open: np.ndarray, w_z: np.ndarray) -> np.ndarray:
     """Linear combination of the mask embeddings: ``w_z @ z_open``."""
-    if z_open.shape[0] != w_z.shape[0]:
-        raise InvariantError(
-            f"w_z length {w_z.shape[0]} != {z_open.shape[0]} proposals")
     return w_z @ z_open
 
 
 def negative_mask(m_open: np.ndarray, w_m: np.ndarray, b_m: float) -> np.ndarray:
     """Sigmoid of a 1x1 combination over proposal channels."""
-    if m_open.shape[2] != w_m.shape[0]:
-        raise InvariantError(
-            f"w_m length {w_m.shape[0]} != {m_open.shape[2]} proposals")
     return sigmoid(m_open @ w_m + b_m)
 
 
@@ -123,8 +99,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def similarity(t_full: np.ndarray, z_full: np.ndarray, logit_scale: float) -> np.ndarray:
-    if t_full.shape[1] != z_full.shape[1]:
-        raise InvariantError("text and mask embedding dims disagree")
     return logit_scale * (t_full @ z_full.T)
 
 
@@ -165,8 +139,9 @@ def decode(cache: ForwardCache) -> np.ndarray:
 def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
     """Run the personalized pipeline for one snapshot.
 
-    The snapshot must carry exactly the state's proposal count,
-    ``len(state.w_z)``.
+    The only check of a state against a snapshot: the state must be valid,
+    match the embedding dimension, put its personal row at ``k = V`` and
+    carry exactly the snapshot's proposal count, ``len(state.w_z)``.
     """
     state.validate()
     if state.t_per.shape[0] != snapshot.embed_dim:
@@ -180,7 +155,7 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCach
         raise InvariantError(
             f"snapshot has {n} proposals, state expects {state.w_z.shape[0]}")
     t_eff = effective_embedding(state.t_per, state.f_per, state.alpha)
-    t_full = augment_text(snapshot.t_open, t_eff, state.k)
+    t_full = augment_text(snapshot.t_open, t_eff)
 
     if state.negative_enabled:
         z_neg = negative_embedding(snapshot.z_open, state.w_z)

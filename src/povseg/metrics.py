@@ -140,8 +140,8 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
     n_pos = n_neg = 0
     for idx, sample in enumerate(samples):
         snap = sample.snapshot
-        if snap.vocab_size != k:
-            raise InvariantError(f"sample {idx} vocabulary size differs")
+        if snap.vocab_names != first.vocab_names:
+            raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
         frozen = decode(build_frozen_forward(snap))
         if sample.polarity == "positive":
             if sample.personal_mask is None:

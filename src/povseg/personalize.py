@@ -106,9 +106,9 @@ def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
         raise InvariantError("empty training sample set")
     first = samples[0][0]
     for idx, (snap, mask) in enumerate(samples):
-        if (snap.vocab_size, snap.embed_dim, snap.num_proposals) != (
-                first.vocab_size, first.embed_dim, first.num_proposals):
-            raise InvariantError(f"sample {idx} disagrees on (V, D, N)")
+        if (snap.vocab_size, snap.embed_dim, snap.num_proposals, snap.vocab_names) != (
+                first.vocab_size, first.embed_dim, first.num_proposals, first.vocab_names):
+            raise InvariantError(f"sample {idx} disagrees on (V, D, N) or vocabulary names")
         if mask.shape != snap.grid_shape:
             raise InvariantError(f"sample {idx}: mask shape {mask.shape} "
                                  f"!= grid {snap.grid_shape}")

@@ -63,6 +63,9 @@ class FrozenSnapshot:
             raise InvariantError("t_open must be 2-D, z_open 2-D, m_open 3-D")
         v, d = self.t_open.shape
         n = self.z_open.shape[0]
+        h, w = self.grid_shape
+        if v == 0 or h == 0 or w == 0:
+            raise InvariantError(f"empty snapshot: V={v}, grid {h}x{w}")
         if self.z_open.shape[1] != d:
             raise InvariantError(
                 f"z_open dim {self.z_open.shape[1]} != embedding dim {d}")
@@ -174,7 +177,10 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
     snap = FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
                           vocab_names=names, logit_scale=logit_scale,
                           features=features)
-    snap.validate()
+    try:
+        snap.validate()
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
     # loaded snapshots are immutable and safe to share across evaluators
     for arr in (snap.t_open, snap.z_open, snap.m_open, snap.features):
         if arr is not None:

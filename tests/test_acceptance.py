@@ -75,7 +75,7 @@ def test_criterion_2_loss_minimizer_properties():
         state.w_z = state.w_z - lr * grads.g_w_z
         state.t_per = state.t_per - lr * grads.g_t_per
     cache = build_forward(snapshot, state)
-    breakdown = total_loss(cache, gt, weights)
+    breakdown = total_loss(cache, gt, weights)[0]
     v_np = snapshot.vocab_size
     gap = breakdown.neg_z - np.log(v_np)
     personal_mass = cache.c[cache.k, cache.j]
@@ -100,7 +100,7 @@ def test_criterion_2_loss_minimizer_properties():
         _, grads = backward(snapshot2, state2, gt2, weights2)
         state2.w_m = state2.w_m - lr * grads.g_w_m
         state2.b_m = state2.b_m - lr * grads.g_b_m
-    final = total_loss(build_forward(snapshot2, state2), gt2, weights2)
+    final = total_loss(build_forward(snapshot2, state2), gt2, weights2)[0]
     assert final.neg_m < 0.05
     report(f"criterion 2: neg_z gap {gap:.2e} <= 1e-3, personal column mass "
            f"{personal_mass:.2e} < 1e-3, neg_m {final.neg_m:.4f} < 0.05")

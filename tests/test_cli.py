@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from povseg.cli import _train_config, build_parser, main
 from povseg.personalize import TrainConfig, load_state, save_state
-from povseg.snapshot import load_manifest
+from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_mask, save_snapshot
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
 FAST_TRAIN = ["--iters", "10"]
@@ -152,6 +154,33 @@ def test_bad_utf8_vocab_name_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "povseg: validation error" in err and str(snapshot) in err
+
+
+@pytest.mark.parametrize("dim", ["V", "H", "W"])
+def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
+    data = tmp_path / "data"
+    state = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state), "--iters", "1"])
+    entry = load_manifest(data / "manifest.tsv").split("test")[0]
+    snap = load_snapshot(entry.snapshot)
+    if dim == "V":
+        snap = replace(snap, t_open=snap.t_open[:0], vocab_names=[])
+    else:
+        m_open = snap.m_open[:0] if dim == "H" else snap.m_open[:, :0]
+        snap = replace(snap, m_open=m_open)
+        save_mask(np.zeros(m_open.shape[:2], dtype=np.uint8), entry.mask)
+    # save_snapshot validates, so write the empty file with validation bypassed
+    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
+    save_snapshot(snap, entry.snapshot)
+    monkeypatch.undo()
+    for argv in (["eval", "--state", str(state)], ["eval", "--frozen-only"],
+                 ["concat-eval", "--state", str(state)]):
+        code = main([*argv, "--data", str(data), "--report", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "povseg: validation error" in err and str(entry.snapshot) in err
+        assert "Traceback" not in err
 
 
 def test_bad_utf8_manifest_exits_one(tmp_path, capsys):

@@ -173,10 +173,21 @@ def _uncovered_pixels(snapshot, state, gt):
             gt)
 
 
+def _saturated_negative_mask_high(snapshot, state, gt):
+    # every m_neg rounds to 1, beyond the BCE clamp at 1 - PROB_CLAMP
+    return snapshot, replace(state, b_m=40.0), gt
+
+
+def _saturated_negative_mask_low(snapshot, state, gt):
+    # every m_neg lies below the BCE clamp at PROB_CLAMP
+    return snapshot, replace(state, b_m=-40.0), gt
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("variant", [_no_negative_branch, _no_visual_embedding,
                                      _visual_only, _empty_foreground,
-                                     _uncovered_pixels])
+                                     _uncovered_pixels, _saturated_negative_mask_high,
+                                     _saturated_negative_mask_low])
 def test_gradcheck_unreached_branches(variant, seed):
     snapshot, state, gt, weights = random_instance(seed)
     snapshot, state, gt = variant(snapshot, state, gt)

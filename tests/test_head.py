@@ -45,35 +45,37 @@ def test_effective_embedding_endpoints():
                                0.1 * f + 0.9 * t, rtol=0, atol=0)
 
 
-def test_effective_embedding_validation():
-    t = rng.normal(size=4)
+def test_effective_embedding_validation(tiny_snapshot):
+    d = tiny_snapshot.embed_dim
     with pytest.raises(InvariantError):
-        effective_embedding(t, None, 0.5)
+        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=0.5))
     with pytest.raises(InvariantError):
-        effective_embedding(t, rng.normal(size=4), 1.5)
+        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=1.5,
+                                                f_per=rng.normal(size=d)))
     with pytest.raises(InvariantError):
-        effective_embedding(t, rng.normal(size=3), 0.5)
+        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=0.5,
+                                                f_per=rng.normal(size=d - 1)))
 
 
 def test_augment_text():
     t_eff = rng.normal(size=4)
     empty = np.zeros((0, 4))
-    out = augment_text(empty, t_eff, 0)
+    out = augment_text(empty, t_eff)
     assert out.shape == (1, 4)
     np.testing.assert_array_equal(out[0], t_eff)
 
     bank = rng.normal(size=(2, 4))
-    out = augment_text(bank, t_eff, 2)
+    out = augment_text(bank, t_eff)
     np.testing.assert_array_equal(out[:2], bank)
     np.testing.assert_array_equal(out[2], t_eff)
 
 
-def test_augment_twice_refused():
-    bank = rng.normal(size=(2, 4))
-    t_eff = rng.normal(size=4)
-    once = augment_text(bank, t_eff, 2)
+def test_augment_twice_refused(tiny_snapshot):
+    state = make_state(tiny_snapshot)
+    once = replace(tiny_snapshot, t_open=augment_text(tiny_snapshot.t_open, state.t_per),
+                   vocab_names=tiny_snapshot.vocab_names + ["<personal>"])
     with pytest.raises(InvariantError):
-        augment_text(once, t_eff, 2)
+        build_forward(once, state)
 
 
 def test_negative_embedding_selection_and_mean():
@@ -85,13 +87,15 @@ def test_negative_embedding_selection_and_mean():
                                z.mean(axis=0))
 
 
-def test_negative_embedding_matches_dot_oracle():
+def test_negative_embedding_matches_dot_oracle(tiny_snapshot):
     z = rng.normal(size=(3, 2))
     w = rng.normal(size=3)
     expected = np.array([sum(w[n] * z[n, d] for n in range(3)) for d in range(2)])
     np.testing.assert_allclose(negative_embedding(z, w), expected, rtol=1e-15)
+    n = tiny_snapshot.num_proposals
     with pytest.raises(InvariantError):
-        negative_embedding(z, rng.normal(size=4))
+        build_forward(tiny_snapshot, make_state(tiny_snapshot, w_z=rng.normal(size=n + 1),
+                                                w_m=rng.normal(size=n + 1)))
 
 
 def test_negative_mask_zero_weights():

@@ -207,6 +207,16 @@ def test_two_sample_hand_trace():
     assert report.n_positive == 1 and report.n_negative == 1
 
 
+def test_mixed_vocabularies_refused():
+    # same vocabulary size, two names swapped: the class table would be mislabelled
+    swapped = crafted_snapshot()
+    swapped.vocab_names = ["one", "zero"]
+    samples = [EvalSample(crafted_snapshot(), None, "negative"),
+               EvalSample(swapped, None, "negative")]
+    with pytest.raises(InvariantError, match="sample 1 vocabulary differs"):
+        evaluate_samples(samples, "my_thing", state=None)
+
+
 @pytest.mark.parametrize("with_state", [False, True])
 def test_one_frozen_decode_per_sample(monkeypatch, with_state):
     calls = []

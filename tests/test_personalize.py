@@ -62,13 +62,6 @@ def test_init_from_vocab_row():
     np.testing.assert_array_equal(state.t_per, snap.t_open[1])
 
 
-def test_trainable_parameter_count():
-    snap = make_samples(count=1)[0][0]
-    state = init_state(snap, rng.normal(size=4), TrainConfig())
-    d, n = snap.embed_dim, snap.num_proposals
-    assert state.num_trainable() == d + 2 * n + 1
-
-
 def test_init_dimension_mismatch():
     snap = make_samples(count=1)[0][0]
     with pytest.raises(InvariantError):
@@ -130,6 +123,13 @@ def test_iterations_validation():
         run_personalization(samples, TrainConfig(learning_rate=0.0))
     with pytest.raises(InvariantError):
         run_personalization([], TrainConfig())
+
+
+def test_mixed_vocabularies_refused():
+    samples = make_samples(count=2)
+    samples[1][0].vocab_names = ["b", "a", "c"]
+    with pytest.raises(InvariantError, match="sample 1 disagrees"):
+        run_personalization(samples, TrainConfig(iterations=1))
 
 
 def test_single_step_is_one_gradient_update():

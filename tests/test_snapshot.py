@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_payload_nan_rejected(tmp_path):
     off = 42  # first float of t_open
     data[off:off + 4] = struct.pack("<f", float("nan"))
     path.write_bytes(bytes(data))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=re.escape(f"{path}: non-finite value in t_open")):
         load_snapshot(path)
 
 
