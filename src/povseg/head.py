@@ -59,14 +59,15 @@ class ForwardCache:
     c: np.ndarray                    # column-stochastic class probabilities
     m: np.ndarray                    # (H, W, channels)
     m_neg: np.ndarray | None = None  # (H, W) negative mask, None if disabled
+    # Set by build_forward only: the training losses read them, decode does not.
     coverage: np.ndarray | None = None  # (H, W) sum_n M(p, n) = sum_v P(p, v)
     q_per: np.ndarray | None = None  # (H, W) personal channel Q[..., k]
     k: int | None = None             # personal class index, None for frozen
     j: int | None = None             # negative column/channel index
 
 
-# The stage functions below trust their shapes: build_forward checks the
-# state against the snapshot once.
+# The stage functions below trust their shapes: build_head checks the state
+# against the snapshot once, for both training and decoding.
 
 def effective_embedding(t_per: np.ndarray, f_per: np.ndarray | None,
                         alpha: float) -> np.ndarray:
@@ -109,35 +110,28 @@ def class_probs(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def predict(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compose masks with class probabilities and normalize per pixel.
+def predict(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Label map of the masks composed with the class probabilities.
 
-    Returns (p, q, coverage). Pixels whose total mass is at most
-    COVERAGE_EPS get a uniform class distribution.
+    Each pixel takes the argmax of ``P = M C^T``; ties break to the smallest
+    class index. C is column-stochastic, so ``M.sum(axis=2)`` is the pixel's
+    total mass, and dividing P by that positive number would not change the
+    argmax. Pixels whose mass is at most COVERAGE_EPS fall back to a uniform
+    distribution, whose argmax is class 0.
     """
     if m.shape[2] != c.shape[1]:
         raise InvariantError(
             f"{m.shape[2]} mask channels vs {c.shape[1]} probability columns")
-    p = m @ c.T
-    coverage = p.sum(axis=2)
-    covered = coverage > COVERAGE_EPS
-    q = np.full_like(p, 1.0 / p.shape[2])
-    np.divide(p, coverage[..., None], out=q, where=covered[..., None])
-    return p, q, coverage
-
-
-def label_map(q: np.ndarray) -> np.ndarray:
-    """Per-pixel argmax; ties break to the smallest class index."""
-    return q.argmax(axis=2)
+    return np.where(m.sum(axis=2) > COVERAGE_EPS, (m @ c.T).argmax(axis=2), 0)
 
 
 def decode(cache: ForwardCache) -> np.ndarray:
     """Label map of a forward pass, composing every class."""
-    return label_map(predict(cache.m, cache.c)[1])
+    return predict(cache.m, cache.c)
 
 
-def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
-    """Run the personalized pipeline for one snapshot.
+def build_head(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
+    """Run the personalized pipeline up to what ``decode`` reads: C, M and m_neg.
 
     The only check of a state against a snapshot: the state must be valid,
     match the embedding dimension, put its personal row at ``k = V`` and
@@ -170,13 +164,19 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCach
         j = None
 
     s = similarity(t_full, z_full, snapshot.logit_scale)
-    c = class_probs(s)
-    coverage = m.sum(axis=2)
-    covered = coverage > COVERAGE_EPS
-    q_per = np.where(covered, (m @ c[state.k]) / np.where(covered, coverage, 1.0),
-                     1.0 / c.shape[0])
-    return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=c, m=m, m_neg=m_neg,
-                        coverage=coverage, q_per=q_per, k=state.k, j=j)
+    return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=class_probs(s), m=m,
+                        m_neg=m_neg, k=state.k, j=j)
+
+
+def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
+    """``build_head`` plus the personal channel the training losses read."""
+    cache = build_head(snapshot, state)
+    cache.coverage = cache.m.sum(axis=2)
+    covered = cache.coverage > COVERAGE_EPS
+    cache.q_per = np.where(
+        covered, (cache.m @ cache.c[cache.k]) / np.where(covered, cache.coverage, 1.0),
+        1.0 / cache.c.shape[0])
+    return cache
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:

@@ -14,13 +14,14 @@ baseline simply never predicts the personal class.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError
-from .head import PersonalState, build_forward, build_frozen_forward, decode
+from .head import PersonalState, build_frozen_forward, build_head, decode
 from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
 
 
@@ -119,28 +120,30 @@ class MetricsReport:
     n_negative: int
 
 
-def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
+def evaluate_samples(samples: Sequence[EvalSample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
 
-    Each sample's frozen label map is decoded once: it is the ground truth
-    and, for the frozen baseline, the prediction. ``state=None`` evaluates
-    the frozen baseline (with the class-name proxy when the vocabulary
-    contains ``personal_class_name``). ``per_image`` averages scalar
-    metrics over images instead of aggregating counts.
+    Samples are read once, in order, and none is kept, so a ``LazySamples``
+    holds one image in memory at a time. Each sample's frozen label map is
+    decoded once: it is the ground truth and, for the frozen baseline, the
+    prediction. ``state=None`` evaluates the frozen baseline (with the
+    class-name proxy when the vocabulary contains ``personal_class_name``).
+    ``per_image`` averages scalar metrics over images instead of
+    aggregating counts.
     """
-    if not samples:
-        raise InvariantError("empty evaluation sample set")
-    first = samples[0].snapshot
-    k = first.vocab_size
-    num_classes = k + 1
-    total = ConfusionCounts.zeros(num_classes)
+    vocab_names = None
     scalars = []
     n_pos = n_neg = 0
     for idx, sample in enumerate(samples):
         snap = sample.snapshot
-        if snap.vocab_names != first.vocab_names:
+        if vocab_names is None:
+            vocab_names = snap.vocab_names
+            k = snap.vocab_size
+            num_classes = k + 1
+            total = ConfusionCounts.zeros(num_classes)
+        elif snap.vocab_names != vocab_names:
             raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
         frozen = decode(build_frozen_forward(snap))
         if sample.polarity == "positive":
@@ -154,7 +157,7 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
         if state is not None:
-            pred = decode(build_forward(snap, state))
+            pred = decode(build_head(snap, state))
         elif personal_class_name in snap.vocab_names:
             proxy = snap.vocab_names.index(personal_class_name)
             pred = np.where(frozen == proxy, k, frozen)
@@ -165,8 +168,10 @@ def evaluate_samples(samples: list[EvalSample], personal_class_name: str,
             p, r = precision_recall(image_counts, k)
             scalars.append((iou_per(image_counts, k), miou(image_counts), p, r))
         total.merge(image_counts)
+    if vocab_names is None:
+        raise InvariantError("empty evaluation sample set")
 
-    names = list(first.vocab_names) + [f"<{personal_class_name}>"]
+    names = list(vocab_names) + [f"<{personal_class_name}>"]
     ious = class_iou(total)
     table = [(names[c], float(ious[c])) for c in range(num_classes)
              if not np.isnan(ious[c])]
@@ -188,16 +193,38 @@ def load_sample(entry: ManifestEntry) -> EvalSample:
     return EvalSample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
 
 
-def load_eval_samples(manifest: Manifest, split: str = "test") -> list[EvalSample]:
-    samples = [load_sample(entry) for entry in manifest.split(split)]
-    if not samples:
+class LazySamples(Sequence):
+    """Sized sequence that runs ``load(items[i])`` on each access and keeps nothing."""
+
+    def __init__(self, items: list, load: Callable[..., EvalSample]):
+        self._items = items
+        self._load = load
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int) -> EvalSample:
+        return self._load(self._items[i])
+
+    def __iter__(self) -> Iterator[EvalSample]:
+        return map(self._load, self._items)
+
+
+def split_entries(manifest: Manifest, split: str = "test") -> list[ManifestEntry]:
+    entries = manifest.split(split)
+    if not entries:
         raise InvariantError(f"manifest has no '{split}' entries")
-    return samples
+    return entries
+
+
+def load_eval_samples(manifest: Manifest, split: str = "test") -> list[EvalSample]:
+    return [load_sample(entry) for entry in split_entries(manifest, split)]
 
 
 def evaluate(manifest: Manifest, state: PersonalState | None = None,
              per_image: bool = False) -> MetricsReport:
-    samples = load_eval_samples(manifest)
+    """Score the test split, reading one image at a time."""
+    samples = LazySamples(split_entries(manifest), load_sample)
     return evaluate_samples(samples, manifest.personal_class_name,
                             state=state, per_image=per_image)
 

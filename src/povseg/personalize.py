@@ -180,5 +180,8 @@ def load_state(path: str | Path) -> PersonalState:
     state = PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k,
                           alpha=alpha, f_per=f_per,
                           negative_enabled=bool(flags & _SFLAG_NEGATIVE))
-    state.validate()
+    try:
+        state.validate()
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
     return state

@@ -28,15 +28,18 @@ from .errors import InvariantError
 from .head import PersonalState
 from .metrics import (
     EvalSample,
+    LazySamples,
     MetricsReport,
     evaluate_samples,
     load_eval_samples,
     load_sample,
+    split_entries,
 )
 from .personalize import TrainConfig, run_personalization
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
+    ManifestEntry,
     load_manifest,
     save_mask,
     save_snapshot,
@@ -308,13 +311,24 @@ def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
     return snapshot.t_open[snapshot.vocab_names.index(name)].copy()
 
 
-def train_on_manifest(manifest: Manifest, config: TrainConfig,
-                      k: int | None = None) -> tuple[PersonalState, list[float]]:
-    """Personalize using the manifest's train split (first ``k`` entries)."""
+def load_train_samples(manifest: Manifest, k: int | None = None
+                       ) -> list[tuple[FrozenSnapshot, np.ndarray]]:
+    """The first ``k`` train entries (all by default) as (snapshot, mask) pairs."""
     entries = manifest.split("train")
     if k is not None and k > len(entries):
         raise InvariantError(f"requested {k} training samples, manifest has {len(entries)}")
-    samples = [(s.snapshot, s.personal_mask) for s in map(load_sample, entries[:k])]
+    return [(s.snapshot, s.personal_mask) for s in map(load_sample, entries[:k])]
+
+
+def train_on_manifest(manifest: Manifest, config: TrainConfig, k: int | None = None,
+                      train: list[tuple[FrozenSnapshot, np.ndarray]] | None = None
+                      ) -> tuple[PersonalState, list[float]]:
+    """Personalize on the first ``k`` train samples.
+
+    ``train`` is the split as ``load_train_samples`` returned it, for callers
+    that train more than once; by default it is read here.
+    """
+    samples = (load_train_samples(manifest, k) if train is None else train)[:k]
     if not samples:
         raise InvariantError("manifest has no train entries")
     init = _init_vector(manifest, samples[0][0])
@@ -336,6 +350,7 @@ def run_ablation(data_dir: str | Path, config: TrainConfig | None = None
     config = config or TrainConfig()
     manifest = load_manifest(Path(data_dir) / "manifest.tsv")
     samples = load_eval_samples(manifest)
+    train = load_train_samples(manifest)
     name = manifest.personal_class_name
 
     toggles = [
@@ -351,7 +366,7 @@ def run_ablation(data_dir: str | Path, config: TrainConfig | None = None
             report = evaluate_samples(samples, name, state=None)
         else:
             run_cfg = replace(config, negative_enabled=neg, injection_enabled=inject)
-            state, _ = train_on_manifest(manifest, run_cfg)
+            state, _ = train_on_manifest(manifest, run_cfg, train=train)
             report = evaluate_samples(samples, name, state=state)
         rows.append(AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
                                 visual_inject=inject, report=report))
@@ -390,11 +405,12 @@ def run_kshot(data_dir: str | Path, k_list: list[int],
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
     samples = load_eval_samples(manifest)
+    train = load_train_samples(manifest, max(k_list))
     name = manifest.personal_class_name
 
     rows = []
     for k in k_list:
-        state, _ = train_on_manifest(manifest, config, k=k)
+        state, _ = train_on_manifest(manifest, config, k=k, train=train)
         report = evaluate_samples(samples, name, state=state)
         rows.append(KShotRow(label=str(k), iou_per=report.iou_per, miou=report.miou))
     rows.append(KShotRow(label="Avg.",
@@ -446,14 +462,26 @@ def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
     return EvalSample(snapshot=snapshot, personal_mask=mask, polarity="positive")
 
 
-def concat_pairs(manifest: Manifest) -> list[EvalSample]:
-    """Pair test positives with test negatives in manifest order."""
-    samples = load_eval_samples(manifest)
-    positives = [s for s in samples if s.polarity == "positive"]
-    negatives = [s for s in samples if s.polarity == "negative"]
+def concat_pairs(manifest: Manifest) -> LazySamples:
+    """Pair test positives with test negatives in manifest order.
+
+    Each pair is read and joined only when it is scored. Entries left
+    without a partner are read here once, so that a malformed file among
+    them is still refused.
+    """
+    entries = split_entries(manifest)
+    positives = [e for e in entries if e.polarity == "positive"]
+    negatives = [e for e in entries if e.polarity == "negative"]
     if not positives or not negatives:
         raise InvariantError("concat evaluation needs both polarities in the test split")
-    return [concat(p, q) for p, q in zip(positives, negatives)]
+    paired = min(len(positives), len(negatives))
+    for entry in positives[paired:] + negatives[paired:]:
+        load_sample(entry)
+    return LazySamples(list(zip(positives, negatives)), _load_pair)
+
+
+def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> EvalSample:
+    return concat(load_sample(pair[0]), load_sample(pair[1]))
 
 
 def tile_state(state: PersonalState, banks: int) -> PersonalState:

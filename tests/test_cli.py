@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povseg.cli import _train_config, build_parser, main
-from povseg.personalize import TrainConfig, load_state, save_state
+from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
 from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_mask, save_snapshot
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
@@ -142,6 +142,23 @@ def test_non_finite_state_file_exits_one(tmp_path, capsys):
     assert str(state_path) in err and "t_per" in err
 
 
+def test_invalid_state_header_names_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    state_path = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state_path), "--iters", "1"])
+    blob = bytearray(state_path.read_bytes())
+    fields = list(_STATE_HEADER.unpack_from(blob))
+    fields[5] = 1.5  # alpha
+    _STATE_HEADER.pack_into(blob, 0, *fields)
+    state_path.write_bytes(bytes(blob))
+    code = main(["eval", "--data", str(data), "--state", str(state_path),
+                 "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{state_path}: alpha 1.5 outside [0, 1]" in err
+
+
 def test_bad_utf8_vocab_name_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), *FAST_SYNTH])
@@ -181,6 +198,23 @@ def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
         err = capsys.readouterr().err
         assert "povseg: validation error" in err and str(entry.snapshot) in err
         assert "Traceback" not in err
+
+
+def test_malformed_last_test_snapshot_exits_one(tmp_path, capsys):
+    # three negatives and two positives: the last negative has no concat partner
+    data = tmp_path / "data"
+    state = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), "--k-train", "2", "--test-pos", "2",
+          "--test-neg", "3"])
+    main(["personalize", "--data", str(data), "--out", str(state), "--iters", "1"])
+    last = load_manifest(data / "manifest.tsv").split("test")[-1].snapshot
+    last.write_bytes(last.read_bytes()[:-1])
+    for argv in (["eval", "--state", str(state)], ["eval", "--frozen-only"],
+                 ["concat-eval", "--state", str(state)]):
+        code = main([*argv, "--data", str(data), "--report", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "povseg: validation error" in err and str(last) in err
 
 
 def test_bad_utf8_manifest_exits_one(tmp_path, capsys):

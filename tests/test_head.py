@@ -7,14 +7,15 @@ import pytest
 from povseg.errors import InvariantError
 from povseg.grad import random_instance
 from povseg.head import (
+    COVERAGE_EPS,
     PersonalState,
     augment_text,
     build_forward,
     build_frozen_forward,
+    build_head,
     class_probs,
     decode,
     effective_embedding,
-    label_map,
     negative_embedding,
     negative_mask,
     predict,
@@ -162,73 +163,66 @@ def test_class_probs_columns_stochastic():
     assert (c > 0).all()
 
 
+def oracle_q(m, c):
+    """P / coverage from explicit sums, uniform where coverage <= COVERAGE_EPS."""
+    p = np.einsum("hwn,vn->hwv", m, c)
+    coverage = p.sum(axis=2, keepdims=True)
+    covered = coverage > COVERAGE_EPS
+    return np.where(covered, p / np.where(covered, coverage, 1.0), 1.0 / p.shape[2])
+
+
 def test_predict_single_full_mask():
     c = class_probs(rng.normal(size=(3, 1)))
     m = np.ones((2, 2, 1))
-    _, q, _ = predict(m, c)
-    for y in range(2):
-        for x in range(2):
-            np.testing.assert_allclose(q[y, x], c[:, 0], rtol=1e-12)
+    np.testing.assert_array_equal(predict(m, c), np.full((2, 2), c[:, 0].argmax()))
 
 
 def test_predict_uniform_fallback():
-    c = class_probs(rng.normal(size=(4, 2)))
-    m = np.zeros((2, 2, 2))
-    _, q, cov = predict(m, c)
-    assert (cov == 0).all()
-    np.testing.assert_array_equal(q, np.full((2, 2, 4), 0.25))
+    c = class_probs(np.array([[0.0], [0.0], [5.0]]))
+    # class 2 wins P on every pixel, but mass at or below COVERAGE_EPS is uncovered
+    m = np.array([[[COVERAGE_EPS]], [[0.0]], [[2 * COVERAGE_EPS]]])
+    np.testing.assert_array_equal(predict(m, c), [[0], [0], [2]])
 
 
 def test_predict_matches_sum_oracle():
-    m = rng.uniform(size=(1, 1, 2))
-    c = class_probs(rng.normal(size=(2, 2)))
-    p, _, _ = predict(m, c)
-    for v in range(2):
-        expected = sum(m[0, 0, n] * c[v, n] for n in range(2))
-        assert p[0, 0, v] == pytest.approx(expected, rel=1e-14)
-
-
-def test_predict_linear_in_masks():
-    c = class_probs(rng.normal(size=(3, 4)))
-    m1 = rng.uniform(size=(3, 3, 4))
-    m2 = rng.uniform(size=(3, 3, 4))
-    a, b = 0.3, 1.4
-    combined, _, _ = predict(np.clip(a * m1 + b * m2, 0, None), c)
-    p1, _, _ = predict(m1, c)
-    p2, _, _ = predict(m2, c)
-    np.testing.assert_allclose(combined, a * p1 + b * p2, rtol=1e-12)
-
-
-def test_q_rows_are_distributions():
-    m = rng.uniform(size=(4, 4, 3))
-    m[0, 0, :] = 0.0  # force the uniform fallback on one pixel
-    c = class_probs(rng.normal(size=(5, 3)))
-    _, q, _ = predict(m, c)
-    np.testing.assert_allclose(q.sum(axis=2), np.ones((4, 4)), atol=1e-9)
+    for seed in (0, 1, 2):
+        snapshot, state = random_instance(seed)[:2]
+        m_open = snapshot.m_open.copy()
+        m_open[:4, :4, :] = 0.0
+        snapshot = replace(snapshot, m_open=m_open)
+        caches = [build_frozen_forward(snapshot), build_head(snapshot, state),
+                  build_head(snapshot, replace(state, negative_enabled=False))]
+        for cache in caches:
+            labels = decode(cache)
+            np.testing.assert_array_equal(labels, oracle_q(cache.m, cache.c).argmax(axis=2))
+            if cache.m_neg is None:
+                np.testing.assert_array_equal(labels[:4, :4], 0)
 
 
 def test_label_map_rules():
-    q = np.array([[[0.2, 0.8]]])
-    assert label_map(q)[0, 0] == 1
-    q = np.array([[[0.5, 0.5]]])
-    assert label_map(q)[0, 0] == 0
+    m = np.ones((1, 1, 1))
+    assert predict(m, np.array([[0.2], [0.8]]))[0, 0] == 1
+    assert predict(m, np.array([[0.5], [0.5]]))[0, 0] == 0
 
 
 def test_label_map_matches_scan_oracle():
-    q = rng.uniform(size=(4, 4, 5))
-    labels = label_map(q)
+    m = rng.uniform(size=(4, 4, 3))
+    c = class_probs(rng.normal(size=(5, 3)))
+    labels = predict(m, c)
     for y in range(4):
         for x in range(4):
             best, arg = -1.0, 0
             for v in range(5):
-                if q[y, x, v] > best:
-                    best, arg = q[y, x, v], v
+                p = sum(m[y, x, n] * c[v, n] for n in range(3))
+                if p > best:
+                    best, arg = p, v
             assert labels[y, x] == arg
 
 
 def test_label_map_scale_invariant():
-    q = rng.uniform(size=(3, 3, 4))
-    np.testing.assert_array_equal(label_map(q), label_map(q * 7.3))
+    m = rng.uniform(size=(3, 3, 4))
+    c = class_probs(rng.normal(size=(5, 4)))
+    np.testing.assert_array_equal(predict(m, c), predict(m * 7.3, c))
 
 
 def test_forward_frozen_subblock_preserved(tiny_snapshot):
@@ -241,9 +235,7 @@ def test_forward_frozen_subblock_preserved(tiny_snapshot):
     # recomposing from the retained inputs reproduces the frozen pipeline
     frozen = build_frozen_forward(tiny_snapshot)
     np.testing.assert_array_equal(
-        label_map(predict(cache.m[:, :, :n],
-                          class_probs(cache.s[:v, :n]))[1]),
-        decode(frozen))
+        predict(cache.m[:, :, :n], class_probs(cache.s[:v, :n])), decode(frozen))
 
 
 def test_forward_personal_channel_matches_full_composition():
@@ -256,7 +248,7 @@ def test_forward_personal_channel_matches_full_composition():
                   replace(state, negative_enabled=False)))
     for snapshot, state in cases:
         cache = build_forward(snapshot, state)
-        _, q, _ = predict(cache.m, cache.c)
+        q = oracle_q(cache.m, cache.c)
         np.testing.assert_allclose(cache.q_per, q[..., state.k], rtol=0, atol=1e-12)
     # the last case puts a block on the uniform fallback
     np.testing.assert_array_equal(cache.q_per[:4, :4], 1.0 / (state.k + 1))

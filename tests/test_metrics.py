@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,18 @@ from povseg.metrics import (
     EvalSample,
     accumulate,
     class_iou,
+    evaluate,
     evaluate_samples,
     format_report,
     iou_per,
+    load_sample,
     miou,
     precision_recall,
     pseudo_label,
     write_report,
 )
-from povseg.snapshot import FrozenSnapshot
+from povseg.snapshot import FrozenSnapshot, load_manifest
+from povseg.synthbench import concat_evaluate
 
 rng = np.random.default_rng(23)
 
@@ -234,6 +239,29 @@ def test_one_frozen_decode_per_sample(monkeypatch, with_state):
                           w_m=np.zeros(2), b_m=-50.0, k=2) if with_state else None
     evaluate_samples(samples, "zero", state=state)
     assert [id(c) for c in calls] == [id(s.snapshot) for s in samples]
+
+
+@pytest.mark.parametrize("concatenated", [False, True])
+def test_evaluation_holds_at_most_two_samples(bench_dir, monkeypatch, concatenated):
+    refs = []
+    most = 0
+
+    def tracking(entry):
+        nonlocal most
+        sample = load_sample(entry)
+        refs.append(weakref.ref(sample))
+        most = max(most, sum(r() is not None for r in refs))
+        return sample
+
+    monkeypatch.setattr("povseg.metrics.load_sample", tracking)
+    monkeypatch.setattr("povseg.synthbench.load_sample", tracking)
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    if concatenated:
+        concat_evaluate(bench_dir, None)
+    else:
+        evaluate(manifest)
+    assert len(refs) == len(manifest.split("test"))
+    assert most <= 2
 
 
 def test_report_format(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
+from povseg.head import build_frozen_forward, build_head, decode
 from povseg.metrics import evaluate_samples, load_eval_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import load_manifest, load_snapshot
@@ -14,6 +15,7 @@ from povseg.synthbench import (
     generate,
     run_ablation,
     run_kshot,
+    tile_state,
     train_on_manifest,
 )
 
@@ -142,6 +144,21 @@ def test_concat_self_duplicates(tmp_path):
                                   joined.snapshot.m_open[:, w:, n:])
     np.testing.assert_array_equal(joined.snapshot.z_open[:n],
                                   joined.snapshot.z_open[n:])
+
+
+def test_concat_with_itself_decodes_side_by_side(bench_dir):
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20))
+    tiled = tile_state(state, 2)
+    positives = [s for s in load_eval_samples(manifest) if s.polarity == "positive"]
+    for sample in positives:
+        joined = concat(sample, sample).snapshot
+        personal = decode(build_head(sample.snapshot, state))
+        np.testing.assert_array_equal(decode(build_head(joined, tiled)),
+                                      np.hstack([personal, personal]))
+        frozen = decode(build_frozen_forward(sample.snapshot))
+        np.testing.assert_array_equal(decode(build_frozen_forward(joined)),
+                                      np.hstack([frozen, frozen]))
 
 
 def test_concat_height_mismatch(tmp_path):
