@@ -19,7 +19,7 @@ from .grad import gradcheck
 from .losses import LossWeights
 from .metrics import evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
-from .snapshot import load_manifest
+from .snapshot import Manifest, load_manifest
 from .synthbench import (
     SynthConfig,
     concat_evaluate,
@@ -48,6 +48,10 @@ def _print_config(name: str, cfg) -> None:
     print(f"[{name}] {items}")
 
 
+def _manifest(args) -> Manifest:
+    return load_manifest(Path(args.data) / "manifest.tsv")
+
+
 def _train_config(args) -> TrainConfig:
     weights = LossWeights(dice=args.lambda_dice, bce=args.lambda_bce,
                           cls=args.lambda_cls, neg_z=args.lambda_negz,
@@ -71,8 +75,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_synth(args) -> int:
     config = SynthConfig(v=args.vocab, d=args.dim, n=args.proposals,
-                         h=args.grid, w=args.grid, hf=args.feature_grid,
-                         wf=args.feature_grid,
+                         h=args.grid, hf=args.feature_grid,
                          instances_per_class=args.instances,
                          delta=args.delta, sigma=args.sigma,
                          k_train=args.k_train, n_test_pos=args.test_pos,
@@ -88,8 +91,7 @@ def _cmd_personalize(args) -> int:
         raise InvariantError(f"--iters must be >= 1, got {args.iters}")
     config = _train_config(args)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
-    manifest = load_manifest(Path(args.data) / "manifest.tsv")
-    state, trace = train_on_manifest(manifest, config)
+    state, trace = train_on_manifest(_manifest(args), config)
     save_state(state, args.out)
     trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
     trace_path.write_text("".join(f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))
@@ -103,7 +105,7 @@ def _cmd_eval(args) -> int:
     _print_config("eval", {"data": args.data, "state": args.state,
                            "report": args.report, "frozen_only": args.frozen_only,
                            "per_image": args.per_image})
-    manifest = load_manifest(Path(args.data) / "manifest.tsv")
+    manifest = _manifest(args)
     state = None if args.frozen_only else load_state(args.state)
     report = evaluate(manifest, state=state, per_image=args.per_image)
     write_report(report, args.report)
@@ -122,7 +124,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_ablate(args) -> int:
     config = TrainConfig()
     _print_config("ablate", {"data": args.data, "out": args.out, **asdict(config)})
-    rows = run_ablation(args.data, config)
+    rows = run_ablation(_manifest(args), config)
     table = format_ablation_table(rows)
     Path(args.out).write_text(table)
     print(table, end="")
@@ -139,7 +141,7 @@ def _cmd_kshot(args) -> int:
     config = TrainConfig()
     _print_config("kshot", {"data": args.data, "k": k_list, "out": args.out,
                             **asdict(config)})
-    rows = run_kshot(args.data, k_list, config)
+    rows = run_kshot(_manifest(args), k_list, config)
     table = format_kshot_table(rows)
     Path(args.out).write_text(table)
     print(table, end="")
@@ -150,7 +152,7 @@ def _cmd_concat_eval(args) -> int:
     _print_config("concat-eval", {"data": args.data, "state": args.state,
                                   "report": args.report})
     state = load_state(args.state)
-    report = concat_evaluate(args.data, state)
+    report = concat_evaluate(_manifest(args), state)
     write_report(report, args.report)
     print(f"iou_per={report.iou_per:.4f} miou={report.miou:.4f} "
           f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")

@@ -89,16 +89,12 @@ def precision_recall(counts: ConfusionCounts, k: int) -> tuple[float, float]:
     return precision, recall
 
 
-def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray | None = None,
-                 k: int | None = None) -> np.ndarray:
+def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.ndarray:
     """The frozen model's label map, with the personal region overridden to ``k``."""
-    if personal_mask is not None:
-        if k is None:
-            raise InvariantError("personal override needs the personal index")
-        if personal_mask.shape != labels.shape:
-            raise InvariantError("personal mask shape differs from label grid")
-        labels = labels.copy()
-        labels[personal_mask.astype(bool)] = k
+    if personal_mask.shape != labels.shape:
+        raise InvariantError("personal mask shape differs from label grid")
+    labels = labels.copy()
+    labels[personal_mask.astype(bool)] = k
     return labels
 
 
@@ -217,8 +213,8 @@ def split_entries(manifest: Manifest, split: str = "test") -> list[ManifestEntry
     return entries
 
 
-def load_eval_samples(manifest: Manifest, split: str = "test") -> list[EvalSample]:
-    return [load_sample(entry) for entry in split_entries(manifest, split)]
+def load_eval_samples(manifest: Manifest) -> list[EvalSample]:
+    return [load_sample(entry) for entry in split_entries(manifest)]
 
 
 def evaluate(manifest: Manifest, state: PersonalState | None = None,

@@ -93,13 +93,12 @@ def compute_visual_embedding(samples: list[tuple[FrozenSnapshot, np.ndarray]]) -
 
 
 def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
-                        config: TrainConfig,
-                        init_vector: np.ndarray | None = None
+                        config: TrainConfig, init_vector: np.ndarray
                         ) -> tuple[PersonalState, list[float]]:
     """Gradient-descend the personal parameters over K training samples.
 
-    ``init_vector`` defaults to the centroid of the first snapshot's text
-    bank. Returns the final state and the per-step total-loss trace.
+    ``init_vector`` is the personal embedding's starting point. Returns the
+    final state and the per-step total-loss trace.
     """
     config.validate()
     if not samples:
@@ -113,8 +112,6 @@ def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
             raise InvariantError(f"sample {idx}: mask shape {mask.shape} "
                                  f"!= grid {snap.grid_shape}")
 
-    if init_vector is None:
-        init_vector = first.t_open.mean(axis=0)
     state = init_state(first, init_vector, config)
     if config.injection_enabled:
         state.f_per = compute_visual_embedding(samples)

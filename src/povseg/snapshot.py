@@ -31,6 +31,8 @@ VERSION = 1
 _FLAG_FEATURES = 0x01
 # magic(4) + version(1) + flags(1) + 7 x u32 + f8 logit scale
 _HEADER = struct.Struct("<4sBB7Id")
+# Vocabulary names become report rows, so they may not hold a field or line break.
+_NAME_BREAKS = "\t\r\n"
 
 
 @dataclass
@@ -106,7 +108,9 @@ def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
     if has_f:
         parts.append(np.ascontiguousarray(snapshot.features, dtype="<f4").tobytes())
     parts.append(struct.pack("<I", v))
-    for name in snapshot.vocab_names:
+    for i, name in enumerate(snapshot.vocab_names):
+        if any(ch in name for ch in _NAME_BREAKS):
+            raise InvariantError(f"vocab name {i} {name!r} contains a tab or line break")
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise InvariantError(f"vocab name too long ({len(raw)} bytes)")
@@ -169,9 +173,12 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
     if count != v:
         raise FormatError(f"{path}: vocab count {count} != V {v}")
     names = []
-    for _ in range(count):
+    for i in range(count):
         (nbytes,) = struct.unpack("<H", rd.take(2))
         names.append(rd.text(nbytes))
+        if any(ch in names[-1] for ch in _NAME_BREAKS):
+            raise FormatError(
+                f"{path}: vocab name {i} {names[-1]!r} contains a tab or line break")
     rd.finish()
 
     snap = FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,

@@ -40,7 +40,6 @@ from .snapshot import (
     FrozenSnapshot,
     Manifest,
     ManifestEntry,
-    load_manifest,
     save_mask,
     save_snapshot,
 )
@@ -72,10 +71,8 @@ class SynthConfig:
     v: int = 16                 # vocabulary size incl. background
     d: int = 32
     n: int = 12                 # proposals per image
-    h: int = 32
-    w: int = 32
-    hf: int = 16
-    wf: int = 16
+    h: int = 32                 # side of the square proposal grid
+    hf: int = 16                # side of the square feature grid
     instances_per_class: int = 4
     delta: float = 1.1          # instance offset from the class centroid
     sigma: float = 0.04         # per-image embedding noise
@@ -96,7 +93,7 @@ class SynthConfig:
                 f"embedding dim {self.d} < {self.v + 2 + POSE_DIMS} directions")
         if self.n < 4:
             raise InvariantError("need at least 4 proposals (background, 2 objects, clutter)")
-        if self.hf > self.h or self.wf > self.w:
+        if self.hf > self.h:
             raise InvariantError("feature grid larger than proposal grid")
         if min(self.k_train, self.n_test_pos, self.n_test_neg) < 1:
             raise InvariantError("k_train, n_test_pos and n_test_neg must be >= 1")
@@ -162,7 +159,7 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
                 names: list[str], group_dir_index: int,
                 rng: np.random.Generator):
     """One synthetic sample; returns (snapshot, gt_mask, meta_row_fields)."""
-    h, w, n = config.h, config.w, config.n
+    h, w, n = config.h, config.h, config.n
 
     def geometry(x_lo: float, x_hi: float):
         cy = rng.uniform(h * 0.34, h * 0.66)
@@ -231,11 +228,11 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
 
     # Feature map: paint each object's embedding over its support.
     features = (dirs.background[None, None, :]
-                + FEATURE_NOISE * rng.normal(size=(config.hf, config.wf, config.d)))
-    sy, sx = config.hf / h, config.wf / w
-    u_feat = _blob(config.hf, config.wf, u_cy * sy, u_cx * sx, u_ry * sy, u_rx * sx)
+                + FEATURE_NOISE * rng.normal(size=(config.hf, config.hf, config.d)))
+    s = config.hf / h
+    u_feat = _blob(config.hf, config.hf, u_cy * s, u_cx * s, u_ry * s, u_rx * s)
     features[u_feat >= 0.5] = u_embed
-    g_feat = _blob(config.hf, config.wf, g_cy * sy, g_cx * sx, g_ry * sy, g_rx * sx)
+    g_feat = _blob(config.hf, config.hf, g_cy * s, g_cx * s, g_ry * s, g_rx * s)
     features[g_feat >= 0.5] = g_embed
 
     snapshot = FrozenSnapshot(t_open=text, z_open=embeds, m_open=masks,
@@ -311,28 +308,23 @@ def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
     return snapshot.t_open[snapshot.vocab_names.index(name)].copy()
 
 
-def load_train_samples(manifest: Manifest, k: int | None = None
-                       ) -> list[tuple[FrozenSnapshot, np.ndarray]]:
-    """The first ``k`` train entries (all by default) as (snapshot, mask) pairs."""
-    entries = manifest.split("train")
-    if k is not None and k > len(entries):
-        raise InvariantError(f"requested {k} training samples, manifest has {len(entries)}")
-    return [(s.snapshot, s.personal_mask) for s in map(load_sample, entries[:k])]
+def load_train_samples(manifest: Manifest) -> list[tuple[FrozenSnapshot, np.ndarray]]:
+    """The train split as (snapshot, mask) pairs, in manifest order."""
+    return [(s.snapshot, s.personal_mask)
+            for s in map(load_sample, split_entries(manifest, "train"))]
 
 
-def train_on_manifest(manifest: Manifest, config: TrainConfig, k: int | None = None,
+def train_on_manifest(manifest: Manifest, config: TrainConfig,
                       train: list[tuple[FrozenSnapshot, np.ndarray]] | None = None
                       ) -> tuple[PersonalState, list[float]]:
-    """Personalize on the first ``k`` train samples.
+    """Personalize on ``train`` (by default the whole train split, read here).
 
-    ``train`` is the split as ``load_train_samples`` returned it, for callers
-    that train more than once; by default it is read here.
+    Callers that train more than once pass what ``load_train_samples``
+    returned, or a prefix of it.
     """
-    samples = (load_train_samples(manifest, k) if train is None else train)[:k]
-    if not samples:
-        raise InvariantError("manifest has no train entries")
+    samples = load_train_samples(manifest) if train is None else train
     init = _init_vector(manifest, samples[0][0])
-    return run_personalization(samples, config, init_vector=init)
+    return run_personalization(samples, config, init)
 
 
 @dataclass
@@ -344,11 +336,8 @@ class AblationRow:
     report: MetricsReport
 
 
-def run_ablation(data_dir: str | Path, config: TrainConfig | None = None
-                 ) -> list[AblationRow]:
+def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
     """Train and evaluate the five module combinations under one seed."""
-    config = config or TrainConfig()
-    manifest = load_manifest(Path(data_dir) / "manifest.tsv")
     samples = load_eval_samples(manifest)
     train = load_train_samples(manifest)
     name = manifest.personal_class_name
@@ -393,24 +382,22 @@ class KShotRow:
     miou: float
 
 
-def run_kshot(data_dir: str | Path, k_list: list[int],
-              config: TrainConfig | None = None) -> list[KShotRow]:
-    """Full-method runs at each K plus the arithmetic-mean row."""
-    config = config or TrainConfig()
+def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
+              ) -> list[KShotRow]:
+    """Full-method runs at each K, on the first K train entries, plus the mean row."""
     if not k_list:
         raise InvariantError("empty K list")
-    manifest = load_manifest(Path(data_dir) / "manifest.tsv")
     n_train = len(manifest.split("train"))
     if max(k_list) > n_train:
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
     samples = load_eval_samples(manifest)
-    train = load_train_samples(manifest, max(k_list))
+    train = load_train_samples(manifest)
     name = manifest.personal_class_name
 
     rows = []
     for k in k_list:
-        state, _ = train_on_manifest(manifest, config, k=k, train=train)
+        state, _ = train_on_manifest(manifest, config, train[:k])
         report = evaluate_samples(samples, name, state=state)
         rows.append(KShotRow(label=str(k), iou_per=report.iou_per, miou=report.miou))
     rows.append(KShotRow(label="Avg.",
@@ -430,7 +417,8 @@ def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
 
     Each source bank's masks are zero outside its own half, so per-half
     behavior is preserved; the ground-truth personal mask occupies only the
-    positive half.
+    positive half. A joined pair is only evaluated, which reads no feature
+    map, so it carries none.
     """
     a, b = pos.snapshot, neg.snapshot
     if a.grid_shape[0] != b.grid_shape[0]:
@@ -446,16 +434,12 @@ def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
     m = np.zeros((h, 2 * w, 2 * n))
     m[:, :w, :n] = a.m_open
     m[:, w:, n:] = b.m_open
-    features = None
-    if a.features is not None and b.features is not None:
-        features = np.concatenate([a.features, b.features], axis=1)
     snapshot = FrozenSnapshot(
         t_open=a.t_open.copy(),
         z_open=np.vstack([a.z_open, b.z_open]),
         m_open=m,
         vocab_names=list(a.vocab_names),
         logit_scale=a.logit_scale,
-        features=features,
     )
     mask = np.zeros((h, 2 * w), dtype=np.uint8)
     mask[:, :w] = pos.personal_mask
@@ -494,9 +478,7 @@ def tile_state(state: PersonalState, banks: int) -> PersonalState:
                    w_m=np.tile(state.w_m, banks))
 
 
-def concat_evaluate(data_dir: str | Path, state: PersonalState | None
-                    ) -> MetricsReport:
-    manifest = load_manifest(Path(data_dir) / "manifest.tsv")
+def concat_evaluate(manifest: Manifest, state: PersonalState | None) -> MetricsReport:
     pairs = concat_pairs(manifest)
     if state is not None:
         state = tile_state(state, 2)

@@ -24,13 +24,17 @@ from povseg.metrics import (
     ConfusionCounts,
     accumulate,
     iou_per,
-    load_eval_samples,
     miou,
     precision_recall,
 )
 from povseg.personalize import TrainConfig, run_personalization
 from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_snapshot
-from povseg.synthbench import run_ablation, run_kshot, train_on_manifest
+from povseg.synthbench import (
+    load_train_samples,
+    run_ablation,
+    run_kshot,
+    train_on_manifest,
+)
 
 
 def report(line: str) -> None:
@@ -51,8 +55,7 @@ def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        result = gradcheck(seed=seed, eps=1e-4, tol=1e-5,
-                           v=5, d=8, n=6, h=16, w=16)
+        result = gradcheck(seed=seed, eps=1e-4, tol=1e-5)
         assert result.passed, result.summary()
         worst = max(worst, result.max_error)
     elapsed = time.perf_counter() - start
@@ -167,7 +170,8 @@ def test_criterion_3_metric_oracle_equivalence():
 def test_criterion_4_ablation_trends(bench_dir):
     """Table-3 directionality on the bundled benchmark, fixed seed."""
     start = time.perf_counter()
-    rows = {r.label: r.report for r in run_ablation(bench_dir, TrainConfig())}
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    rows = {r.label: r.report for r in run_ablation(manifest, TrainConfig())}
     elapsed = time.perf_counter() - start
     frozen, prompt = rows["frozen"], rows["prompt"]
     with_neg, full = rows["prompt+neg"], rows["full"]
@@ -187,7 +191,8 @@ def test_criterion_4_ablation_trends(bench_dir):
 
 
 def test_criterion_5_kshot_trend(bench_dir):
-    rows = {r.label: r for r in run_kshot(bench_dir, [1, 3, 5], TrainConfig())}
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    rows = {r.label: r for r in run_kshot(manifest, [1, 3, 5], TrainConfig())}
     assert rows["5"].iou_per >= rows["1"].iou_per
     mean_iou = (rows["1"].iou_per + rows["3"].iou_per + rows["5"].iou_per) / 3
     mean_miou = (rows["1"].miou + rows["3"].miou + rows["5"].miou) / 3
@@ -259,7 +264,7 @@ def test_criterion_7_determinism_and_formats(tmp_path, tiny_snapshot):
 def test_criterion_8_injection_neutrality(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     from povseg.synthbench import _init_vector
-    samples = [(s.snapshot, s.personal_mask) for s in load_eval_samples(manifest, "train")]
+    samples = load_train_samples(manifest)
     init = _init_vector(manifest, samples[0][0])
 
     disabled_cfg = TrainConfig(injection_enabled=False)

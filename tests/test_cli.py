@@ -173,6 +173,45 @@ def test_bad_utf8_vocab_name_exits_one(tmp_path, capsys):
     assert "povseg: validation error" in err and str(snapshot) in err
 
 
+def test_tab_in_vocab_name_exits_one(tmp_path, capsys):
+    # the same name in every snapshot, so that the vocabularies still agree
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    manifest = load_manifest(data / "manifest.tsv")
+    for entry in manifest.entries:
+        blob = entry.snapshot.read_bytes()
+        at = blob.rindex(b"class_03")  # vocabulary entry 3, in the trailing name block
+        entry.snapshot.write_bytes(blob[:at] + b"class\t03" + blob[at + 8:])
+    snapshot = manifest.split("test")[0].snapshot
+    report = tmp_path / "r.tsv"
+    code = main(["eval", "--data", str(data), "--frozen-only", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{snapshot}: vocab name 3 'class\\t03' contains a tab or line break" in err
+    assert not report.exists()
+
+
+def test_personalize_without_train_entries_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if "\ttrain\t" not in line))
+    code = main(["personalize", "--data", str(data), "--out", str(tmp_path / "s.povp"),
+                 *FAST_TRAIN])
+    assert code == 1
+    assert "manifest has no 'train' entries" in capsys.readouterr().err
+    assert not (tmp_path / "s.povp").exists()
+
+
+def test_kshot_k_beyond_train_split_exits_one(bench_dir, tmp_path, capsys):
+    out = tmp_path / "kshot.tsv"
+    code = main(["kshot", "--data", str(bench_dir), "--k", "9", "--out", str(out)])
+    assert code == 1
+    assert "K=9 exceeds the 5 available training samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dim", ["V", "H", "W"])
 def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
     data = tmp_path / "data"

@@ -149,8 +149,7 @@ def test_pseudo_label_hand_decoded():
     snap = crafted_snapshot()
     # column 0 favors class 0, column 1 favors class 1; top row uses
     # proposal 0, bottom row proposal 1
-    labels = pseudo_label(decode(build_frozen_forward(snap)))
-    np.testing.assert_array_equal(labels, [[0, 0], [1, 1]])
+    np.testing.assert_array_equal(decode(build_frozen_forward(snap)), [[0, 0], [1, 1]])
 
 
 def test_pseudo_label_override():
@@ -257,7 +256,7 @@ def test_evaluation_holds_at_most_two_samples(bench_dir, monkeypatch, concatenat
     monkeypatch.setattr("povseg.synthbench.load_sample", tracking)
     manifest = load_manifest(bench_dir / "manifest.tsv")
     if concatenated:
-        concat_evaluate(bench_dir, None)
+        concat_evaluate(manifest, None)
     else:
         evaluate(manifest)
     assert len(refs) == len(manifest.split("test"))

@@ -13,7 +13,6 @@ from povseg.errors import (
 )
 from povseg.grad import backward, random_instance
 from povseg.head import build_forward
-from povseg.metrics import load_eval_samples
 from povseg.personalize import (
     TrainConfig,
     compute_visual_embedding,
@@ -23,6 +22,7 @@ from povseg.personalize import (
     save_state,
 )
 from povseg.snapshot import FrozenSnapshot, load_manifest
+from povseg.synthbench import load_train_samples
 
 rng = np.random.default_rng(17)
 
@@ -117,19 +117,21 @@ def test_visual_embedding_errors():
 
 def test_iterations_validation():
     samples = make_samples()
+    init = samples[0][0].t_open.mean(axis=0)
     with pytest.raises(InvariantError, match="iterations"):
-        run_personalization(samples, TrainConfig(iterations=0))
+        run_personalization(samples, TrainConfig(iterations=0), init)
     with pytest.raises(InvariantError, match="learning rate"):
-        run_personalization(samples, TrainConfig(learning_rate=0.0))
+        run_personalization(samples, TrainConfig(learning_rate=0.0), init)
     with pytest.raises(InvariantError):
-        run_personalization([], TrainConfig())
+        run_personalization([], TrainConfig(), init)
 
 
 def test_mixed_vocabularies_refused():
     samples = make_samples(count=2)
     samples[1][0].vocab_names = ["b", "a", "c"]
     with pytest.raises(InvariantError, match="sample 1 disagrees"):
-        run_personalization(samples, TrainConfig(iterations=1))
+        run_personalization(samples, TrainConfig(iterations=1),
+                            samples[0][0].t_open.mean(axis=0))
 
 
 def test_single_step_is_one_gradient_update():
@@ -151,8 +153,9 @@ def test_single_step_is_one_gradient_update():
 def test_determinism_bitwise():
     samples = make_samples()
     config = TrainConfig(iterations=20)
-    s1, t1 = run_personalization(samples, config)
-    s2, t2 = run_personalization(samples, config)
+    init = samples[0][0].t_open.mean(axis=0)
+    s1, t1 = run_personalization(samples, config, init)
+    s2, t2 = run_personalization(samples, config, init)
     np.testing.assert_array_equal(s1.t_per, s2.t_per)
     np.testing.assert_array_equal(s1.w_z, s2.w_z)
     np.testing.assert_array_equal(s1.w_m, s2.w_m)
@@ -163,7 +166,8 @@ def test_frozen_inputs_unchanged_by_training():
     samples = make_samples()
     copies = [(s.t_open.copy(), s.z_open.copy(), s.m_open.copy(), s.features.copy())
               for s, _ in samples]
-    run_personalization(samples, TrainConfig(iterations=15))
+    run_personalization(samples, TrainConfig(iterations=15),
+                        samples[0][0].t_open.mean(axis=0))
     for (snap, _), (t, z, m, f) in zip(samples, copies):
         np.testing.assert_array_equal(snap.t_open, t)
         np.testing.assert_array_equal(snap.z_open, z)
@@ -177,18 +181,19 @@ def test_no_injection_independent_of_features():
     b = make_samples(seed=3)
     for snap, _ in b:
         snap.features = rng.normal(size=snap.features.shape)
-    sa, ta = run_personalization(a, config)
-    sb, tb = run_personalization(b, config)
+    sa, ta = run_personalization(a, config, a[0][0].t_open.mean(axis=0))
+    sb, tb = run_personalization(b, config, b[0][0].t_open.mean(axis=0))
     assert ta == tb
     np.testing.assert_array_equal(sa.t_per, sb.t_per)
 
 
 def test_injection_disabled_equals_alpha_zero():
     a = make_samples(seed=4)
+    init = a[0][0].t_open.mean(axis=0)
     off, trace_off = run_personalization(a, TrainConfig(iterations=12,
-                                                        injection_enabled=False))
+                                                        injection_enabled=False), init)
     on, trace_on = run_personalization(a, TrainConfig(iterations=12, alpha=0.0,
-                                                      injection_enabled=True))
+                                                      injection_enabled=True), init)
     assert trace_off == trace_on
     np.testing.assert_array_equal(off.t_per, on.t_per)
     np.testing.assert_array_equal(off.w_z, on.w_z)
@@ -199,7 +204,8 @@ def test_non_finite_loss_reports_step():
     samples = make_samples()
     samples[1][0].t_open[0, 0] = np.inf  # poisons the forward pass at step 1
     with pytest.raises(NonFiniteError, match="step 1"):
-        run_personalization(samples, TrainConfig(iterations=5))
+        run_personalization(samples, TrainConfig(iterations=5),
+                            samples[0][0].t_open.mean(axis=0))
 
 
 def test_defaults_match_reported_settings():
@@ -213,8 +219,9 @@ def test_defaults_match_reported_settings():
 
 def test_descent_on_bundled_benchmark(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    samples = [(s.snapshot, s.personal_mask) for s in load_eval_samples(manifest, "train")]
-    state, trace = run_personalization(samples, TrainConfig())
+    samples = load_train_samples(manifest)
+    state, trace = run_personalization(samples, TrainConfig(),
+                                       samples[0][0].t_open.mean(axis=0))
     assert np.isfinite(trace).all()
     assert np.mean(trace[-10:]) < np.mean(trace[:10])
 

@@ -167,6 +167,25 @@ def test_bad_utf8_vocab_name_rejected(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("ch", ["\t", "\r", "\n"])
+def test_vocab_name_with_break_refused(tmp_path, ch):
+    snap = minimal_snapshot()
+    snap.vocab_names = ["a", f"b{ch}c"]
+    with pytest.raises(InvariantError, match="vocab name 1"):
+        save_snapshot(snap, tmp_path / "refused.povs")
+    assert not (tmp_path / "refused.povs").exists()
+    # write the name by hand: save a same-length stand-in, then swap its bytes
+    path = tmp_path / "s.povs"
+    snap.vocab_names = ["a", "b_c"]
+    save_snapshot(snap, path)
+    data = path.read_bytes()
+    assert data.endswith(b"b_c")
+    path.write_bytes(data[:-3] + f"b{ch}c".encode())
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: vocab name 1 {f'b{ch}c'!r} contains")):
+        load_snapshot(path)
+
+
 def test_payload_nan_rejected(tmp_path):
     path = tmp_path / "s.povs"
     save_snapshot(minimal_snapshot(), path)
@@ -313,7 +332,7 @@ CORRUPTION_BYTES = (0x00, 0x01, 0x09, 0x0A, 0x0D, 0x20, 0x2D, 0x2F, 0x30, 0x31,
 
 
 def test_single_byte_corruption_loads_or_raises_format_error(tmp_path):
-    config = SynthConfig(v=6, d=10, n=4, h=8, w=8, hf=4, wf=4,
+    config = SynthConfig(v=6, d=10, n=4, h=8, hf=4,
                          instances_per_class=2, k_train=2, n_test_pos=1,
                          n_test_neg=1)
     manifest_path = generate(config, tmp_path)

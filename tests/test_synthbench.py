@@ -13,6 +13,7 @@ from povseg.synthbench import (
     format_ablation_table,
     format_kshot_table,
     generate,
+    load_train_samples,
     run_ablation,
     run_kshot,
     tile_state,
@@ -163,7 +164,7 @@ def test_concat_with_itself_decodes_side_by_side(bench_dir):
 
 def test_concat_height_mismatch(tmp_path):
     generate(SynthConfig(**SMALL), tmp_path / "a")
-    generate(SynthConfig(h=24, w=24, hf=12, wf=12, seed=3, **SMALL), tmp_path / "b")
+    generate(SynthConfig(h=24, hf=12, seed=3, **SMALL), tmp_path / "b")
     pos, _ = make_pair(tmp_path / "a")
     _, neg = make_pair(tmp_path / "b")
     with pytest.raises(InvariantError):
@@ -173,13 +174,13 @@ def test_concat_height_mismatch(tmp_path):
 def test_concat_eval_runs_with_trained_state(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     state, _ = train_on_manifest(manifest, TrainConfig(iterations=20))
-    report = concat_evaluate(bench_dir, state)
+    report = concat_evaluate(manifest, state)
     assert report.n_positive > 0
     assert 0.0 <= report.iou_per <= 1.0
 
 
 def test_ablation_table_shape(bench_dir):
-    rows = run_ablation(bench_dir, TrainConfig(iterations=10))
+    rows = run_ablation(load_manifest(bench_dir / "manifest.tsv"), TrainConfig(iterations=10))
     assert [r.label for r in rows] == ["frozen", "prompt", "prompt+neg",
                                        "prompt+inject", "full"]
     assert (rows[0].text_prompt, rows[0].neg_mask, rows[0].visual_inject) == \
@@ -208,7 +209,8 @@ def test_frozen_row_without_vocab_entry_scores_zero(tmp_path):
 
 
 def test_kshot_rows_and_average(bench_dir):
-    rows = run_kshot(bench_dir, [1, 2], TrainConfig(iterations=10))
+    rows = run_kshot(load_manifest(bench_dir / "manifest.tsv"), [1, 2],
+                     TrainConfig(iterations=10))
     assert [r.label for r in rows] == ["1", "2", "Avg."]
     assert rows[2].iou_per == (rows[0].iou_per + rows[1].iou_per) / 2
     assert rows[2].miou == (rows[0].miou + rows[1].miou) / 2
@@ -218,12 +220,14 @@ def test_kshot_rows_and_average(bench_dir):
 
 def test_kshot_k_exceeding_train_set(bench_dir):
     with pytest.raises(InvariantError):
-        run_kshot(bench_dir, [99], TrainConfig(iterations=5))
+        run_kshot(load_manifest(bench_dir / "manifest.tsv"), [99],
+                  TrainConfig(iterations=5))
 
 
 def test_bundled_benchmark_pinned_values(bench_dir):
     """Regression anchor: headline numbers of the bundled seeded run."""
-    rows = {r.label: r.report for r in run_ablation(bench_dir, TrainConfig())}
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    rows = {r.label: r.report for r in run_ablation(manifest, TrainConfig())}
     assert rows["frozen"].iou_per == pytest.approx(0.8262, abs=2e-3)
     assert rows["frozen"].precision_per == pytest.approx(0.9859, abs=2e-3)
     assert rows["prompt"].precision_per == pytest.approx(0.8696, abs=2e-3)
@@ -236,7 +240,7 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     """K=1 trains on exactly the first manifest train entry."""
     manifest = load_manifest(bench_dir / "manifest.tsv")
     config = TrainConfig(iterations=8)
-    state_k1, _ = train_on_manifest(manifest, config, k=1)
+    state_k1, _ = train_on_manifest(manifest, config, load_train_samples(manifest)[:1])
     # training directly on the first entry reproduces it bit for bit
     from povseg.snapshot import load_mask
     from povseg.personalize import run_personalization
