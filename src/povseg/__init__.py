@@ -24,6 +24,6 @@ from .snapshot import (
     save_mask,
     save_snapshot,
 )
-from .synthbench import SynthConfig, concat, generate, run_ablation, run_kshot
+from .synthbench import SynthConfig, generate, run_ablation, run_kshot
 
 __version__ = "0.1.0"

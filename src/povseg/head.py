@@ -130,12 +130,17 @@ def decode(cache: ForwardCache) -> np.ndarray:
     return predict(cache.m, cache.c)
 
 
-def build_head(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
+def build_head(snapshot: FrozenSnapshot, state: PersonalState,
+               partner_z: np.ndarray | None = None) -> ForwardCache:
     """Run the personalized pipeline up to what ``decode`` reads: C, M and m_neg.
 
     The only check of a state against a snapshot: the state must be valid,
     match the embedding dimension, put its personal row at ``k = V`` and
     carry exactly the snapshot's proposal count, ``len(state.w_z)``.
+
+    ``partner_z`` is the ``z_open`` of an image scored side by side with this
+    one. The pair shares one negative column, the mean of ``w_z Z`` over both
+    banks; every other column, and ``m_neg``, depends on this image alone.
     """
     state.validate()
     if state.t_per.shape[0] != snapshot.embed_dim:
@@ -148,11 +153,16 @@ def build_head(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
     if n != state.w_z.shape[0]:
         raise InvariantError(
             f"snapshot has {n} proposals, state expects {state.w_z.shape[0]}")
+    if partner_z is not None and partner_z.shape != snapshot.z_open.shape:
+        raise InvariantError(
+            f"partner embeddings {partner_z.shape} differ from {snapshot.z_open.shape}")
     t_eff = effective_embedding(state.t_per, state.f_per, state.alpha)
     t_full = augment_text(snapshot.t_open, t_eff)
 
     if state.negative_enabled:
         z_neg = negative_embedding(snapshot.z_open, state.w_z)
+        if partner_z is not None:
+            z_neg = (z_neg + negative_embedding(partner_z, state.w_z)) / 2
         z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
         m_neg = negative_mask(snapshot.m_open, state.w_m, state.b_m)
         m = np.concatenate([snapshot.m_open, m_neg[:, :, None]], axis=2)

@@ -14,8 +14,9 @@ baseline simply never predicts the personal class.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,7 @@ class EvalSample:
     snapshot: FrozenSnapshot
     personal_mask: np.ndarray | None   # required on positive samples
     polarity: str                      # "positive" | "negative"
+    partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
 
 
 @dataclass
@@ -116,23 +118,26 @@ class MetricsReport:
     n_negative: int
 
 
-def evaluate_samples(samples: Sequence[EvalSample], personal_class_name: str,
+def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
 
     Samples are read once, in order, and none is kept, so a ``LazySamples``
-    holds one image in memory at a time. Each sample's frozen label map is
-    decoded once: it is the ground truth and, for the frozen baseline, the
-    prediction. ``state=None`` evaluates the frozen baseline (with the
-    class-name proxy when the vocabulary contains ``personal_class_name``).
-    ``per_image`` averages scalar metrics over images instead of
-    aggregating counts.
+    holds only the images of one item (an image, or a concat-eval pair) in
+    memory. Each sample's frozen label map is decoded once: it is the ground
+    truth and, for the frozen baseline, the prediction. ``state=None``
+    evaluates the frozen baseline (with the class-name proxy when the
+    vocabulary contains ``personal_class_name``). ``per_image`` averages
+    scalar metrics over images instead of aggregating counts.
     """
     vocab_names = None
     scalars = []
     n_pos = n_neg = 0
-    for idx, sample in enumerate(samples):
+    # No enumerate: its cached (index, sample) pair would keep the last image
+    # alive while the next item is read.
+    for sample in samples:
+        idx = n_pos + n_neg
         snap = sample.snapshot
         if vocab_names is None:
             vocab_names = snap.vocab_names
@@ -153,7 +158,7 @@ def evaluate_samples(samples: Sequence[EvalSample], personal_class_name: str,
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
         if state is not None:
-            pred = decode(build_head(snap, state))
+            pred = decode(build_head(snap, state, sample.partner_z))
         elif personal_class_name in snap.vocab_names:
             proxy = snap.vocab_names.index(personal_class_name)
             pred = np.where(frozen == proxy, k, frozen)
@@ -164,6 +169,7 @@ def evaluate_samples(samples: Sequence[EvalSample], personal_class_name: str,
             p, r = precision_recall(image_counts, k)
             scalars.append((iou_per(image_counts, k), miou(image_counts), p, r))
         total.merge(image_counts)
+        del sample, snap  # let go of this image before the next item is read
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
@@ -189,21 +195,24 @@ def load_sample(entry: ManifestEntry) -> EvalSample:
     return EvalSample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
 
 
-class LazySamples(Sequence):
-    """Sized sequence that runs ``load(items[i])`` on each access and keeps nothing."""
+class LazySamples:
+    """Samples read as they are iterated: ``load(item)`` returns ``per_item`` of them.
 
-    def __init__(self, items: list, load: Callable[..., EvalSample]):
+    Nothing is kept once a sample has been handed out, and ``len`` counts the
+    samples without reading any.
+    """
+
+    def __init__(self, items: list, load: Callable[..., tuple[EvalSample, ...]],
+                 per_item: int = 1):
         self._items = items
         self._load = load
+        self._per_item = per_item
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i: int) -> EvalSample:
-        return self._load(self._items[i])
+        return self._per_item * len(self._items)
 
     def __iter__(self) -> Iterator[EvalSample]:
-        return map(self._load, self._items)
+        return chain.from_iterable(map(self._load, self._items))
 
 
 def split_entries(manifest: Manifest, split: str = "test") -> list[ManifestEntry]:
@@ -220,7 +229,7 @@ def load_eval_samples(manifest: Manifest) -> list[EvalSample]:
 def evaluate(manifest: Manifest, state: PersonalState | None = None,
              per_image: bool = False) -> MetricsReport:
     """Score the test split, reading one image at a time."""
-    samples = LazySamples(split_entries(manifest), load_sample)
+    samples = LazySamples(split_entries(manifest), lambda entry: (load_sample(entry),))
     return evaluate_samples(samples, manifest.personal_class_name,
                             state=state, per_image=per_image)
 

@@ -93,8 +93,11 @@ class SynthConfig:
                 f"embedding dim {self.d} < {self.v + 2 + POSE_DIMS} directions")
         if self.n < 4:
             raise InvariantError("need at least 4 proposals (background, 2 objects, clutter)")
-        if self.hf > self.h:
-            raise InvariantError("feature grid larger than proposal grid")
+        if self.h < 4:  # clutter blobs are centred in [2, h - 2)
+            raise InvariantError(f"grid side {self.h} must be at least 4")
+        if not 1 <= self.hf <= self.h:
+            raise InvariantError(
+                f"feature grid side {self.hf} must lie in [1, grid side {self.h}]")
         if min(self.k_train, self.n_test_pos, self.n_test_neg) < 1:
             raise InvariantError("k_train, n_test_pos and n_test_neg must be >= 1")
         if self.delta < 0 or self.sigma < 0:
@@ -412,46 +415,13 @@ def format_kshot_table(rows: list[KShotRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
-    """Join two samples side by side, doubling the proposal bank.
-
-    Each source bank's masks are zero outside its own half, so per-half
-    behavior is preserved; the ground-truth personal mask occupies only the
-    positive half. A joined pair is only evaluated, which reads no feature
-    map, so it carries none.
-    """
-    a, b = pos.snapshot, neg.snapshot
-    if a.grid_shape[0] != b.grid_shape[0]:
-        raise InvariantError("concat needs equal grid heights")
-    if a.num_proposals != b.num_proposals:
-        raise InvariantError("concat needs equal proposal counts")
-    if a.embed_dim != b.embed_dim or a.vocab_names != b.vocab_names:
-        raise InvariantError("concat needs a shared vocabulary and embedding dim")
-    if pos.personal_mask is None:
-        raise InvariantError("positive half lacks a personal mask")
-    h, w = a.grid_shape
-    n = a.num_proposals
-    m = np.zeros((h, 2 * w, 2 * n))
-    m[:, :w, :n] = a.m_open
-    m[:, w:, n:] = b.m_open
-    snapshot = FrozenSnapshot(
-        t_open=a.t_open.copy(),
-        z_open=np.vstack([a.z_open, b.z_open]),
-        m_open=m,
-        vocab_names=list(a.vocab_names),
-        logit_scale=a.logit_scale,
-    )
-    mask = np.zeros((h, 2 * w), dtype=np.uint8)
-    mask[:, :w] = pos.personal_mask
-    return EvalSample(snapshot=snapshot, personal_mask=mask, polarity="positive")
-
-
 def concat_pairs(manifest: Manifest) -> LazySamples:
     """Pair test positives with test negatives in manifest order.
 
-    Each pair is read and joined only when it is scored. Entries left
-    without a partner are read here once, so that a malformed file among
-    them is still refused.
+    A pair is scored as its two images, each decoded against its own
+    proposals plus the negative column the pair shares; its two images are
+    read only when it is scored. Entries left without a partner are read
+    here once, so that a malformed file among them is still refused.
     """
     entries = split_entries(manifest)
     positives = [e for e in entries if e.polarity == "positive"]
@@ -461,25 +431,15 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     paired = min(len(positives), len(negatives))
     for entry in positives[paired:] + negatives[paired:]:
         load_sample(entry)
-    return LazySamples(list(zip(positives, negatives)), _load_pair)
+    return LazySamples(list(zip(positives, negatives)), _load_pair, per_item=2)
 
 
-def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> EvalSample:
-    return concat(load_sample(pair[0]), load_sample(pair[1]))
-
-
-def tile_state(state: PersonalState, banks: int) -> PersonalState:
-    """Repeat per-proposal weights across ``banks`` concatenated proposal banks.
-
-    ``w_z`` is divided by the bank count so the negative embedding averages
-    the banks' combinations.
-    """
-    return replace(state, w_z=np.tile(state.w_z, banks) / banks,
-                   w_m=np.tile(state.w_m, banks))
+def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> tuple[EvalSample, EvalSample]:
+    pos, neg = load_sample(pair[0]), load_sample(pair[1])
+    pos.partner_z, neg.partner_z = neg.snapshot.z_open, pos.snapshot.z_open
+    return pos, neg
 
 
 def concat_evaluate(manifest: Manifest, state: PersonalState | None) -> MetricsReport:
-    pairs = concat_pairs(manifest)
-    if state is not None:
-        state = tile_state(state, 2)
-    return evaluate_samples(pairs, manifest.personal_class_name, state=state)
+    return evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
+                            state=state)

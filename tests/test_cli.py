@@ -83,6 +83,16 @@ def test_full_workflow(tmp_path):
     assert len(kshot.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("grid, feature_grid, named", [
+    ("3", "3", "grid side 3"), ("32", "0", "feature grid side 0")])
+def test_bad_synth_grid_exits_one(tmp_path, capsys, grid, feature_grid, named):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--grid", grid,
+                 "--feature-grid", feature_grid]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_requires_state_or_frozen(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), *FAST_SYNTH])

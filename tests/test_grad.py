@@ -13,7 +13,9 @@ from povseg.grad import (
     random_instance,
     relative_errors,
 )
+from povseg.head import build_frozen_forward, build_head, decode
 from povseg.losses import LossWeights
+from povseg.snapshot import FrozenSnapshot
 
 
 def test_zero_weights_zero_gradients():
@@ -145,6 +147,37 @@ def test_backward_rejects_bank_tiled_snapshots():
     from povseg.errors import InvariantError
     with pytest.raises(InvariantError):
         backward(doubled, state, gt, weights)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_empty_proposal_changes_nothing(seed):
+    """A proposal with no mass and zero w_z/w_m leaves labels, loss and gradients."""
+    snapshot, state, gt, weights = random_instance(seed)
+    n = snapshot.num_proposals
+    z_extra = np.random.default_rng(seed + 100).normal(size=(1, snapshot.embed_dim))
+    padded = FrozenSnapshot(
+        t_open=snapshot.t_open,
+        z_open=np.vstack([snapshot.z_open, z_extra]),
+        m_open=np.concatenate([snapshot.m_open, np.zeros(snapshot.grid_shape + (1,))],
+                              axis=2),
+        vocab_names=snapshot.vocab_names,
+        logit_scale=snapshot.logit_scale,
+    )
+    padded_state = replace(state, w_z=np.append(state.w_z, 0.0),
+                           w_m=np.append(state.w_m, 0.0))
+    np.testing.assert_array_equal(decode(build_frozen_forward(padded)),
+                                  decode(build_frozen_forward(snapshot)))
+    for negative in (True, False):
+        np.testing.assert_array_equal(
+            decode(build_head(padded, replace(padded_state, negative_enabled=negative))),
+            decode(build_head(snapshot, replace(state, negative_enabled=negative))))
+    loss, grads = backward(snapshot, state, gt, weights)
+    padded_loss, padded_grads = backward(padded, padded_state, gt, weights)
+    assert padded_loss.total == pytest.approx(loss.total, rel=1e-12, abs=0)
+    for field, rows in (("g_t_per", slice(None)), ("g_w_z", slice(n)),
+                        ("g_w_m", slice(n)), ("g_b_m", slice(None))):
+        np.testing.assert_allclose(np.atleast_1d(getattr(padded_grads, field))[rows],
+                                   np.atleast_1d(getattr(grads, field)), rtol=1e-12)
 
 
 def _no_negative_branch(snapshot, state, gt):

@@ -22,7 +22,8 @@ from povseg.head import (
     similarity,
 )
 from povseg.snapshot import FrozenSnapshot
-from povseg.synthbench import tile_state
+
+from joined_bank import tile_state
 
 rng = np.random.default_rng(11)
 
@@ -290,9 +291,12 @@ def test_forward_bank_tiling(tiny_snapshot):
     )
     cache = build_forward(doubled, tile_state(state, 2))
     assert cache.z_full.shape[0] == 2 * tiny_snapshot.num_proposals + 1
-    # averaged bank combination reproduces the native negative embedding
+    # averaged bank combination reproduces the native negative embedding,
+    # and so does the shared column of an image scored beside itself
     native = build_forward(tiny_snapshot, state)
     np.testing.assert_allclose(cache.z_full[-1], native.z_full[-1], rtol=1e-12)
+    paired = build_head(tiny_snapshot, state, tiny_snapshot.z_open)
+    np.testing.assert_allclose(paired.z_full[-1], native.z_full[-1], rtol=1e-12)
 
 
 def test_forward_bank_mismatch_rejected(tiny_snapshot):
@@ -305,3 +309,5 @@ def test_forward_bank_mismatch_rejected(tiny_snapshot):
     )
     with pytest.raises(InvariantError):
         build_forward(bad, state)
+    with pytest.raises(InvariantError, match="partner embeddings"):
+        build_head(tiny_snapshot, state, tiny_snapshot.z_open[:-1])

@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
 from povseg.head import build_frozen_forward, build_head, decode
-from povseg.metrics import evaluate_samples, load_eval_samples
+from povseg.metrics import accumulate, evaluate_samples, load_eval_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import load_manifest, load_snapshot
 from povseg.synthbench import (
     SynthConfig,
-    concat,
     concat_evaluate,
     format_ablation_table,
     format_kshot_table,
@@ -16,9 +17,10 @@ from povseg.synthbench import (
     load_train_samples,
     run_ablation,
     run_kshot,
-    tile_state,
     train_on_manifest,
 )
+
+from joined_bank import concat, tile_state
 
 SMALL = dict(k_train=2, n_test_pos=2, n_test_neg=2)
 
@@ -106,6 +108,20 @@ def test_infeasible_configs_rejected(tmp_path):
         generate(SynthConfig(instances_per_class=1), tmp_path)
 
 
+@pytest.mark.parametrize("h, hf, message", [
+    (3, 3, "grid side 3 must be at least 4"),
+    (1, 1, "grid side 1 must be at least 4"),
+    (32, 0, "feature grid side 0 must lie in [1, grid side 32]"),
+    (32, -2, "feature grid side -2 must lie in [1, grid side 32]"),
+])
+def test_grid_sides_rejected_before_writing(tmp_path, h, hf, message):
+    with pytest.raises(InvariantError) as excinfo:
+        generate(SynthConfig(h=h, hf=hf, **SMALL), tmp_path / "out")
+    assert str(excinfo.value) == message
+    assert not (tmp_path / "out").exists()
+    generate(SynthConfig(h=4, hf=1, **SMALL), tmp_path / "smallest")
+
+
 def make_pair(data_dir):
     manifest = load_manifest(data_dir / "manifest.tsv")
     samples = load_eval_samples(manifest)
@@ -135,18 +151,6 @@ def test_concat_structure(tmp_path):
         pos.snapshot.m_open.sum() + neg.snapshot.m_open.sum())
 
 
-def test_concat_self_duplicates(tmp_path):
-    generate(SynthConfig(**SMALL), tmp_path)
-    pos, _ = make_pair(tmp_path)
-    joined = concat(pos, pos)
-    w = pos.snapshot.grid_shape[1]
-    n = pos.snapshot.num_proposals
-    np.testing.assert_array_equal(joined.snapshot.m_open[:, :w, :n],
-                                  joined.snapshot.m_open[:, w:, n:])
-    np.testing.assert_array_equal(joined.snapshot.z_open[:n],
-                                  joined.snapshot.z_open[n:])
-
-
 def test_concat_with_itself_decodes_side_by_side(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     state, _ = train_on_manifest(manifest, TrainConfig(iterations=20))
@@ -157,18 +161,11 @@ def test_concat_with_itself_decodes_side_by_side(bench_dir):
         personal = decode(build_head(sample.snapshot, state))
         np.testing.assert_array_equal(decode(build_head(joined, tiled)),
                                       np.hstack([personal, personal]))
+        np.testing.assert_array_equal(
+            decode(build_head(sample.snapshot, state, sample.snapshot.z_open)), personal)
         frozen = decode(build_frozen_forward(sample.snapshot))
         np.testing.assert_array_equal(decode(build_frozen_forward(joined)),
                                       np.hstack([frozen, frozen]))
-
-
-def test_concat_height_mismatch(tmp_path):
-    generate(SynthConfig(**SMALL), tmp_path / "a")
-    generate(SynthConfig(h=24, hf=12, seed=3, **SMALL), tmp_path / "b")
-    pos, _ = make_pair(tmp_path / "a")
-    _, neg = make_pair(tmp_path / "b")
-    with pytest.raises(InvariantError):
-        concat(pos, neg)
 
 
 def test_concat_eval_runs_with_trained_state(bench_dir):
@@ -177,6 +174,58 @@ def test_concat_eval_runs_with_trained_state(bench_dir):
     report = concat_evaluate(manifest, state)
     assert report.n_positive > 0
     assert 0.0 <= report.iou_per <= 1.0
+
+
+@pytest.fixture(scope="module")
+def bench_state(bench_dir):
+    return train_on_manifest(load_manifest(bench_dir / "manifest.tsv"),
+                             TrainConfig(iterations=20))[0]
+
+
+def scored(monkeypatch, run):
+    """Run an evaluation; return its report and the sum of its confusion matrices."""
+    matrices = []
+
+    def spy(pred, gt, counts):
+        matrices.append(accumulate(pred, gt, counts).matrix.copy())
+        return counts
+
+    with monkeypatch.context() as patch:
+        patch.setattr("povseg.metrics.accumulate", spy)
+        report = run()
+    return report, sum(matrices)
+
+
+@pytest.mark.parametrize("variant", ["negative", "no-negative", "frozen"])
+def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, variant):
+    """Scoring a pair as its two images equals scoring the joined image."""
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    state = {"negative": bench_state, "frozen": None,
+             "no-negative": replace(bench_state, negative_enabled=False)}[variant]
+    tiled = None if state is None else tile_state(state, 2)
+    samples = load_eval_samples(manifest)
+    positives = [s for s in samples if s.polarity == "positive"]
+    negatives = [s for s in samples if s.polarity == "negative"]
+    joined = [concat(p, n) for p, n in zip(positives, negatives)]
+    for pos, neg, pair in zip(positives, negatives, joined):
+        np.testing.assert_array_equal(
+            np.hstack([decode(build_frozen_forward(pos.snapshot)),
+                       decode(build_frozen_forward(neg.snapshot))]),
+            decode(build_frozen_forward(pair.snapshot)))
+        if state is not None:
+            np.testing.assert_array_equal(
+                np.hstack([decode(build_head(pos.snapshot, state, neg.snapshot.z_open)),
+                           decode(build_head(neg.snapshot, state, pos.snapshot.z_open))]),
+                decode(build_head(pair.snapshot, tiled)))
+
+    report, counts = scored(monkeypatch, lambda: concat_evaluate(manifest, state))
+    expected, expected_counts = scored(monkeypatch, lambda: evaluate_samples(
+        joined, manifest.personal_class_name, state=tiled))
+    np.testing.assert_array_equal(counts, expected_counts)
+    assert (report.iou_per, report.miou, report.precision_per, report.recall_per,
+            report.class_table) == (expected.iou_per, expected.miou,
+                                    expected.precision_per, expected.recall_per,
+                                    expected.class_table)
 
 
 def test_ablation_table_shape(bench_dir):
