@@ -100,8 +100,6 @@ def _cmd_personalize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if not args.frozen_only and args.state is None:
-        raise InvariantError("--state is required unless --frozen-only is given")
     _print_config("eval", {"data": args.data, "state": args.state,
                            "report": args.report, "frozen_only": args.frozen_only,
                            "per_image": args.per_image})
@@ -189,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="Evaluate a state (or the frozen baseline)")
     p.add_argument("--data", required=True)
-    p.add_argument("--state")
     p.add_argument("--report", required=True)
-    p.add_argument("--frozen-only", action="store_true")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state")
+    source.add_argument("--frozen-only", action="store_true")
     p.add_argument("--per-image", action="store_true",
                    help="average per-image metrics instead of aggregating counts")
     p.set_defaults(func=_cmd_eval)

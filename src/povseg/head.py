@@ -7,12 +7,14 @@ text row (index ``k = V``) and, when the negative branch is enabled, one
 derived mask embedding ``z_neg = w_z Z_open`` (column ``j = N``) and one
 derived mask channel ``m_neg = sigmoid(M_open w_m + b_m)``.
 
-All functions are pure; a ForwardCache belongs to a single evaluation.
+All functions are pure; ``build_forward`` is the one personalized pass, for
+training and decoding alike, and a ForwardCache belongs to a single evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class PersonalState:
             raise InvariantError("f_per dimension differs from t_per")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardCache:
     """Intermediates of one forward pass; the frozen pass fills the first five."""
 
@@ -59,14 +61,23 @@ class ForwardCache:
     c: np.ndarray                    # column-stochastic class probabilities
     m: np.ndarray                    # (H, W, channels)
     m_neg: np.ndarray | None = None  # (H, W) negative mask, None if disabled
-    # Set by build_forward only: the training losses read them, decode does not.
-    coverage: np.ndarray | None = None  # (H, W) sum_n M(p, n) = sum_v P(p, v)
-    q_per: np.ndarray | None = None  # (H, W) personal channel Q[..., k]
     k: int | None = None             # personal class index, None for frozen
     j: int | None = None             # negative column/channel index
 
+    # Computed on first read, which only the training losses do: decode never does.
+    @cached_property
+    def coverage(self) -> np.ndarray:  # (H, W) sum_n M(p, n) = sum_v P(p, v)
+        return self.m.sum(axis=2)
 
-# The stage functions below trust their shapes: build_head checks the state
+    @cached_property
+    def q_per(self) -> np.ndarray:  # (H, W) personal channel Q[..., k]
+        covered = self.coverage > COVERAGE_EPS
+        return np.where(
+            covered, (self.m @ self.c[self.k]) / np.where(covered, self.coverage, 1.0),
+            1.0 / self.c.shape[0])
+
+
+# The stage functions below trust their shapes: build_forward checks the state
 # against the snapshot once, for both training and decoding.
 
 def effective_embedding(t_per: np.ndarray, f_per: np.ndarray | None,
@@ -119,9 +130,6 @@ def predict(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     argmax. Pixels whose mass is at most COVERAGE_EPS fall back to a uniform
     distribution, whose argmax is class 0.
     """
-    if m.shape[2] != c.shape[1]:
-        raise InvariantError(
-            f"{m.shape[2]} mask channels vs {c.shape[1]} probability columns")
     return np.where(m.sum(axis=2) > COVERAGE_EPS, (m @ c.T).argmax(axis=2), 0)
 
 
@@ -130,9 +138,9 @@ def decode(cache: ForwardCache) -> np.ndarray:
     return predict(cache.m, cache.c)
 
 
-def build_head(snapshot: FrozenSnapshot, state: PersonalState,
-               partner_z: np.ndarray | None = None) -> ForwardCache:
-    """Run the personalized pipeline up to what ``decode`` reads: C, M and m_neg.
+def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
+                  partner_z: np.ndarray | None = None) -> ForwardCache:
+    """Run the personalized pipeline for training and decoding: C, M and m_neg.
 
     The only check of a state against a snapshot: the state must be valid,
     match the embedding dimension, put its personal row at ``k = V`` and
@@ -176,17 +184,6 @@ def build_head(snapshot: FrozenSnapshot, state: PersonalState,
     s = similarity(t_full, z_full, snapshot.logit_scale)
     return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=class_probs(s), m=m,
                         m_neg=m_neg, k=state.k, j=j)
-
-
-def build_forward(snapshot: FrozenSnapshot, state: PersonalState) -> ForwardCache:
-    """``build_head`` plus the personal channel the training losses read."""
-    cache = build_head(snapshot, state)
-    cache.coverage = cache.m.sum(axis=2)
-    covered = cache.coverage > COVERAGE_EPS
-    cache.q_per = np.where(
-        covered, (cache.m @ cache.c[cache.k]) / np.where(covered, cache.coverage, 1.0),
-        1.0 / cache.c.shape[0])
-    return cache
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:

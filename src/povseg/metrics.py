@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantError
-from .head import PersonalState, build_frozen_forward, build_head, decode
+from .head import PersonalState, build_forward, build_frozen_forward, decode
 from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
 
 
@@ -158,7 +158,7 @@ def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
         if state is not None:
-            pred = decode(build_head(snap, state, sample.partner_z))
+            pred = decode(build_forward(snap, state, sample.partner_z))
         elif personal_class_name in snap.vocab_names:
             proxy = snap.vocab_names.index(personal_class_name)
             pred = np.where(frozen == proxy, k, frozen)

@@ -88,6 +88,10 @@ class FrozenSnapshot:
         if self.features is not None:
             if self.features.ndim != 3 or self.features.shape[2] != d:
                 raise InvariantError("feature map must be (Hf, Wf, D)")
+            hf, wf = self.features.shape[:2]
+            if not (1 <= hf <= h and 1 <= wf <= w):
+                raise InvariantError(
+                    f"feature map {hf}x{wf} must lie within [1, {h}] x [1, {w}]")
             if not np.isfinite(self.features).all():
                 raise InvariantError("non-finite value in features")
 
@@ -289,8 +293,8 @@ def load_manifest(path: str | Path) -> Manifest:
             raise FormatError(f"{path}:{lineno}: unknown polarity {polarity!r}")
         snap_path = base / snap_rel
         mask_path = None if mask_rel == "-" else base / mask_rel
-        if split == "train" and mask_path is None:
-            raise FormatError(f"{path}:{lineno}: train entry without a mask")
+        if mask_path is None and (split, polarity) != ("test", "negative"):
+            raise FormatError(f"{path}:{lineno}: {split} {polarity} entry without a mask")
         if not snap_path.is_file():
             raise FormatError(f"{path}:{lineno}: missing snapshot {snap_path}")
         if mask_path is not None and not mask_path.is_file():

@@ -99,6 +99,12 @@ def test_eval_requires_state_or_frozen(tmp_path, capsys):
     code = main(["eval", "--data", str(data), "--report", str(tmp_path / "r.tsv")])
     assert code == 1
     assert "--state" in capsys.readouterr().err
+    # both at once: the state would never be read
+    code = main(["eval", "--data", str(data), "--frozen-only", "--state",
+                 str(tmp_path / "does-not-exist.povp"), "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    assert "--state" in capsys.readouterr().err
+    assert not (tmp_path / "r.tsv").exists()
 
 
 def test_cli_outputs_byte_identical(tmp_path):
@@ -199,6 +205,25 @@ def test_tab_in_vocab_name_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{snapshot}: vocab name 3 'class\\t03' contains a tab or line break" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("hf, wf", [(0, 5), (64, 64)])
+def test_feature_map_outside_grid_exits_one(tmp_path, capsys, monkeypatch, hf, wf):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    path = load_manifest(data / "manifest.tsv").split("train")[0].snapshot
+    snap = load_snapshot(path)
+    snap = replace(snap, features=np.zeros((hf, wf, snap.embed_dim)))
+    # save_snapshot validates, so write the file with validation bypassed
+    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
+    save_snapshot(snap, path)
+    monkeypatch.undo()
+    out = tmp_path / "s.povp"
+    code = main(["personalize", "--data", str(data), "--out", str(out), *FAST_TRAIN])
+    assert code == 1
+    assert (f"{path}: feature map {hf}x{wf} must lie within [1, 32] x [1, 32]"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_personalize_without_train_entries_exits_one(tmp_path, capsys):

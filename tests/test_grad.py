@@ -13,8 +13,9 @@ from povseg.grad import (
     random_instance,
     relative_errors,
 )
-from povseg.head import build_frozen_forward, build_head, decode
+from povseg.head import build_forward, build_frozen_forward, decode
 from povseg.losses import LossWeights
+from povseg.metrics import EvalSample, evaluate_samples
 from povseg.snapshot import FrozenSnapshot
 
 
@@ -169,8 +170,8 @@ def test_empty_proposal_changes_nothing(seed):
                                   decode(build_frozen_forward(snapshot)))
     for negative in (True, False):
         np.testing.assert_array_equal(
-            decode(build_head(padded, replace(padded_state, negative_enabled=negative))),
-            decode(build_head(snapshot, replace(state, negative_enabled=negative))))
+            decode(build_forward(padded, replace(padded_state, negative_enabled=negative))),
+            decode(build_forward(snapshot, replace(state, negative_enabled=negative))))
     loss, grads = backward(snapshot, state, gt, weights)
     padded_loss, padded_grads = backward(padded, padded_state, gt, weights)
     assert padded_loss.total == pytest.approx(loss.total, rel=1e-12, abs=0)
@@ -178,6 +179,56 @@ def test_empty_proposal_changes_nothing(seed):
                         ("g_w_m", slice(n)), ("g_b_m", slice(None))):
         np.testing.assert_allclose(np.atleast_1d(getattr(padded_grads, field))[rows],
                                    np.atleast_1d(getattr(grads, field)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_proposal_permutation_permutes_gradients(seed):
+    """Reordering the proposals, with w_z/w_m alike, reorders only their gradients."""
+    snapshot, state, gt, weights = random_instance(seed)
+    perm = np.random.default_rng(seed + 200).permutation(snapshot.num_proposals)
+    permuted = replace(snapshot, z_open=snapshot.z_open[perm],
+                       m_open=snapshot.m_open[:, :, perm])
+    loss, grads = backward(snapshot, state, gt, weights)
+    p_loss, p_grads = backward(permuted, replace(state, w_z=state.w_z[perm],
+                                                 w_m=state.w_m[perm]), gt, weights)
+    assert p_loss.total == pytest.approx(loss.total, rel=1e-12, abs=0)
+    for field, order in (("g_t_per", slice(None)), ("g_w_z", perm),
+                         ("g_w_m", perm), ("g_b_m", slice(None))):
+        np.testing.assert_allclose(np.atleast_1d(getattr(p_grads, field)),
+                                   np.atleast_1d(getattr(grads, field))[order], rtol=1e-12)
+
+
+def _decided(cache, margin=1e-9):
+    """Pixels whose top two composed class scores differ by more than ``margin``."""
+    top = np.sort(cache.m @ cache.c.T, axis=2)
+    return top[..., -1] - top[..., -2] > margin
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vocabulary_permutation_permutes_labels(seed):
+    """Reordering the non-personal vocabulary relabels the maps and keeps iou_per.
+
+    Float sums are reordered too, so labels are compared only on pixels whose
+    top-two margin exceeds 1e-9; the number of pixels that drops is reported.
+    """
+    snapshot, state, gt, _ = random_instance(seed)
+    v = snapshot.vocab_size
+    perm = np.random.default_rng(seed + 300).permutation(v)
+    permuted = replace(snapshot, t_open=snapshot.t_open[perm],
+                       vocab_names=[snapshot.vocab_names[i] for i in perm])
+    relabel = np.empty(v + 1, dtype=np.int64)
+    relabel[perm] = np.arange(v)
+    relabel[v] = v  # the personal row stays last
+    dropped = 0
+    for forward in (build_frozen_forward, lambda snap: build_forward(snap, state)):
+        cache, p_cache = forward(snapshot), forward(permuted)
+        keep = _decided(cache) & _decided(p_cache)
+        dropped += int((~keep).sum())
+        np.testing.assert_array_equal(decode(p_cache)[keep], relabel[decode(cache)][keep])
+    print(f"seed {seed}: margin filter dropped {dropped} of {2 * gt.size} pixels")
+    iou = [evaluate_samples([EvalSample(snap, gt, "positive")], "none", state).iou_per
+           for snap in (snapshot, permuted)]
+    assert iou[1] == iou[0]
 
 
 def _no_negative_branch(snapshot, state, gt):

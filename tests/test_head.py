@@ -12,7 +12,6 @@ from povseg.head import (
     augment_text,
     build_forward,
     build_frozen_forward,
-    build_head,
     class_probs,
     decode,
     effective_embedding,
@@ -191,8 +190,8 @@ def test_predict_matches_sum_oracle():
         m_open = snapshot.m_open.copy()
         m_open[:4, :4, :] = 0.0
         snapshot = replace(snapshot, m_open=m_open)
-        caches = [build_frozen_forward(snapshot), build_head(snapshot, state),
-                  build_head(snapshot, replace(state, negative_enabled=False))]
+        caches = [build_frozen_forward(snapshot), build_forward(snapshot, state),
+                  build_forward(snapshot, replace(state, negative_enabled=False))]
         for cache in caches:
             labels = decode(cache)
             np.testing.assert_array_equal(labels, oracle_q(cache.m, cache.c).argmax(axis=2))
@@ -295,7 +294,7 @@ def test_forward_bank_tiling(tiny_snapshot):
     # and so does the shared column of an image scored beside itself
     native = build_forward(tiny_snapshot, state)
     np.testing.assert_allclose(cache.z_full[-1], native.z_full[-1], rtol=1e-12)
-    paired = build_head(tiny_snapshot, state, tiny_snapshot.z_open)
+    paired = build_forward(tiny_snapshot, state, tiny_snapshot.z_open)
     np.testing.assert_allclose(paired.z_full[-1], native.z_full[-1], rtol=1e-12)
 
 
@@ -310,4 +309,4 @@ def test_forward_bank_mismatch_rejected(tiny_snapshot):
     with pytest.raises(InvariantError):
         build_forward(bad, state)
     with pytest.raises(InvariantError, match="partner embeddings"):
-        build_head(tiny_snapshot, state, tiny_snapshot.z_open[:-1])
+        build_forward(tiny_snapshot, state, tiny_snapshot.z_open[:-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
-from povseg.head import PersonalState, build_frozen_forward, decode
+from povseg.head import PersonalState, build_forward, build_frozen_forward, decode
 from povseg.metrics import (
     ConfusionCounts,
     EvalSample,
@@ -224,12 +224,18 @@ def test_mixed_vocabularies_refused():
 @pytest.mark.parametrize("with_state", [False, True])
 def test_one_frozen_decode_per_sample(monkeypatch, with_state):
     calls = []
+    personal = []
 
     def counting(snapshot):
         calls.append(snapshot)
         return build_frozen_forward(snapshot)
 
+    def recording(snapshot, state, partner_z=None):
+        personal.append((snapshot, build_forward(snapshot, state, partner_z)))
+        return personal[-1][1]
+
     monkeypatch.setattr("povseg.metrics.build_frozen_forward", counting)
+    monkeypatch.setattr("povseg.metrics.build_forward", recording)
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     samples = [EvalSample(crafted_snapshot(), mask, "positive"),
                EvalSample(crafted_snapshot(), None, "negative"),
@@ -238,6 +244,12 @@ def test_one_frozen_decode_per_sample(monkeypatch, with_state):
                           w_m=np.zeros(2), b_m=-50.0, k=2) if with_state else None
     evaluate_samples(samples, "zero", state=state)
     assert [id(c) for c in calls] == [id(s.snapshot) for s in samples]
+    # one personalized forward per image, and decoding never computes the
+    # personal channel that only the training losses read
+    expected = [id(s.snapshot) for s in samples] if with_state else []
+    assert [id(snap) for snap, _ in personal] == expected
+    for _, cache in personal:
+        assert "coverage" not in vars(cache) and "q_per" not in vars(cache)
 
 
 @pytest.mark.parametrize("concatenated", [False, True])

@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,26 @@ def test_vocab_name_with_break_refused(tmp_path, ch):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("hf, wf", [(0, 1), (1, 0), (3, 2), (2, 3)])
+def test_feature_map_outside_grid_refused(tmp_path, monkeypatch, hf, wf):
+    snap = replace(minimal_snapshot(), features=np.zeros((hf, wf, 2)))
+    message = f"feature map {hf}x{wf} must lie within [1, 2] x [1, 2]"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        save_snapshot(snap, tmp_path / "refused.povs")
+    assert not (tmp_path / "refused.povs").exists()
+    # write the file with validation bypassed, as a foreign writer could
+    path = tmp_path / "s.povs"
+    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
+    save_snapshot(snap, path)
+    monkeypatch.undo()
+    with pytest.raises(InvariantError, match=re.escape(f"{path}: {message}")):
+        load_snapshot(path)
+    # the bounds themselves are allowed
+    for sides in ((1, 1), (2, 2)):
+        save_snapshot(replace(snap, features=np.zeros((*sides, 2))), path)
+        assert load_snapshot(path).features.shape == (*sides, 2)
+
+
 def test_payload_nan_rejected(tmp_path):
     path = tmp_path / "s.povs"
     save_snapshot(minimal_snapshot(), path)
@@ -312,6 +333,7 @@ def test_manifest_errors(tmp_path):
         ["a.povs\ta.mask\tvalidate\tpositive\tb"],          # unknown split
         ["a.povs\ta.mask\ttrain\tneutral\tb"],              # unknown polarity
         ["a.povs\t-\ttrain\tpositive\tb"],                  # train without mask
+        ["a.povs\t-\ttest\tpositive\tb"],                   # test positive without mask
         ["missing.povs\ta.mask\ttrain\tpositive\tb"],       # missing snapshot
         ["a.povs\tmissing.mask\ttrain\tpositive\tb"],       # missing mask
         ["a.povs\ta.mask\ttrain\tpositive\tb\textra"],      # bad field count
@@ -320,8 +342,11 @@ def test_manifest_errors(tmp_path):
          "a.povs\ta.mask\ttest\tpositive\tother"],          # two class names
     ]
     for lines in cases:
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'manifest.tsv'}:")):
             load_manifest(write_dataset(tmp_path, lines))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{tmp_path / 'manifest.tsv'}:1: test positive entry without a mask")):
+        load_manifest(write_dataset(tmp_path, ["a.povs\t-\ttest\tpositive\tb"]))
 
 
 # NUL, the two mask bits, field/line/path separators and '-', digits (which

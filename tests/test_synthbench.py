@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError
-from povseg.head import build_frozen_forward, build_head, decode
+from povseg.head import build_forward, build_frozen_forward, decode
 from povseg.metrics import accumulate, evaluate_samples, load_eval_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import load_manifest, load_snapshot
@@ -158,11 +158,11 @@ def test_concat_with_itself_decodes_side_by_side(bench_dir):
     positives = [s for s in load_eval_samples(manifest) if s.polarity == "positive"]
     for sample in positives:
         joined = concat(sample, sample).snapshot
-        personal = decode(build_head(sample.snapshot, state))
-        np.testing.assert_array_equal(decode(build_head(joined, tiled)),
+        personal = decode(build_forward(sample.snapshot, state))
+        np.testing.assert_array_equal(decode(build_forward(joined, tiled)),
                                       np.hstack([personal, personal]))
         np.testing.assert_array_equal(
-            decode(build_head(sample.snapshot, state, sample.snapshot.z_open)), personal)
+            decode(build_forward(sample.snapshot, state, sample.snapshot.z_open)), personal)
         frozen = decode(build_frozen_forward(sample.snapshot))
         np.testing.assert_array_equal(decode(build_frozen_forward(joined)),
                                       np.hstack([frozen, frozen]))
@@ -214,9 +214,9 @@ def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, va
             decode(build_frozen_forward(pair.snapshot)))
         if state is not None:
             np.testing.assert_array_equal(
-                np.hstack([decode(build_head(pos.snapshot, state, neg.snapshot.z_open)),
-                           decode(build_head(neg.snapshot, state, pos.snapshot.z_open))]),
-                decode(build_head(pair.snapshot, tiled)))
+                np.hstack([decode(build_forward(pos.snapshot, state, neg.snapshot.z_open)),
+                           decode(build_forward(neg.snapshot, state, pos.snapshot.z_open))]),
+                decode(build_forward(pair.snapshot, tiled)))
 
     report, counts = scored(monkeypatch, lambda: concat_evaluate(manifest, state))
     expected, expected_counts = scored(monkeypatch, lambda: evaluate_samples(
