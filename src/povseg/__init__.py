@@ -11,7 +11,7 @@ from .errors import (
 from .head import ForwardCache, PersonalState, build_forward, build_frozen_forward
 from .losses import LossBreakdown, LossWeights, total_loss
 from .grad import Gradients, backward, finite_diff, gradcheck
-from .metrics import ConfusionCounts, MetricsReport, evaluate, pseudo_label
+from .metrics import MetricsReport, evaluate, pseudo_label
 from .personalize import TrainConfig, load_state, run_personalization, save_state
 from .snapshot import (
     FrozenSnapshot,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import gradcheck
 from .losses import LossWeights
-from .metrics import evaluate, write_report
+from .metrics import MetricsReport, evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
 from .snapshot import Manifest, load_manifest
 from .synthbench import (
@@ -99,16 +99,20 @@ def _cmd_personalize(args) -> int:
     return 0
 
 
+def _write_report(report: MetricsReport, path: str) -> None:
+    """Write the report file and print its four scalars."""
+    write_report(report, path)
+    print(f"iou_per={report.iou_per:.4f} miou={report.miou:.4f} "
+          f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")
+
+
 def _cmd_eval(args) -> int:
     _print_config("eval", {"data": args.data, "state": args.state,
                            "report": args.report, "frozen_only": args.frozen_only,
                            "per_image": args.per_image})
     manifest = _manifest(args)
     state = None if args.frozen_only else load_state(args.state)
-    report = evaluate(manifest, state=state, per_image=args.per_image)
-    write_report(report, args.report)
-    print(f"iou_per={report.iou_per:.4f} miou={report.miou:.4f} "
-          f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")
+    _write_report(evaluate(manifest, state=state, per_image=args.per_image), args.report)
     return 0
 
 
@@ -150,10 +154,7 @@ def _cmd_concat_eval(args) -> int:
     _print_config("concat-eval", {"data": args.data, "state": args.state,
                                   "report": args.report})
     state = load_state(args.state)
-    report = concat_evaluate(_manifest(args), state)
-    write_report(report, args.report)
-    print(f"iou_per={report.iou_per:.4f} miou={report.miou:.4f} "
-          f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")
+    _write_report(concat_evaluate(_manifest(args), state), args.report)
     return 0
 
 

@@ -54,8 +54,11 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     _check("normalize", scale)
 
     # Composition reads only row k of C; the uniformity loss reads column j.
+    # The two sums over pixels use einsum, not tensordot: OpenBLAS splits a
+    # long tensordot sum across threads, so its bits would depend on the
+    # thread count, and einsum does not call BLAS.
     gc = np.zeros_like(cache.c)
-    gc[k] = np.tensordot(scale, cache.m, axes=([0, 1], [0, 1]))
+    gc[k] = np.einsum("ij,ijn->n", scale, cache.m)
     if j is not None:
         gc[:, j] += gc_j
     _check("composition", gc)
@@ -77,7 +80,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
         gm_neg = scale * (cache.c[k, j] - cache.q_per)
         gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
-        g_w_m = np.tensordot(ga, snapshot.m_open, axes=([0, 1], [0, 1]))
+        g_w_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)
         g_b_m = float(ga.sum())
     else:
         g_w_z = np.zeros_like(state.w_z)

@@ -26,68 +26,56 @@ from .head import PersonalState, build_forward, build_frozen_forward, decode
 from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
 
 
-@dataclass
-class ConfusionCounts:
-    """Pixel confusion matrix indexed [gt, pred]; additive across images."""
+def accumulate(pred: np.ndarray, gt: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Add one image's per-pixel confusion to ``counts`` in place.
 
-    matrix: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_classes: int) -> "ConfusionCounts":
-        return cls(np.zeros((num_classes, num_classes), dtype=np.int64))
-
-    @property
-    def tp(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
-    @property
-    def fp(self) -> np.ndarray:
-        return self.matrix.sum(axis=0) - self.tp
-
-    @property
-    def fn(self) -> np.ndarray:
-        return self.matrix.sum(axis=1) - self.tp
-
-    def merge(self, other: "ConfusionCounts") -> None:
-        self.matrix += other.matrix
-
-
-def accumulate(pred: np.ndarray, gt: np.ndarray, counts: ConfusionCounts) -> ConfusionCounts:
-    """Add one image's per-pixel confusion to the running counts."""
+    ``counts`` is a (C, C) int64 matrix indexed [gt, pred]; the matrices of
+    separate images add up with ``+=``.
+    """
     if pred.shape != gt.shape:
         raise InvariantError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    n = counts.matrix.shape[0]
+    n = counts.shape[0]
     if pred.min() < 0 or pred.max() >= n or gt.min() < 0 or gt.max() >= n:
         raise InvariantError("label outside [0, num_classes)")
     flat = gt.astype(np.int64).ravel() * n + pred.astype(np.int64).ravel()
-    counts.matrix += np.bincount(flat, minlength=n * n).reshape(n, n)
+    counts += np.bincount(flat, minlength=n * n).reshape(n, n)
     return counts
 
 
-def class_iou(counts: ConfusionCounts) -> np.ndarray:
+def _tp_fp_fn(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tp = np.diag(counts)
+    return tp, counts.sum(axis=0) - tp, counts.sum(axis=1) - tp
+
+
+def class_iou(counts: np.ndarray) -> np.ndarray:
     """Per-class IoU; NaN marks classes absent from both gt and pred."""
-    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    tp, fp, fn = _tp_fp_fn(counts)
     denom = tp + fp + fn
     with np.errstate(invalid="ignore"):
         return np.where(denom > 0, tp / np.maximum(denom, 1), np.nan)
 
 
-def iou_per(counts: ConfusionCounts, k: int) -> float:
-    denom = counts.tp[k] + counts.fp[k] + counts.fn[k]
-    return float(counts.tp[k] / denom) if denom > 0 else 0.0
+def iou_per(counts: np.ndarray, k: int) -> float:
+    iou = class_iou(counts)[k]
+    return 0.0 if np.isnan(iou) else float(iou)
 
 
-def miou(counts: ConfusionCounts) -> float:
+def miou(counts: np.ndarray) -> float:
     ious = class_iou(counts)
     present = ~np.isnan(ious)
     return float(ious[present].mean()) if present.any() else 0.0
 
 
-def precision_recall(counts: ConfusionCounts, k: int) -> tuple[float, float]:
-    tp, fp, fn = counts.tp[k], counts.fp[k], counts.fn[k]
+def precision_recall(counts: np.ndarray, k: int) -> tuple[float, float]:
+    tp, fp, fn = (x[k] for x in _tp_fp_fn(counts))
     precision = float(tp / (tp + fp)) if tp + fp > 0 else 0.0
     recall = float(tp / (tp + fn)) if tp + fn > 0 else 0.0
     return precision, recall
+
+
+def _scalars(counts: np.ndarray, k: int) -> tuple[float, float, float, float]:
+    """(iou_per, miou, precision_per, recall_per) of one confusion matrix."""
+    return (iou_per(counts, k), miou(counts), *precision_recall(counts, k))
 
 
 def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.ndarray:
@@ -143,7 +131,7 @@ def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
             vocab_names = snap.vocab_names
             k = snap.vocab_size
             num_classes = k + 1
-            total = ConfusionCounts.zeros(num_classes)
+            total = np.zeros((num_classes, num_classes), np.int64)
         elif snap.vocab_names != vocab_names:
             raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
         frozen = decode(build_frozen_forward(snap))
@@ -164,11 +152,10 @@ def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
             pred = np.where(frozen == proxy, k, frozen)
         else:
             pred = frozen
-        image_counts = accumulate(pred, gt, ConfusionCounts.zeros(num_classes))
+        image_counts = accumulate(pred, gt, np.zeros((num_classes, num_classes), np.int64))
         if per_image:
-            p, r = precision_recall(image_counts, k)
-            scalars.append((iou_per(image_counts, k), miou(image_counts), p, r))
-        total.merge(image_counts)
+            scalars.append(_scalars(image_counts, k))
+        total += image_counts
         del sample, snap  # let go of this image before the next item is read
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
@@ -177,15 +164,11 @@ def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
     ious = class_iou(total)
     table = [(names[c], float(ious[c])) for c in range(num_classes)
              if not np.isnan(ious[c])]
-    if per_image:
-        means = np.mean(scalars, axis=0)
-        return MetricsReport(iou_per=float(means[0]), miou=float(means[1]),
-                             precision_per=float(means[2]), recall_per=float(means[3]),
-                             class_table=table, n_positive=n_pos, n_negative=n_neg)
-    p, r = precision_recall(total, k)
-    return MetricsReport(iou_per=iou_per(total, k), miou=miou(total),
-                         precision_per=p, recall_per=r, class_table=table,
-                         n_positive=n_pos, n_negative=n_neg)
+    iou, mean_iou, precision, recall = (np.mean(scalars, axis=0) if per_image
+                                        else _scalars(total, k))
+    return MetricsReport(iou_per=float(iou), miou=float(mean_iou),
+                         precision_per=float(precision), recall_per=float(recall),
+                         class_table=table, n_positive=n_pos, n_negative=n_neg)
 
 
 def load_sample(entry: ManifestEntry) -> EvalSample:

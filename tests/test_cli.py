@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from output_tree import build as build_output_tree
 
 from povseg.cli import _train_config, build_parser, main
 from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
@@ -124,6 +125,17 @@ def test_cli_outputs_byte_identical(tmp_path):
     main(["eval", "--data", str(d1), "--state", str(s1), "--report", str(r1)])
     main(["eval", "--data", str(d1), "--state", str(s1), "--report", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_output_tree_same_at_one_and_two_blas_threads(tmp_path):
+    one = build_output_tree(tmp_path / "one", threads=1)
+    two = build_output_tree(tmp_path / "two", threads=2)
+    assert one == two
+    # every subcommand wrote its files and its stdout
+    for name in ("state.povp", "no_inject.povp.trace", "eval.tsv", "eval_frozen.tsv",
+                 "eval_per_image.tsv", "concat_eval.tsv", "ablate.tsv", "kshot.tsv",
+                 "stdout/gradcheck_3.txt", "data/manifest.tsv"):
+        assert f"  {name}\n" in one
 
 
 def test_failed_gradcheck_exits_two(capsys):

@@ -1,7 +1,10 @@
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from output_tree import child_env
 
 import povseg.grad as grad_mod
 from povseg.errors import NonFiniteError
@@ -62,6 +65,27 @@ def test_backward_matches_fd_without_negative_branch():
     numeric = finite_diff(snapshot, state, gt, weights, eps=1e-4)
     assert max(relative_errors(analytic, numeric).values()) <= 1e-5
     assert not analytic.g_w_z.any() and not analytic.g_w_m.any()
+
+
+_GRADIENT_BYTES = """
+import numpy as np
+from povseg.grad import backward, random_instance
+snapshot, state, gt, weights = random_instance(0, n=33, h=128, w=128)
+_, g = backward(snapshot, state, gt, weights)
+print(b"".join(np.asarray(x).tobytes() for x in vars(g).values()).hex())
+"""
+
+
+def test_backward_bytes_independent_of_blas_threads():
+    """One and two OpenBLAS threads give the same gradient bytes.
+
+    The sums over pixels reach a size (128x128 grid, N = 33) at which OpenBLAS
+    splits a gemv across threads and so changes its summation order.
+    """
+    hexes = {subprocess.run([sys.executable, "-c", _GRADIENT_BYTES], env=child_env(threads),
+                            capture_output=True, text=True, check=True).stdout
+             for threads in (1, 2)}
+    assert len(hexes) == 1
 
 
 def test_frozen_tensors_untouched():

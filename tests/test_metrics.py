@@ -6,7 +6,6 @@ import pytest
 from povseg.errors import InvariantError
 from povseg.head import PersonalState, build_forward, build_frozen_forward, decode
 from povseg.metrics import (
-    ConfusionCounts,
     EvalSample,
     accumulate,
     class_iou,
@@ -24,6 +23,16 @@ from povseg.snapshot import FrozenSnapshot, load_manifest
 from povseg.synthbench import concat_evaluate
 
 rng = np.random.default_rng(23)
+
+
+def zeros(num_classes):
+    return np.zeros((num_classes, num_classes), np.int64)
+
+
+def tp_fp_fn(counts):
+    """TP, FP and FN per class of a [gt, pred] confusion matrix."""
+    tp = np.diag(counts)
+    return tp, counts.sum(axis=0) - tp, counts.sum(axis=1) - tp
 
 
 def oracle_counts(pred, gt, num_classes):
@@ -44,53 +53,51 @@ def oracle_counts(pred, gt, num_classes):
 
 def test_accumulate_perfect_and_complementary():
     labels = rng.integers(0, 3, size=(5, 5))
-    counts = accumulate(labels, labels, ConfusionCounts.zeros(3))
-    assert not counts.fp.any() and not counts.fn.any()
-    assert counts.tp.sum() == 25
+    tp, fp, fn = tp_fp_fn(accumulate(labels, labels, zeros(3)))
+    assert not fp.any() and not fn.any()
+    assert tp.sum() == 25
 
     a = np.zeros((4, 4), dtype=np.int64)
     b = np.ones((4, 4), dtype=np.int64)
-    counts = accumulate(a, b, ConfusionCounts.zeros(2))
-    assert not counts.tp.any()
+    tp, _, _ = tp_fp_fn(accumulate(a, b, zeros(2)))
+    assert not tp.any()
 
 
 def test_accumulate_matches_oracle():
     for _ in range(20):
         pred = rng.integers(0, 4, size=(8, 8))
         gt = rng.integers(0, 4, size=(8, 8))
-        counts = accumulate(pred, gt, ConfusionCounts.zeros(4))
-        tp, fp, fn = oracle_counts(pred, gt, 4)
-        np.testing.assert_array_equal(counts.tp, tp)
-        np.testing.assert_array_equal(counts.fp, fp)
-        np.testing.assert_array_equal(counts.fn, fn)
+        counts = accumulate(pred, gt, zeros(4))
+        for got, want in zip(tp_fp_fn(counts), oracle_counts(pred, gt, 4)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_accumulate_is_additive():
-    total = ConfusionCounts.zeros(3)
+    total = zeros(3)
     a_pred, a_gt = rng.integers(0, 3, size=(2, 4, 4))
     b_pred, b_gt = rng.integers(0, 3, size=(2, 4, 4))
     accumulate(a_pred, a_gt, total)
     accumulate(b_pred, b_gt, total)
-    separate = ConfusionCounts.zeros(3)
+    separate = zeros(3)
     accumulate(a_pred, a_gt, separate)
-    again = ConfusionCounts.zeros(3)
+    again = zeros(3)
     accumulate(b_pred, b_gt, again)
-    separate.merge(again)
-    np.testing.assert_array_equal(total.matrix, separate.matrix)
+    separate += again
+    np.testing.assert_array_equal(total, separate)
 
 
 def test_accumulate_shape_and_range_checks():
     with pytest.raises(InvariantError):
-        accumulate(np.zeros((2, 2), int), np.zeros((3, 2), int), ConfusionCounts.zeros(2))
+        accumulate(np.zeros((2, 2), int), np.zeros((3, 2), int), zeros(2))
     with pytest.raises(InvariantError):
-        accumulate(np.full((2, 2), 5), np.zeros((2, 2), int), ConfusionCounts.zeros(2))
+        accumulate(np.full((2, 2), 5), np.zeros((2, 2), int), zeros(2))
 
 
 def test_iou_arithmetic():
-    counts = ConfusionCounts.zeros(2)
-    counts.matrix[1, 1] = 50   # TP at class 1
-    counts.matrix[0, 1] = 25   # FP at class 1
-    counts.matrix[1, 0] = 25   # FN at class 1
+    counts = zeros(2)
+    counts[1, 1] = 50   # TP at class 1
+    counts[0, 1] = 25   # FP at class 1
+    counts[1, 0] = 25   # FN at class 1
     assert iou_per(counts, 1) == pytest.approx(0.5)
     p, r = precision_recall(counts, 1)
     assert p == pytest.approx(2.0 / 3.0)
@@ -99,7 +106,7 @@ def test_iou_arithmetic():
 
 def test_perfect_prediction_metrics():
     labels = rng.integers(0, 3, size=(6, 6))
-    counts = accumulate(labels, labels, ConfusionCounts.zeros(3))
+    counts = accumulate(labels, labels, zeros(3))
     k = 1
     assert iou_per(counts, k) == 1.0
     assert precision_recall(counts, k) == (1.0, 1.0)
@@ -107,7 +114,7 @@ def test_perfect_prediction_metrics():
 
 
 def test_zero_denominator_conventions():
-    counts = ConfusionCounts.zeros(3)
+    counts = zeros(3)
     assert iou_per(counts, 2) == 0.0
     assert precision_recall(counts, 2) == (0.0, 0.0)
     ious = class_iou(counts)
@@ -117,7 +124,7 @@ def test_zero_denominator_conventions():
 def test_iou_bounded_by_precision_and_recall():
     for _ in range(50):
         m = rng.integers(0, 30, size=(3, 3))
-        counts = ConfusionCounts(m.astype(np.int64))
+        counts = m.astype(np.int64)
         for k in range(3):
             i = iou_per(counts, k)
             p, r = precision_recall(counts, k)
@@ -127,10 +134,10 @@ def test_iou_bounded_by_precision_and_recall():
 def test_miou_invariant_under_consistent_relabeling():
     pred = rng.integers(0, 4, size=(8, 8))
     gt = rng.integers(0, 4, size=(8, 8))
-    counts = accumulate(pred, gt, ConfusionCounts.zeros(5))
+    counts = accumulate(pred, gt, zeros(5))
     # swap non-personal labels 0 and 2 in both maps (personal k = 4)
     perm = np.array([2, 1, 0, 3, 4])
-    counts2 = accumulate(perm[pred], perm[gt], ConfusionCounts.zeros(5))
+    counts2 = accumulate(perm[pred], perm[gt], zeros(5))
     assert miou(counts) == pytest.approx(miou(counts2), abs=1e-12)
 
 

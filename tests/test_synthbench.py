@@ -187,7 +187,7 @@ def scored(monkeypatch, run):
     matrices = []
 
     def spy(pred, gt, counts):
-        matrices.append(accumulate(pred, gt, counts).matrix.copy())
+        matrices.append(accumulate(pred, gt, counts).copy())
         return counts
 
     with monkeypatch.context() as patch:
