@@ -19,7 +19,7 @@ from .grad import gradcheck
 from .losses import LossWeights
 from .metrics import MetricsReport, evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
-from .snapshot import Manifest, load_manifest
+from .snapshot import Manifest, load_manifest, load_samples
 from .synthbench import (
     SynthConfig,
     concat_evaluate,
@@ -91,7 +91,8 @@ def _cmd_personalize(args) -> int:
         raise InvariantError(f"--iters must be >= 1, got {args.iters}")
     config = _train_config(args)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
-    state, trace = train_on_manifest(_manifest(args), config)
+    manifest = _manifest(args)
+    state, trace = train_on_manifest(manifest, config, load_samples(manifest, "train"))
     save_state(state, args.out)
     trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
     trace_path.write_text("".join(f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))

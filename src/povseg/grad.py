@@ -190,6 +190,8 @@ class GradcheckReport:
 
 def gradcheck(seed: int = 0, eps: float = 1e-4, tol: float = 1e-5) -> GradcheckReport:
     """Analytic vs central-difference gradients on a seeded ``random_instance``."""
+    if seed < 0:
+        raise InvariantError(f"gradcheck seed must be >= 0, got {seed}")
     if not (np.isfinite(eps) and eps > 0):
         raise InvariantError(f"gradcheck eps must be finite and positive, got {eps}")
     if not tol > 0:

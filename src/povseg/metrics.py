@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .head import PersonalState, build_forward, build_frozen_forward, decode
-from .snapshot import FrozenSnapshot, Manifest, ManifestEntry, load_mask, load_snapshot
+from .snapshot import Manifest, Sample, load_sample
 
 
 def accumulate(pred: np.ndarray, gt: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -88,14 +88,6 @@ def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.nd
 
 
 @dataclass
-class EvalSample:
-    snapshot: FrozenSnapshot
-    personal_mask: np.ndarray | None   # required on positive samples
-    polarity: str                      # "positive" | "negative"
-    partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
-
-
-@dataclass
 class MetricsReport:
     iou_per: float
     miou: float
@@ -106,7 +98,7 @@ class MetricsReport:
     n_negative: int
 
 
-def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
+def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
@@ -171,13 +163,6 @@ def evaluate_samples(samples: Iterable[EvalSample], personal_class_name: str,
                          class_table=table, n_positive=n_pos, n_negative=n_neg)
 
 
-def load_sample(entry: ManifestEntry) -> EvalSample:
-    """Read one manifest entry's snapshot and, when it names one, its mask."""
-    snap = load_snapshot(entry.snapshot)
-    mask = None if entry.mask is None else load_mask(entry.mask, *snap.grid_shape)
-    return EvalSample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
-
-
 class LazySamples:
     """Samples read as they are iterated: ``load(item)`` returns ``per_item`` of them.
 
@@ -185,7 +170,7 @@ class LazySamples:
     samples without reading any.
     """
 
-    def __init__(self, items: list, load: Callable[..., tuple[EvalSample, ...]],
+    def __init__(self, items: list, load: Callable[..., tuple[Sample, ...]],
                  per_item: int = 1):
         self._items = items
         self._load = load
@@ -194,25 +179,14 @@ class LazySamples:
     def __len__(self) -> int:
         return self._per_item * len(self._items)
 
-    def __iter__(self) -> Iterator[EvalSample]:
+    def __iter__(self) -> Iterator[Sample]:
         return chain.from_iterable(map(self._load, self._items))
-
-
-def split_entries(manifest: Manifest, split: str = "test") -> list[ManifestEntry]:
-    entries = manifest.split(split)
-    if not entries:
-        raise InvariantError(f"manifest has no '{split}' entries")
-    return entries
-
-
-def load_eval_samples(manifest: Manifest) -> list[EvalSample]:
-    return [load_sample(entry) for entry in split_entries(manifest)]
 
 
 def evaluate(manifest: Manifest, state: PersonalState | None = None,
              per_image: bool = False) -> MetricsReport:
     """Score the test split, reading one image at a time."""
-    samples = LazySamples(split_entries(manifest), lambda entry: (load_sample(entry),))
+    samples = LazySamples(manifest.split("test"), lambda entry: (load_sample(entry),))
     return evaluate_samples(samples, manifest.personal_class_name,
                             state=state, per_image=per_image)
 

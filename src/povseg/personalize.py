@@ -24,7 +24,7 @@ from .errors import (
 from .grad import backward
 from .head import PersonalState
 from .losses import LossWeights
-from .snapshot import FrozenSnapshot, _Reader, downsample_mask
+from .snapshot import FrozenSnapshot, Sample, _Reader, downsample_mask
 
 STATE_MAGIC = b"POVP"
 STATE_VERSION = 1
@@ -66,7 +66,7 @@ def init_state(snapshot: FrozenSnapshot, init_vector: np.ndarray,
                          negative_enabled=config.negative_enabled)
 
 
-def compute_visual_embedding(samples: list[tuple[FrozenSnapshot, np.ndarray]]) -> np.ndarray:
+def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
     """Masked average of each feature map, averaged over samples.
 
     The mean vector is L2-normalized and rescaled to the mean text-row norm
@@ -75,27 +75,27 @@ def compute_visual_embedding(samples: list[tuple[FrozenSnapshot, np.ndarray]]) -
     if not samples:
         raise InvariantError("no samples for the visual embedding")
     per_sample = []
-    for idx, (snapshot, mask) in enumerate(samples):
-        if snapshot.features is None:
+    for idx, sample in enumerate(samples):
+        features = sample.snapshot.features
+        if features is None:
             raise InvariantError(f"sample {idx} has no feature map")
-        hf, wf, _ = snapshot.features.shape
-        small = downsample_mask(mask, hf, wf).astype(bool)
+        hf, wf, _ = features.shape
+        small = downsample_mask(sample.personal_mask, hf, wf).astype(bool)
         if not small.any():
             raise InvariantError(
                 f"sample {idx}: mask has no foreground at feature resolution")
-        per_sample.append(snapshot.features[small].mean(axis=0))
+        per_sample.append(features[small].mean(axis=0))
     pooled = np.mean(per_sample, axis=0)
     norm = float(np.linalg.norm(pooled))
     if norm == 0.0:
         raise InvariantError("masked visual embedding is the zero vector")
-    target = float(np.linalg.norm(samples[0][0].t_open, axis=1).mean())
+    target = float(np.linalg.norm(samples[0].snapshot.t_open, axis=1).mean())
     return pooled / norm * target
 
 
-def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
-                        config: TrainConfig, init_vector: np.ndarray
-                        ) -> tuple[PersonalState, list[float]]:
-    """Gradient-descend the personal parameters over K training samples.
+def run_personalization(samples: list[Sample], config: TrainConfig,
+                        init_vector: np.ndarray) -> tuple[PersonalState, list[float]]:
+    """Gradient-descend the personal parameters over K positive training samples.
 
     ``init_vector`` is the personal embedding's starting point. Returns the
     final state and the per-step total-loss trace.
@@ -103,8 +103,11 @@ def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
     config.validate()
     if not samples:
         raise InvariantError("empty training sample set")
-    first = samples[0][0]
-    for idx, (snap, mask) in enumerate(samples):
+    first = samples[0].snapshot
+    for idx, sample in enumerate(samples):
+        snap, mask = sample.snapshot, sample.personal_mask
+        if sample.polarity != "positive" or mask is None:
+            raise InvariantError(f"sample {idx} is not a positive with a mask")
         if (snap.vocab_size, snap.embed_dim, snap.num_proposals, snap.vocab_names) != (
                 first.vocab_size, first.embed_dim, first.num_proposals, first.vocab_names):
             raise InvariantError(f"sample {idx} disagrees on (V, D, N) or vocabulary names")
@@ -120,9 +123,10 @@ def run_personalization(samples: list[tuple[FrozenSnapshot, np.ndarray]],
     trace: list[float] = []
     lr = config.learning_rate
     for step in range(config.iterations):
-        snapshot, mask = samples[step % len(samples)]
+        sample = samples[step % len(samples)]
         try:
-            breakdown, grads = backward(snapshot, state, mask, config.weights)
+            breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
+                                        config.weights)
         except NonFiniteError as exc:
             raise NonFiniteError(exc.stage, f"step {step}: {exc}") from exc
         trace.append(breakdown.total)

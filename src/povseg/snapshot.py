@@ -1,4 +1,4 @@
-"""Frozen-backbone snapshot model, its binary format, masks and manifests.
+"""Frozen-backbone snapshot model, its binary format, masks, manifests and samples.
 
 A snapshot captures everything the segmentation head needs from one image:
 the open-vocabulary text bank ``t_open`` (V x D), per-proposal mask
@@ -268,7 +268,10 @@ class Manifest:
         return self.entries[0].class_name
 
     def split(self, name: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.split == name]
+        entries = [e for e in self.entries if e.split == name]
+        if not entries:
+            raise InvariantError(f"manifest has no '{name}' entries")
+        return entries
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -295,6 +298,8 @@ def load_manifest(path: str | Path) -> Manifest:
         mask_path = None if mask_rel == "-" else base / mask_rel
         if mask_path is None and (split, polarity) != ("test", "negative"):
             raise FormatError(f"{path}:{lineno}: {split} {polarity} entry without a mask")
+        if (split, polarity) == ("train", "negative"):
+            raise FormatError(f"{path}:{lineno}: train entries must be positive")
         if not snap_path.is_file():
             raise FormatError(f"{path}:{lineno}: missing snapshot {snap_path}")
         if mask_path is not None and not mask_path.is_file():
@@ -306,3 +311,24 @@ def load_manifest(path: str | Path) -> Manifest:
     if len(names) != 1:
         raise FormatError(f"{path}: multiple personal class names {sorted(names)}")
     return Manifest(entries)
+
+
+@dataclass
+class Sample:
+    """One labelled image: a snapshot, its personal mask and its polarity."""
+    snapshot: FrozenSnapshot
+    personal_mask: np.ndarray | None   # required on positive samples
+    polarity: str                      # "positive" | "negative"
+    partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
+
+
+def load_sample(entry: ManifestEntry) -> Sample:
+    """Read one manifest entry's snapshot and, when it names one, its mask."""
+    snap = load_snapshot(entry.snapshot)
+    mask = None if entry.mask is None else load_mask(entry.mask, *snap.grid_shape)
+    return Sample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
+
+
+def load_samples(manifest: Manifest, split: str) -> list[Sample]:
+    """Every entry of ``split``, read in manifest order."""
+    return [load_sample(entry) for entry in manifest.split(split)]

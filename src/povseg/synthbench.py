@@ -26,20 +26,15 @@ import numpy as np
 
 from .errors import InvariantError
 from .head import PersonalState
-from .metrics import (
-    EvalSample,
-    LazySamples,
-    MetricsReport,
-    evaluate_samples,
-    load_eval_samples,
-    load_sample,
-    split_entries,
-)
+from .metrics import LazySamples, MetricsReport, evaluate_samples
 from .personalize import TrainConfig, run_personalization
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
     ManifestEntry,
+    Sample,
+    load_sample,
+    load_samples,
     save_mask,
     save_snapshot,
 )
@@ -100,8 +95,11 @@ class SynthConfig:
                 f"feature grid side {self.hf} must lie in [1, grid side {self.h}]")
         if min(self.k_train, self.n_test_pos, self.n_test_neg) < 1:
             raise InvariantError("k_train, n_test_pos and n_test_neg must be >= 1")
-        if self.delta < 0 or self.sigma < 0:
-            raise InvariantError("delta and sigma must be nonnegative")
+        for name, value in (("delta", self.delta), ("sigma", self.sigma)):
+            if not (np.isfinite(value) and value >= 0):
+                raise InvariantError(f"{name} must be finite and nonnegative, got {value}")
+        if self.seed < 0:
+            raise InvariantError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -311,22 +309,10 @@ def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
     return snapshot.t_open[snapshot.vocab_names.index(name)].copy()
 
 
-def load_train_samples(manifest: Manifest) -> list[tuple[FrozenSnapshot, np.ndarray]]:
-    """The train split as (snapshot, mask) pairs, in manifest order."""
-    return [(s.snapshot, s.personal_mask)
-            for s in map(load_sample, split_entries(manifest, "train"))]
-
-
-def train_on_manifest(manifest: Manifest, config: TrainConfig,
-                      train: list[tuple[FrozenSnapshot, np.ndarray]] | None = None
+def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sample]
                       ) -> tuple[PersonalState, list[float]]:
-    """Personalize on ``train`` (by default the whole train split, read here).
-
-    Callers that train more than once pass what ``load_train_samples``
-    returned, or a prefix of it.
-    """
-    samples = load_train_samples(manifest) if train is None else train
-    init = _init_vector(manifest, samples[0][0])
+    """Personalize on ``samples``: the train split, or a prefix of it."""
+    init = _init_vector(manifest, samples[0].snapshot)
     return run_personalization(samples, config, init)
 
 
@@ -341,8 +327,8 @@ class AblationRow:
 
 def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
     """Train and evaluate the five module combinations under one seed."""
-    samples = load_eval_samples(manifest)
-    train = load_train_samples(manifest)
+    samples = load_samples(manifest, "test")
+    train = load_samples(manifest, "train")
     name = manifest.personal_class_name
 
     toggles = [
@@ -358,7 +344,7 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
             report = evaluate_samples(samples, name, state=None)
         else:
             run_cfg = replace(config, negative_enabled=neg, injection_enabled=inject)
-            state, _ = train_on_manifest(manifest, run_cfg, train=train)
+            state, _ = train_on_manifest(manifest, run_cfg, train)
             report = evaluate_samples(samples, name, state=state)
         rows.append(AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
                                 visual_inject=inject, report=report))
@@ -394,8 +380,8 @@ def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
     if max(k_list) > n_train:
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
-    samples = load_eval_samples(manifest)
-    train = load_train_samples(manifest)
+    samples = load_samples(manifest, "test")
+    train = load_samples(manifest, "train")
     name = manifest.personal_class_name
 
     rows = []
@@ -423,7 +409,7 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     read only when it is scored. Entries left without a partner are read
     here once, so that a malformed file among them is still refused.
     """
-    entries = split_entries(manifest)
+    entries = manifest.split("test")
     positives = [e for e in entries if e.polarity == "positive"]
     negatives = [e for e in entries if e.polarity == "negative"]
     if not positives or not negatives:
@@ -434,7 +420,7 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     return LazySamples(list(zip(positives, negatives)), _load_pair, per_item=2)
 
 
-def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> tuple[EvalSample, EvalSample]:
+def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> tuple[Sample, Sample]:
     pos, neg = load_sample(pair[0]), load_sample(pair[1])
     pos.partner_z, neg.partner_z = neg.snapshot.z_open, pos.snapshot.z_open
     return pos, neg

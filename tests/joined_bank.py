@@ -11,11 +11,10 @@ from dataclasses import replace
 import numpy as np
 
 from povseg.head import PersonalState
-from povseg.metrics import EvalSample
-from povseg.snapshot import FrozenSnapshot
+from povseg.snapshot import FrozenSnapshot, Sample
 
 
-def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
+def concat(pos: Sample, neg: Sample) -> Sample:
     """Join two samples side by side, doubling the proposal bank."""
     a, b = pos.snapshot, neg.snapshot
     h, w = a.grid_shape
@@ -32,7 +31,7 @@ def concat(pos: EvalSample, neg: EvalSample) -> EvalSample:
     )
     mask = np.zeros((h, 2 * w), dtype=np.uint8)
     mask[:, :w] = pos.personal_mask
-    return EvalSample(snapshot=snapshot, personal_mask=mask, polarity="positive")
+    return Sample(snapshot=snapshot, personal_mask=mask, polarity="positive")
 
 
 def tile_state(state: PersonalState, banks: int) -> PersonalState:

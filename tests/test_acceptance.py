@@ -27,9 +27,14 @@ from povseg.metrics import (
     precision_recall,
 )
 from povseg.personalize import TrainConfig, run_personalization
-from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_snapshot
+from povseg.snapshot import (
+    FrozenSnapshot,
+    load_manifest,
+    load_samples,
+    load_snapshot,
+    save_snapshot,
+)
 from povseg.synthbench import (
-    load_train_samples,
     run_ablation,
     run_kshot,
     train_on_manifest,
@@ -205,7 +210,7 @@ def test_criterion_5_kshot_trend(bench_dir):
 def test_criterion_6_frozen_model_preservation(bench_dir):
     """Removing the personal row and negative branch reproduces the frozen labels."""
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig())
+    state, _ = train_on_manifest(manifest, TrainConfig(), load_samples(manifest, "train"))
     checked = 0
     for entry in manifest.split("test"):
         snapshot = load_snapshot(entry.snapshot)
@@ -263,8 +268,8 @@ def test_criterion_7_determinism_and_formats(tmp_path, tiny_snapshot):
 def test_criterion_8_injection_neutrality(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     from povseg.synthbench import _init_vector
-    samples = load_train_samples(manifest)
-    init = _init_vector(manifest, samples[0][0])
+    samples = load_samples(manifest, "train")
+    init = _init_vector(manifest, samples[0].snapshot)
 
     disabled_cfg = TrainConfig(injection_enabled=False)
     zero_alpha_cfg = TrainConfig(injection_enabled=True, alpha=0.0)

@@ -84,12 +84,13 @@ def test_full_workflow(tmp_path):
     assert len(kshot.read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("grid, feature_grid, named", [
-    ("3", "3", "grid side 3"), ("32", "0", "feature grid side 0")])
-def test_bad_synth_grid_exits_one(tmp_path, capsys, grid, feature_grid, named):
+@pytest.mark.parametrize("flag, value, named", [
+    ("--grid", "3", "grid side 3"), ("--feature-grid", "0", "feature grid side 0"),
+    ("--seed", "-5", "seed must be >= 0"), ("--delta", "nan", "delta must be finite"),
+    ("--sigma", "inf", "sigma must be finite")])
+def test_bad_synth_flag_exits_one(tmp_path, capsys, flag, value, named):
     out = tmp_path / "data"
-    assert main(["synth", "--out", str(out), "--grid", grid,
-                 "--feature-grid", feature_grid]) == 1
+    assert main(["synth", "--out", str(out), flag, value]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -243,12 +244,17 @@ def test_personalize_without_train_entries_exits_one(tmp_path, capsys):
     main(["synth", "--out", str(data), *FAST_SYNTH])
     manifest = data / "manifest.tsv"
     lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join(line for line in lines if "\ttrain\t" not in line))
-    code = main(["personalize", "--data", str(data), "--out", str(tmp_path / "s.povp"),
-                 *FAST_TRAIN])
-    assert code == 1
-    assert "manifest has no 'train' entries" in capsys.readouterr().err
-    assert not (tmp_path / "s.povp").exists()
+    # the same refusal for evaluation on a manifest without test entries
+    for split, argv, out in (
+            ("train", ["personalize", "--out", str(tmp_path / "s.povp"), *FAST_TRAIN],
+             tmp_path / "s.povp"),
+            ("test", ["eval", "--frozen-only", "--report", str(tmp_path / "r.tsv")],
+             tmp_path / "r.tsv")):
+        manifest.write_text("".join(line for line in lines if f"\t{split}\t" not in line))
+        code = main([*argv, "--data", str(data)])
+        assert code == 1
+        assert f"manifest has no '{split}' entries" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_kshot_k_beyond_train_split_exits_one(bench_dir, tmp_path, capsys):
@@ -330,7 +336,7 @@ def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"),
                                         ("--eps", "inf"), ("--tol", "nan"),
-                                        ("--tol", "0")])
+                                        ("--tol", "0"), ("--seed", "-1")])
 def test_bad_gradcheck_flag_exits_one(capsys, flag, value):
     assert main(["gradcheck", flag, value]) == 1
     assert f"gradcheck {flag[2:]} must be" in capsys.readouterr().err

@@ -18,8 +18,8 @@ from povseg.grad import (
 )
 from povseg.head import build_forward, build_frozen_forward, decode
 from povseg.losses import LossWeights
-from povseg.metrics import EvalSample, evaluate_samples
-from povseg.snapshot import FrozenSnapshot
+from povseg.metrics import evaluate_samples
+from povseg.snapshot import FrozenSnapshot, Sample
 
 
 def test_zero_weights_zero_gradients():
@@ -250,7 +250,7 @@ def test_vocabulary_permutation_permutes_labels(seed):
         dropped += int((~keep).sum())
         np.testing.assert_array_equal(decode(p_cache)[keep], relabel[decode(cache)][keep])
     print(f"seed {seed}: margin filter dropped {dropped} of {2 * gt.size} pixels")
-    iou = [evaluate_samples([EvalSample(snap, gt, "positive")], "none", state).iou_per
+    iou = [evaluate_samples([Sample(snap, gt, "positive")], "none", state).iou_per
            for snap in (snapshot, permuted)]
     assert iou[1] == iou[0]
 

@@ -6,20 +6,18 @@ import pytest
 from povseg.errors import InvariantError
 from povseg.head import PersonalState, build_forward, build_frozen_forward, decode
 from povseg.metrics import (
-    EvalSample,
     accumulate,
     class_iou,
     evaluate,
     evaluate_samples,
     format_report,
     iou_per,
-    load_sample,
     miou,
     precision_recall,
     pseudo_label,
     write_report,
 )
-from povseg.snapshot import FrozenSnapshot, load_manifest
+from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
 from povseg.synthbench import concat_evaluate
 
 rng = np.random.default_rng(23)
@@ -173,7 +171,7 @@ def test_pseudo_label_override():
 def test_frozen_eval_with_empty_masks():
     snap = crafted_snapshot()
     empty = np.zeros((2, 2), dtype=np.uint8)
-    samples = [EvalSample(snap, empty, "positive")]
+    samples = [Sample(snap, empty, "positive")]
     report = evaluate_samples(samples, "my_thing", state=None)
     assert report.iou_per == 0.0
     assert report.miou > 0.0
@@ -182,7 +180,7 @@ def test_frozen_eval_with_empty_masks():
 def test_frozen_proxy_via_class_name():
     snap = crafted_snapshot()
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)  # covers the class-0 band
-    samples = [EvalSample(snap, mask, "positive")]
+    samples = [Sample(snap, mask, "positive")]
     # class name present in the vocabulary: its predictions stand in for k
     with_proxy = evaluate_samples(samples, "zero", state=None)
     assert with_proxy.iou_per == 1.0
@@ -193,7 +191,7 @@ def test_frozen_proxy_via_class_name():
 
 def test_frozen_never_fp_on_negatives():
     snap = crafted_snapshot()
-    samples = [EvalSample(snap, None, "negative")]
+    samples = [Sample(snap, None, "negative")]
     report = evaluate_samples(samples, "my_thing", state=None)
     assert report.precision_per == 0.0 and report.recall_per == 0.0
 
@@ -208,7 +206,7 @@ def test_two_sample_hand_trace():
                           w_m=np.zeros(2), b_m=-50.0, k=2, alpha=0.0,
                           f_per=None, negative_enabled=True)
     report = evaluate_samples(
-        [EvalSample(snap_pos, mask, "positive"), EvalSample(snap_neg, None, "negative")],
+        [Sample(snap_pos, mask, "positive"), Sample(snap_neg, None, "negative")],
         "my_thing", state=state)
     # the personal class claims the top band in both images: 2 TP (positive),
     # 2 FP (negative), no FN
@@ -222,8 +220,8 @@ def test_mixed_vocabularies_refused():
     # same vocabulary size, two names swapped: the class table would be mislabelled
     swapped = crafted_snapshot()
     swapped.vocab_names = ["one", "zero"]
-    samples = [EvalSample(crafted_snapshot(), None, "negative"),
-               EvalSample(swapped, None, "negative")]
+    samples = [Sample(crafted_snapshot(), None, "negative"),
+               Sample(swapped, None, "negative")]
     with pytest.raises(InvariantError, match="sample 1 vocabulary differs"):
         evaluate_samples(samples, "my_thing", state=None)
 
@@ -244,9 +242,9 @@ def test_one_frozen_decode_per_sample(monkeypatch, with_state):
     monkeypatch.setattr("povseg.metrics.build_frozen_forward", counting)
     monkeypatch.setattr("povseg.metrics.build_forward", recording)
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-    samples = [EvalSample(crafted_snapshot(), mask, "positive"),
-               EvalSample(crafted_snapshot(), None, "negative"),
-               EvalSample(crafted_snapshot(), mask, "positive")]
+    samples = [Sample(crafted_snapshot(), mask, "positive"),
+               Sample(crafted_snapshot(), None, "negative"),
+               Sample(crafted_snapshot(), mask, "positive")]
     state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
                           w_m=np.zeros(2), b_m=-50.0, k=2) if with_state else None
     evaluate_samples(samples, "zero", state=state)
@@ -285,7 +283,7 @@ def test_evaluation_holds_at_most_two_samples(bench_dir, monkeypatch, concatenat
 def test_report_format(tmp_path):
     snap = crafted_snapshot()
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-    report = evaluate_samples([EvalSample(snap, mask, "positive")], "zero", state=None)
+    report = evaluate_samples([Sample(snap, mask, "positive")], "zero", state=None)
     text = format_report(report)
     lines = text.splitlines()
     assert lines[0] == "metric\tvalue"
@@ -304,8 +302,8 @@ def test_per_image_averaging():
     snap = crafted_snapshot()
     full_band = np.array([[1, 1], [0, 0]], dtype=np.uint8)    # proxy hits exactly
     wider = np.array([[1, 1], [1, 0]], dtype=np.uint8)        # one pixel missed
-    samples = [EvalSample(snap, full_band, "positive"),
-               EvalSample(snap, wider, "positive")]
+    samples = [Sample(snap, full_band, "positive"),
+               Sample(snap, wider, "positive")]
     agg = evaluate_samples(samples, "zero", state=None)
     per = evaluate_samples(samples, "zero", state=None, per_image=True)
     # aggregate counts: TP=4, FN=1 -> 4/5; image means: (1 + 2/3)/2 = 5/6

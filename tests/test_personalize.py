@@ -21,8 +21,7 @@ from povseg.personalize import (
     run_personalization,
     save_state,
 )
-from povseg.snapshot import FrozenSnapshot, load_manifest
-from povseg.synthbench import load_train_samples
+from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_samples
 
 rng = np.random.default_rng(17)
 
@@ -41,12 +40,12 @@ def make_samples(seed=0, count=3, with_features=True):
         )
         mask = np.zeros((6, 6), dtype=np.uint8)
         mask[2:5, 2:5] = 1
-        samples.append((snap, mask))
+        samples.append(Sample(snap, mask, "positive"))
     return samples
 
 
 def test_init_state_contents():
-    snap = make_samples(count=1)[0][0]
+    snap = make_samples(count=1)[0].snapshot
     vec = rng.normal(size=4)
     state = init_state(snap, vec, TrainConfig())
     np.testing.assert_array_equal(state.t_per, vec)
@@ -57,48 +56,50 @@ def test_init_state_contents():
 
 
 def test_init_from_vocab_row():
-    snap = make_samples(count=1)[0][0]
+    snap = make_samples(count=1)[0].snapshot
     state = init_state(snap, snap.t_open[1].copy(), TrainConfig())
     np.testing.assert_array_equal(state.t_per, snap.t_open[1])
 
 
 def test_init_dimension_mismatch():
-    snap = make_samples(count=1)[0][0]
+    snap = make_samples(count=1)[0].snapshot
     with pytest.raises(InvariantError):
         init_state(snap, rng.normal(size=5), TrainConfig())
 
 
 def test_visual_embedding_constant_field():
-    snap, mask = make_samples(count=1)[0]
+    sample = make_samples(count=1)[0]
+    snap = sample.snapshot
     target = float(np.linalg.norm(snap.t_open, axis=1).mean())
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v) * target
     snap.features = np.broadcast_to(v, (3, 3, 4)).copy()
-    out = compute_visual_embedding([(snap, mask)])
+    out = compute_visual_embedding([sample])
     np.testing.assert_allclose(out, v, rtol=1e-12)
 
 
 def test_visual_embedding_two_sample_mean():
-    (s1, m1), (s2, m2) = make_samples(count=2)
+    samples = make_samples(count=2)
+    s1, s2 = (sample.snapshot for sample in samples)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
     s1.features = np.broadcast_to(u, (3, 3, 4)).copy()
     s2.features = np.broadcast_to(v, (3, 3, 4)).copy()
-    out = compute_visual_embedding([(s1, m1), (s2, m2)])
+    out = compute_visual_embedding(samples)
     mean = (u + v) / 2.0
     target = float(np.linalg.norm(s1.t_open, axis=1).mean())
     np.testing.assert_allclose(out, mean / np.linalg.norm(mean) * target, rtol=1e-12)
 
 
 def test_visual_embedding_indexes_masked_cells():
-    snap, _ = make_samples(count=1)[0]
+    snap = make_samples(count=1)[0].snapshot
     snap.features = rng.normal(size=(2, 2, 4))
     # 4x4-equivalent mask selecting exactly feature cells (0,0) and (1,1)
     snap.m_open = rng.uniform(0.1, 0.9, size=(4, 4, 5))
     mask = np.zeros((4, 4), dtype=np.uint8)
     mask[0:2, 0:2] = 1
     mask[2:4, 2:4] = 1
-    out = compute_visual_embedding([(snap, mask)])
+    out = compute_visual_embedding([Sample(snap, mask, "positive")])
     pooled = (snap.features[0, 0] + snap.features[1, 1]) / 2.0
     target = float(np.linalg.norm(snap.t_open, axis=1).mean())
     np.testing.assert_allclose(out, pooled / np.linalg.norm(pooled) * target,
@@ -109,15 +110,15 @@ def test_visual_embedding_errors():
     samples = make_samples(count=1, with_features=False)
     with pytest.raises(InvariantError):
         compute_visual_embedding(samples)
-    snap, _ = make_samples(count=1)[0]
+    snap = make_samples(count=1)[0].snapshot
     empty = np.zeros((6, 6), dtype=np.uint8)
     with pytest.raises(InvariantError):
-        compute_visual_embedding([(snap, empty)])
+        compute_visual_embedding([Sample(snap, empty, "positive")])
 
 
 def test_iterations_validation():
     samples = make_samples()
-    init = samples[0][0].t_open.mean(axis=0)
+    init = samples[0].snapshot.t_open.mean(axis=0)
     with pytest.raises(InvariantError, match="iterations"):
         run_personalization(samples, TrainConfig(iterations=0), init)
     with pytest.raises(InvariantError, match="learning rate"):
@@ -128,21 +129,33 @@ def test_iterations_validation():
 
 def test_mixed_vocabularies_refused():
     samples = make_samples(count=2)
-    samples[1][0].vocab_names = ["b", "a", "c"]
+    samples[1].snapshot.vocab_names = ["b", "a", "c"]
     with pytest.raises(InvariantError, match="sample 1 disagrees"):
         run_personalization(samples, TrainConfig(iterations=1),
-                            samples[0][0].t_open.mean(axis=0))
+                            samples[0].snapshot.t_open.mean(axis=0))
+
+
+@pytest.mark.parametrize("polarity, with_mask", [("negative", True), ("negative", False),
+                                                 ("positive", False)])
+def test_training_sample_must_be_positive_with_mask(polarity, with_mask):
+    samples = make_samples(count=2)
+    mask = samples[1].personal_mask if with_mask else None
+    samples[1] = Sample(samples[1].snapshot, mask, polarity)
+    with pytest.raises(InvariantError, match="sample 1 is not a positive with a mask"):
+        run_personalization(samples, TrainConfig(iterations=1),
+                            samples[0].snapshot.t_open.mean(axis=0))
 
 
 def test_single_step_is_one_gradient_update():
     samples = make_samples()
     config = TrainConfig(iterations=1, injection_enabled=False)
-    init_vec = samples[0][0].t_open.mean(axis=0)
+    init_vec = samples[0].snapshot.t_open.mean(axis=0)
     state, trace = run_personalization(samples, config, init_vector=init_vec)
     assert len(trace) == 1
 
-    fresh = init_state(samples[0][0], init_vec, config)
-    _, grads = backward(samples[0][0], fresh, samples[0][1], config.weights)
+    first = samples[0]
+    fresh = init_state(first.snapshot, init_vec, config)
+    _, grads = backward(first.snapshot, fresh, first.personal_mask, config.weights)
     lr = config.learning_rate
     np.testing.assert_array_equal(state.t_per, init_vec - lr * grads.g_t_per)
     np.testing.assert_array_equal(state.w_z, -lr * grads.g_w_z)
@@ -153,7 +166,7 @@ def test_single_step_is_one_gradient_update():
 def test_determinism_bitwise():
     samples = make_samples()
     config = TrainConfig(iterations=20)
-    init = samples[0][0].t_open.mean(axis=0)
+    init = samples[0].snapshot.t_open.mean(axis=0)
     s1, t1 = run_personalization(samples, config, init)
     s2, t2 = run_personalization(samples, config, init)
     np.testing.assert_array_equal(s1.t_per, s2.t_per)
@@ -165,10 +178,10 @@ def test_determinism_bitwise():
 def test_frozen_inputs_unchanged_by_training():
     samples = make_samples()
     copies = [(s.t_open.copy(), s.z_open.copy(), s.m_open.copy(), s.features.copy())
-              for s, _ in samples]
+              for s in (sample.snapshot for sample in samples)]
     run_personalization(samples, TrainConfig(iterations=15),
-                        samples[0][0].t_open.mean(axis=0))
-    for (snap, _), (t, z, m, f) in zip(samples, copies):
+                        samples[0].snapshot.t_open.mean(axis=0))
+    for snap, (t, z, m, f) in zip((sample.snapshot for sample in samples), copies):
         np.testing.assert_array_equal(snap.t_open, t)
         np.testing.assert_array_equal(snap.z_open, z)
         np.testing.assert_array_equal(snap.m_open, m)
@@ -179,17 +192,17 @@ def test_no_injection_independent_of_features():
     config = TrainConfig(iterations=10, injection_enabled=False)
     a = make_samples(seed=3)
     b = make_samples(seed=3)
-    for snap, _ in b:
-        snap.features = rng.normal(size=snap.features.shape)
-    sa, ta = run_personalization(a, config, a[0][0].t_open.mean(axis=0))
-    sb, tb = run_personalization(b, config, b[0][0].t_open.mean(axis=0))
+    for sample in b:
+        sample.snapshot.features = rng.normal(size=sample.snapshot.features.shape)
+    sa, ta = run_personalization(a, config, a[0].snapshot.t_open.mean(axis=0))
+    sb, tb = run_personalization(b, config, b[0].snapshot.t_open.mean(axis=0))
     assert ta == tb
     np.testing.assert_array_equal(sa.t_per, sb.t_per)
 
 
 def test_injection_disabled_equals_alpha_zero():
     a = make_samples(seed=4)
-    init = a[0][0].t_open.mean(axis=0)
+    init = a[0].snapshot.t_open.mean(axis=0)
     off, trace_off = run_personalization(a, TrainConfig(iterations=12,
                                                         injection_enabled=False), init)
     on, trace_on = run_personalization(a, TrainConfig(iterations=12, alpha=0.0,
@@ -202,10 +215,10 @@ def test_injection_disabled_equals_alpha_zero():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_non_finite_loss_reports_step():
     samples = make_samples()
-    samples[1][0].t_open[0, 0] = np.inf  # poisons the forward pass at step 1
+    samples[1].snapshot.t_open[0, 0] = np.inf  # poisons the forward pass at step 1
     with pytest.raises(NonFiniteError, match="step 1"):
         run_personalization(samples, TrainConfig(iterations=5),
-                            samples[0][0].t_open.mean(axis=0))
+                            samples[0].snapshot.t_open.mean(axis=0))
 
 
 def test_defaults_match_reported_settings():
@@ -219,9 +232,9 @@ def test_defaults_match_reported_settings():
 
 def test_descent_on_bundled_benchmark(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    samples = load_train_samples(manifest)
+    samples = load_samples(manifest, "train")
     state, trace = run_personalization(samples, TrainConfig(),
-                                       samples[0][0].t_open.mean(axis=0))
+                                       samples[0].snapshot.t_open.mean(axis=0))
     assert np.isfinite(trace).all()
     assert np.mean(trace[-10:]) < np.mean(trace[:10])
 

@@ -13,13 +13,14 @@ from povseg.errors import (
     VersionMismatchError,
 )
 from povseg.grad import random_instance
-from povseg.metrics import load_sample
 from povseg.personalize import load_state, save_state
 from povseg.snapshot import (
     FrozenSnapshot,
     downsample_mask,
     load_manifest,
     load_mask,
+    load_sample,
+    load_samples,
     load_snapshot,
     save_mask,
     save_snapshot,
@@ -347,6 +348,35 @@ def test_manifest_errors(tmp_path):
     with pytest.raises(FormatError, match=re.escape(
             f"{tmp_path / 'manifest.tsv'}:1: test positive entry without a mask")):
         load_manifest(write_dataset(tmp_path, ["a.povs\t-\ttest\tpositive\tb"]))
+
+
+def test_manifest_refuses_train_negative(tmp_path):
+    save_snapshot(minimal_snapshot(), tmp_path / "a.povs")
+    save_mask(np.ones((2, 2), dtype=np.uint8), tmp_path / "a.mask")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{tmp_path / 'manifest.tsv'}:2: train entries must be positive")):
+        load_manifest(write_dataset(tmp_path, ["a.povs\ta.mask\ttrain\tpositive\tb",
+                                               "a.povs\ta.mask\ttrain\tnegative\tb"]))
+
+
+def test_load_samples_reads_one_split(tmp_path):
+    save_snapshot(minimal_snapshot(), tmp_path / "a.povs")
+    save_snapshot(minimal_snapshot(), tmp_path / "b.povs")
+    save_mask(np.array([[1, 0], [0, 1]], dtype=np.uint8), tmp_path / "a.mask")
+    manifest = load_manifest(write_dataset(tmp_path, [
+        "a.povs\ta.mask\ttrain\tpositive\tb",
+        "b.povs\t-\ttest\tnegative\tb",
+        "a.povs\ta.mask\ttrain\tpositive\tb",
+    ]))
+    train = load_samples(manifest, "train")
+    assert [s.polarity for s in train] == ["positive", "positive"]
+    np.testing.assert_array_equal(train[1].personal_mask, [[1, 0], [0, 1]])
+    (test,) = load_samples(manifest, "test")
+    assert test.polarity == "negative" and test.personal_mask is None
+    assert test.partner_z is None
+    manifest.entries = manifest.split("train")
+    with pytest.raises(InvariantError, match="manifest has no 'test' entries"):
+        load_samples(manifest, "test")
 
 
 # NUL, the two mask bits, field/line/path separators and '-', digits (which

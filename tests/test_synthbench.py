@@ -5,16 +5,15 @@ import pytest
 
 from povseg.errors import InvariantError
 from povseg.head import build_forward, build_frozen_forward, decode
-from povseg.metrics import accumulate, evaluate_samples, load_eval_samples
+from povseg.metrics import accumulate, evaluate_samples
 from povseg.personalize import TrainConfig
-from povseg.snapshot import load_manifest, load_snapshot
+from povseg.snapshot import Sample, load_manifest, load_samples, load_snapshot
 from povseg.synthbench import (
     SynthConfig,
     concat_evaluate,
     format_ablation_table,
     format_kshot_table,
     generate,
-    load_train_samples,
     run_ablation,
     run_kshot,
     train_on_manifest,
@@ -124,7 +123,7 @@ def test_grid_sides_rejected_before_writing(tmp_path, h, hf, message):
 
 def make_pair(data_dir):
     manifest = load_manifest(data_dir / "manifest.tsv")
-    samples = load_eval_samples(manifest)
+    samples = load_samples(manifest, "test")
     pos = [s for s in samples if s.polarity == "positive"][0]
     neg = [s for s in samples if s.polarity == "negative"][0]
     return pos, neg
@@ -153,9 +152,10 @@ def test_concat_structure(tmp_path):
 
 def test_concat_with_itself_decodes_side_by_side(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20))
+    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20),
+                                 load_samples(manifest, "train"))
     tiled = tile_state(state, 2)
-    positives = [s for s in load_eval_samples(manifest) if s.polarity == "positive"]
+    positives = [s for s in load_samples(manifest, "test") if s.polarity == "positive"]
     for sample in positives:
         joined = concat(sample, sample).snapshot
         personal = decode(build_forward(sample.snapshot, state))
@@ -170,7 +170,8 @@ def test_concat_with_itself_decodes_side_by_side(bench_dir):
 
 def test_concat_eval_runs_with_trained_state(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20))
+    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20),
+                                 load_samples(manifest, "train"))
     report = concat_evaluate(manifest, state)
     assert report.n_positive > 0
     assert 0.0 <= report.iou_per <= 1.0
@@ -178,8 +179,9 @@ def test_concat_eval_runs_with_trained_state(bench_dir):
 
 @pytest.fixture(scope="module")
 def bench_state(bench_dir):
-    return train_on_manifest(load_manifest(bench_dir / "manifest.tsv"),
-                             TrainConfig(iterations=20))[0]
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    return train_on_manifest(manifest, TrainConfig(iterations=20),
+                             load_samples(manifest, "train"))[0]
 
 
 def scored(monkeypatch, run):
@@ -203,7 +205,7 @@ def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, va
     state = {"negative": bench_state, "frozen": None,
              "no-negative": replace(bench_state, negative_enabled=False)}[variant]
     tiled = None if state is None else tile_state(state, 2)
-    samples = load_eval_samples(manifest)
+    samples = load_samples(manifest, "test")
     positives = [s for s in samples if s.polarity == "positive"]
     negatives = [s for s in samples if s.polarity == "negative"]
     joined = [concat(p, n) for p, n in zip(positives, negatives)]
@@ -251,7 +253,7 @@ def test_frozen_row_without_vocab_entry_scores_zero(tmp_path):
     rewritten = manifest_path.read_text().replace("class_01", "my_unnameable_thing")
     manifest_path.write_text(rewritten)
     manifest = load_manifest(manifest_path)
-    samples = load_eval_samples(manifest)
+    samples = load_samples(manifest, "test")
     report = evaluate_samples(samples, manifest.personal_class_name, state=None)
     assert report.iou_per == 0.0
     assert report.precision_per == 0.0 and report.recall_per == 0.0
@@ -289,7 +291,7 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     """K=1 trains on exactly the first manifest train entry."""
     manifest = load_manifest(bench_dir / "manifest.tsv")
     config = TrainConfig(iterations=8)
-    state_k1, _ = train_on_manifest(manifest, config, load_train_samples(manifest)[:1])
+    state_k1, _ = train_on_manifest(manifest, config, load_samples(manifest, "train")[:1])
     # training directly on the first entry reproduces it bit for bit
     from povseg.snapshot import load_mask
     from povseg.personalize import run_personalization
@@ -297,6 +299,7 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     snap = load_snapshot(entry.snapshot)
     mask = load_mask(entry.mask, *snap.grid_shape)
     init = snap.t_open[snap.vocab_names.index(manifest.personal_class_name)].copy()
-    direct, _ = run_personalization([(snap, mask)], config, init_vector=init)
+    direct, _ = run_personalization([Sample(snap, mask, "positive")], config,
+                                    init_vector=init)
     np.testing.assert_array_equal(state_k1.t_per, direct.t_per)
     np.testing.assert_array_equal(state_k1.w_m, direct.w_m)
