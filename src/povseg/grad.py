@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvariantError, NonFiniteError
-from .head import COVERAGE_EPS, PersonalState, build_forward
+from .head import COVERAGE_EPS, ForwardCache, PersonalState, build_forward
 from .losses import LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
 
@@ -38,6 +38,20 @@ def _check(stage: str, *arrays) -> None:
             raise NonFiniteError(stage)
 
 
+def _composition_row(cache: ForwardCache, scale: np.ndarray) -> np.ndarray:
+    """Row k of dL/dC given ``scale`` = dL/d(M C[k]): ``sum_p scale(p) M(p, :)``.
+
+    Columns n < N sum over the snapshot's m_open and column j over m_neg, so
+    the (N+1)-channel bank M is never built. The sums over pixels use einsum,
+    not tensordot: OpenBLAS splits a long tensordot sum across threads, so its
+    bits would depend on the thread count, and einsum does not call BLAS.
+    """
+    row = np.einsum("ij,ijn->n", scale, cache.snapshot.m_open)
+    if cache.j is None:
+        return row
+    return np.append(row, np.einsum("ij,ij->", scale, cache.m_neg))
+
+
 def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
              weights: LossWeights) -> tuple[LossBreakdown, Gradients]:
     """Forward pass plus exact gradients of the weighted total loss."""
@@ -54,11 +68,8 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     _check("normalize", scale)
 
     # Composition reads only row k of C; the uniformity loss reads column j.
-    # The two sums over pixels use einsum, not tensordot: OpenBLAS splits a
-    # long tensordot sum across threads, so its bits would depend on the
-    # thread count, and einsum does not call BLAS.
     gc = np.zeros_like(cache.c)
-    gc[k] = np.einsum("ij,ijn->n", scale, cache.m)
+    gc[k] = _composition_row(cache, scale)
     if j is not None:
         gc[:, j] += gc_j
     _check("composition", gc)
@@ -80,7 +91,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
         gm_neg = scale * (cache.c[k, j] - cache.q_per)
         gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
-        g_w_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)
+        g_w_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)  # einsum: see _composition_row
         g_b_m = float(ga.sum())
     else:
         g_w_z = np.zeros_like(state.w_z)

@@ -55,26 +55,38 @@ class PersonalState:
 class ForwardCache:
     """Intermediates of one forward pass; the frozen pass fills the first five."""
 
+    snapshot: FrozenSnapshot         # frozen inputs: m_open and its coverage
     t_full: np.ndarray               # (V+1, D) or (V, D) frozen
     z_full: np.ndarray               # (N+1, D) or (N, D)
     s: np.ndarray                    # similarity logits
     c: np.ndarray                    # column-stochastic class probabilities
-    m: np.ndarray                    # (H, W, channels)
     m_neg: np.ndarray | None = None  # (H, W) negative mask, None if disabled
     k: int | None = None             # personal class index, None for frozen
     j: int | None = None             # negative column/channel index
 
-    # Computed on first read, which only the training losses do: decode never does.
+    # Computed on first read. Only decode reads the full (H, W, channels) bank;
+    # the training losses read coverage and q_per, which never build it.
+    @cached_property
+    def m(self) -> np.ndarray:  # (H, W, channels): m_open, then m_neg at channel j
+        if self.m_neg is None:
+            return self.snapshot.m_open
+        return np.concatenate([self.snapshot.m_open, self.m_neg[:, :, None]], axis=2)
+
     @cached_property
     def coverage(self) -> np.ndarray:  # (H, W) sum_n M(p, n) = sum_v P(p, v)
-        return self.m.sum(axis=2)
+        if self.m_neg is None:
+            return self.snapshot.coverage
+        return self.snapshot.coverage + self.m_neg
 
     @cached_property
     def q_per(self) -> np.ndarray:  # (H, W) personal channel Q[..., k]
+        row = self.c[self.k]
+        mass = self.snapshot.m_open @ row[:self.snapshot.num_proposals]
+        if self.m_neg is not None:
+            mass += self.m_neg * row[self.j]
         covered = self.coverage > COVERAGE_EPS
-        return np.where(
-            covered, (self.m @ self.c[self.k]) / np.where(covered, self.coverage, 1.0),
-            1.0 / self.c.shape[0])
+        return np.where(covered, mass / np.where(covered, self.coverage, 1.0),
+                        1.0 / self.c.shape[0])
 
 
 # The stage functions below trust their shapes: build_forward checks the state
@@ -102,12 +114,9 @@ def negative_mask(m_open: np.ndarray, w_m: np.ndarray, b_m: float) -> np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: ``exp`` only ever sees ``-|x|``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def similarity(t_full: np.ndarray, z_full: np.ndarray, logit_scale: float) -> np.ndarray:
@@ -173,22 +182,20 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
             z_neg = (z_neg + negative_embedding(partner_z, state.w_z)) / 2
         z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
         m_neg = negative_mask(snapshot.m_open, state.w_m, state.b_m)
-        m = np.concatenate([snapshot.m_open, m_neg[:, :, None]], axis=2)
         j = n
     else:
         z_full = snapshot.z_open
-        m = snapshot.m_open
         m_neg = None
         j = None
 
     s = similarity(t_full, z_full, snapshot.logit_scale)
-    return ForwardCache(t_full=t_full, z_full=z_full, s=s, c=class_probs(s), m=m,
-                        m_neg=m_neg, k=state.k, j=j)
+    return ForwardCache(snapshot=snapshot, t_full=t_full, z_full=z_full, s=s,
+                        c=class_probs(s), m_neg=m_neg, k=state.k, j=j)
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
     """Run the unmodified pipeline (no personal row, no negative branch)."""
     s = similarity(snapshot.t_open, snapshot.z_open, snapshot.logit_scale)
     c = class_probs(s)
-    return ForwardCache(t_full=snapshot.t_open, z_full=snapshot.z_open, s=s,
-                        c=c, m=snapshot.m_open)
+    return ForwardCache(snapshot=snapshot, t_full=snapshot.t_open,
+                        z_full=snapshot.z_open, s=s, c=c)

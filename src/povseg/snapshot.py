@@ -12,8 +12,11 @@ endian); in memory arrays are promoted to float64.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ _HEADER = struct.Struct("<4sBB7Id")
 _NAME_BREAKS = "\t\r\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenSnapshot:
     t_open: np.ndarray            # (V, D)
     z_open: np.ndarray            # (N, D)
@@ -60,6 +63,14 @@ class FrozenSnapshot:
     def grid_shape(self) -> tuple[int, int]:
         return self.m_open.shape[0], self.m_open.shape[1]
 
+    # Frozen, so a field cannot change under the cache: every training step on
+    # this snapshot reads the same per-pixel proposal mass.
+    @cached_property
+    def coverage(self) -> np.ndarray:  # (H, W) sum_n m_open(p, n)
+        out = self.m_open.sum(axis=2)
+        out.setflags(write=False)
+        return out
+
     def validate(self) -> None:
         if self.t_open.ndim != 2 or self.z_open.ndim != 2 or self.m_open.ndim != 3:
             raise InvariantError("t_open must be 2-D, z_open 2-D, m_open 3-D")
@@ -77,12 +88,17 @@ class FrozenSnapshot:
         if len(self.vocab_names) != v:
             raise InvariantError(
                 f"{len(self.vocab_names)} vocab names for {v} text rows")
-        for arr, name in ((self.t_open, "t_open"), (self.z_open, "z_open"),
-                          (self.m_open, "m_open")):
+        for arr, name in ((self.t_open, "t_open"), (self.z_open, "z_open")):
             if not np.isfinite(arr).all():
                 raise InvariantError(f"non-finite value in {name}")
-        if self.m_open.size and (self.m_open.min() < 0.0 or self.m_open.max() > 1.0):
-            raise InvariantError("m_open entries must lie in [0, 1]")
+        if self.m_open.size:
+            # min and max propagate NaN and reach any infinity, so one pass
+            # each checks finiteness and range.
+            lo, hi = self.m_open.min(), self.m_open.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise InvariantError("non-finite value in m_open")
+            if lo < 0.0 or hi > 1.0:
+                raise InvariantError("m_open entries must lie in [0, 1]")
         if not (np.isfinite(self.logit_scale) and self.logit_scale > 0.0):
             raise InvariantError(f"logit scale must be positive, got {self.logit_scale}")
         if self.features is not None:
@@ -123,12 +139,12 @@ def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
+    def __init__(self, data: bytes | mmap.mmap, path: Path):
+        self.data = memoryview(data)  # slices share the file bytes, no copy
         self.off = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.off + count > len(self.data):
             raise TruncatedPayloadError(
                 f"{self.path}: needed {count} bytes at offset {self.off}, "
@@ -144,7 +160,7 @@ class _Reader:
     def text(self, count: int) -> str:
         start = self.off
         try:
-            return self.take(count).decode("utf-8")
+            return bytes(self.take(count)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{self.path}: invalid UTF-8 at offset {start + exc.start}") from exc
@@ -154,10 +170,24 @@ class _Reader:
             raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
 
 
+def _mapped(path: Path) -> bytes | mmap.mmap:
+    """The file's bytes, mapped read-only instead of read into a fresh buffer.
+
+    Each array is copied out of the mapping once, as float64. A read would copy
+    the whole file first, and evaluation, which lets go of each image before it
+    loads the next, would then fault that buffer's pages in again per file.
+    The mapping closes when the last view of it goes.
+    """
+    with path.open("rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""  # an empty file cannot be mapped
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def load_snapshot(path: str | Path) -> FrozenSnapshot:
     """Read and validate a POVS file."""
     path = Path(path)
-    rd = _Reader(path.read_bytes(), path)
+    rd = _Reader(_mapped(path), path)
     magic, version, flags, v, d, n, h, w, hf, wf, logit_scale = _HEADER.unpack(
         rd.take(_HEADER.size))
     if magic != MAGIC:

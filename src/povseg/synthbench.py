@@ -312,6 +312,8 @@ def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
 def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sample]
                       ) -> tuple[PersonalState, list[float]]:
     """Personalize on ``samples``: the train split, or a prefix of it."""
+    if not samples:  # before samples[0] below; run_personalization says the same
+        raise InvariantError("empty training sample set")
     init = _init_vector(manifest, samples[0].snapshot)
     return run_personalization(samples, config, init)
 

@@ -16,8 +16,8 @@ from povseg.grad import (
     random_instance,
     relative_errors,
 )
-from povseg.head import build_forward, build_frozen_forward, decode
-from povseg.losses import LossWeights
+from povseg.head import COVERAGE_EPS, build_forward, build_frozen_forward, decode
+from povseg.losses import LossWeights, total_loss
 from povseg.metrics import evaluate_samples
 from povseg.snapshot import FrozenSnapshot, Sample
 
@@ -86,6 +86,52 @@ def test_backward_bytes_independent_of_blas_threads():
                             capture_output=True, text=True, check=True).stdout
              for threads in (1, 2)}
     assert len(hexes) == 1
+
+
+def _full_bank_step(cache, gt, weights):
+    """q_per and row k of dL/dC from the concatenated (H, W, N+1) bank."""
+    m_open = cache.snapshot.m_open
+    m = m_open if cache.m_neg is None else np.concatenate(
+        [m_open, cache.m_neg[:, :, None]], axis=2)
+    coverage = m.sum(axis=2)
+    covered = coverage > COVERAGE_EPS
+    q_per = np.where(covered, (m @ cache.c[cache.k]) / np.where(covered, coverage, 1.0),
+                     1.0 / cache.c.shape[0])
+    gq_per = total_loss(cache, gt, weights)[1]
+    scale = np.where(covered, gq_per / np.where(covered, coverage, 1.0), 0.0)
+    return q_per, scale, np.einsum("ij,ijn->n", scale, m)
+
+
+@pytest.mark.parametrize("negative", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_training_step_matches_full_bank_oracle(seed, negative):
+    snapshot, state, gt, weights = random_instance(seed)
+    # a zeroed block puts pixels on m_neg alone, or on the uniform fallback
+    m_open = snapshot.m_open.copy()
+    m_open[:4, :4, :] = 0.0
+    cache = build_forward(replace(snapshot, m_open=m_open),
+                          replace(state, negative_enabled=negative))
+    q_per, scale, row = _full_bank_step(cache, gt, weights)
+    np.testing.assert_allclose(cache.q_per, q_per, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grad_mod._composition_row(cache, scale), row,
+                               rtol=1e-12, atol=0)
+    on_fallback = (cache.q_per[:4, :4] == 1.0 / cache.c.shape[0]).all()
+    assert on_fallback == (not negative)  # m_neg covers the block when it is on
+
+
+def test_training_never_builds_the_full_bank(monkeypatch):
+    caches = []
+
+    def spy(*args, **kwargs):
+        caches.append(build_forward(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(grad_mod, "build_forward", spy)
+    snapshot, state, gt, weights = random_instance(0)
+    backward(snapshot, state, gt, weights)
+    finite_diff(snapshot, replace(state, negative_enabled=False), gt, weights)
+    assert len(caches) == 1 + 2 * (8 + 6 + 6 + 1)
+    assert all("q_per" in vars(cache) and "m" not in vars(cache) for cache in caches)
 
 
 def test_frozen_tensors_untouched():

@@ -18,6 +18,7 @@ from povseg.head import (
     negative_embedding,
     negative_mask,
     predict,
+    sigmoid,
     similarity,
 )
 from povseg.snapshot import FrozenSnapshot
@@ -125,6 +126,20 @@ def test_negative_mask_matches_scalar_oracle():
         for x in range(2):
             z = w[0] * m[y, x, 0] + w[1] * m[y, x, 1] + b
             assert mask[y, x] == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-14)
+
+
+def test_sigmoid_matches_two_branch_form():
+    """Bit for bit, the form that exponentiates each sign's entries separately."""
+    x = np.concatenate([[-np.inf, -800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0,
+                         800.0, np.inf, np.nan],
+                        np.random.default_rng(5).normal(scale=20.0, size=4099)])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    np.testing.assert_array_equal(sigmoid(x), expected)
+    np.testing.assert_array_equal(sigmoid(x.reshape(-1, 10)), expected.reshape(-1, 10))
 
 
 def test_similarity_identity_and_scaling():

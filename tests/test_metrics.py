@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,8 +219,7 @@ def test_two_sample_hand_trace():
 
 def test_mixed_vocabularies_refused():
     # same vocabulary size, two names swapped: the class table would be mislabelled
-    swapped = crafted_snapshot()
-    swapped.vocab_names = ["one", "zero"]
+    swapped = replace(crafted_snapshot(), vocab_names=["one", "zero"])
     samples = [Sample(crafted_snapshot(), None, "negative"),
                Sample(swapped, None, "negative")]
     with pytest.raises(InvariantError, match="sample 1 vocabulary differs"):

@@ -1,5 +1,7 @@
 import re
 import struct
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -73,18 +75,19 @@ def test_visual_embedding_constant_field():
     target = float(np.linalg.norm(snap.t_open, axis=1).mean())
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v) * target
-    snap.features = np.broadcast_to(v, (3, 3, 4)).copy()
+    sample.snapshot = replace(snap, features=np.broadcast_to(v, (3, 3, 4)).copy())
     out = compute_visual_embedding([sample])
     np.testing.assert_allclose(out, v, rtol=1e-12)
 
 
 def test_visual_embedding_two_sample_mean():
     samples = make_samples(count=2)
-    s1, s2 = (sample.snapshot for sample in samples)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    s1.features = np.broadcast_to(u, (3, 3, 4)).copy()
-    s2.features = np.broadcast_to(v, (3, 3, 4)).copy()
+    for sample, vec in zip(samples, (u, v)):
+        sample.snapshot = replace(sample.snapshot,
+                                  features=np.broadcast_to(vec, (3, 3, 4)).copy())
+    s1 = samples[0].snapshot
     out = compute_visual_embedding(samples)
     mean = (u + v) / 2.0
     target = float(np.linalg.norm(s1.t_open, axis=1).mean())
@@ -93,9 +96,9 @@ def test_visual_embedding_two_sample_mean():
 
 def test_visual_embedding_indexes_masked_cells():
     snap = make_samples(count=1)[0].snapshot
-    snap.features = rng.normal(size=(2, 2, 4))
     # 4x4-equivalent mask selecting exactly feature cells (0,0) and (1,1)
-    snap.m_open = rng.uniform(0.1, 0.9, size=(4, 4, 5))
+    snap = replace(snap, features=rng.normal(size=(2, 2, 4)),
+                   m_open=rng.uniform(0.1, 0.9, size=(4, 4, 5)))
     mask = np.zeros((4, 4), dtype=np.uint8)
     mask[0:2, 0:2] = 1
     mask[2:4, 2:4] = 1
@@ -127,9 +130,26 @@ def test_iterations_validation():
         run_personalization([], TrainConfig(), init)
 
 
+def test_coverage_computed_once_per_snapshot(monkeypatch):
+    counted = []
+    plain = FrozenSnapshot.coverage.func
+
+    def counting(snapshot):
+        counted.append(snapshot)
+        return plain(snapshot)
+
+    prop = cached_property(counting)
+    prop.__set_name__(FrozenSnapshot, "coverage")
+    monkeypatch.setattr(FrozenSnapshot, "coverage", prop)
+    samples = make_samples(count=2)
+    run_personalization(samples, TrainConfig(iterations=7),
+                        samples[0].snapshot.t_open.mean(axis=0))
+    assert [id(s) for s in counted] == [id(sample.snapshot) for sample in samples]
+
+
 def test_mixed_vocabularies_refused():
     samples = make_samples(count=2)
-    samples[1].snapshot.vocab_names = ["b", "a", "c"]
+    samples[1].snapshot = replace(samples[1].snapshot, vocab_names=["b", "a", "c"])
     with pytest.raises(InvariantError, match="sample 1 disagrees"):
         run_personalization(samples, TrainConfig(iterations=1),
                             samples[0].snapshot.t_open.mean(axis=0))
@@ -193,7 +213,8 @@ def test_no_injection_independent_of_features():
     a = make_samples(seed=3)
     b = make_samples(seed=3)
     for sample in b:
-        sample.snapshot.features = rng.normal(size=sample.snapshot.features.shape)
+        sample.snapshot = replace(sample.snapshot,
+                                  features=rng.normal(size=sample.snapshot.features.shape))
     sa, ta = run_personalization(a, config, a[0].snapshot.t_open.mean(axis=0))
     sb, tb = run_personalization(b, config, b[0].snapshot.t_open.mean(axis=0))
     assert ta == tb

@@ -1,6 +1,6 @@
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -86,9 +86,35 @@ def test_nan_refused(tmp_path):
         save_snapshot(snap, tmp_path / "bad.povs")
 
 
-def test_nonpositive_logit_scale_refused(tmp_path):
+@pytest.mark.parametrize("values, message", [
+    ((np.nan,), "non-finite value in m_open"),
+    ((np.inf,), "non-finite value in m_open"),
+    ((-np.inf,), "non-finite value in m_open"),
+    ((np.nan, 1.5), "non-finite value in m_open"),
+    ((-0.5, np.inf), "non-finite value in m_open"),
+    ((1.5,), "m_open entries must lie in [0, 1]"),
+    ((-0.5,), "m_open entries must lie in [0, 1]"),
+])
+def test_bad_mask_values_name_the_first_fault(values, message):
+    m_open = minimal_snapshot().m_open.copy()
+    m_open.reshape(-1)[:len(values)] = values
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        replace(minimal_snapshot(), m_open=m_open).validate()
+
+
+def test_coverage_follows_a_replaced_bank():
     snap = minimal_snapshot()
-    snap.logit_scale = 0.0
+    np.testing.assert_array_equal(snap.coverage, [[0.0, 0.25], [0.5, 1.0]])
+    other = replace(snap, m_open=snap.m_open[::-1].copy())
+    np.testing.assert_array_equal(other.coverage, [[0.5, 1.0], [0.0, 0.25]])
+    with pytest.raises(FrozenInstanceError):
+        snap.m_open = other.m_open
+    with pytest.raises(ValueError):
+        snap.coverage[0, 0] = 1.0
+
+
+def test_nonpositive_logit_scale_refused(tmp_path):
+    snap = replace(minimal_snapshot(), logit_scale=0.0)
     with pytest.raises(InvariantError):
         save_snapshot(snap, tmp_path / "bad.povs")
 
@@ -171,14 +197,13 @@ def test_bad_utf8_vocab_name_rejected(tmp_path):
 
 @pytest.mark.parametrize("ch", ["\t", "\r", "\n"])
 def test_vocab_name_with_break_refused(tmp_path, ch):
-    snap = minimal_snapshot()
-    snap.vocab_names = ["a", f"b{ch}c"]
+    snap = replace(minimal_snapshot(), vocab_names=["a", f"b{ch}c"])
     with pytest.raises(InvariantError, match="vocab name 1"):
         save_snapshot(snap, tmp_path / "refused.povs")
     assert not (tmp_path / "refused.povs").exists()
     # write the name by hand: save a same-length stand-in, then swap its bytes
     path = tmp_path / "s.povs"
-    snap.vocab_names = ["a", "b_c"]
+    snap = replace(snap, vocab_names=["a", "b_c"])
     save_snapshot(snap, path)
     data = path.read_bytes()
     assert data.endswith(b"b_c")

@@ -303,3 +303,9 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
                                     init_vector=init)
     np.testing.assert_array_equal(state_k1.t_per, direct.t_per)
     np.testing.assert_array_equal(state_k1.w_m, direct.w_m)
+
+
+def test_train_on_empty_sample_set_refused(bench_dir):
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    with pytest.raises(InvariantError, match="empty training sample set"):
+        train_on_manifest(manifest, TrainConfig(iterations=1), [])
