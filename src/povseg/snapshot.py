@@ -7,7 +7,9 @@ with entries in [0, 1], a logit scale, the vocabulary names, and optionally
 an image feature map ``f`` (Hf x Wf x D) for visual-embedding extraction.
 
 On disk everything floating is IEEE-754 binary32 (POVS format, little
-endian); in memory arrays are promoted to float64.
+endian). A loaded snapshot's arrays are promoted to float64 in memory;
+``synth`` builds its mask bank in binary32, the file's own type. Every
+snapshot's arrays are read-only, however the snapshot was built.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ class FrozenSnapshot:
     logit_scale: float = 1.0
     features: np.ndarray | None = None   # (Hf, Wf, D)
 
+    def __post_init__(self) -> None:
+        # Read-only however the snapshot was built, so that no in-place write
+        # can leave ``coverage`` stale or change a snapshot an evaluator shares.
+        for arr in (self.t_open, self.z_open, self.m_open, self.features):
+            if arr is not None:
+                arr.setflags(write=False)
+
     @property
     def vocab_size(self) -> int:
         return self.t_open.shape[0]
@@ -63,8 +72,8 @@ class FrozenSnapshot:
     def grid_shape(self) -> tuple[int, int]:
         return self.m_open.shape[0], self.m_open.shape[1]
 
-    # Frozen, so a field cannot change under the cache: every training step on
-    # this snapshot reads the same per-pixel proposal mass.
+    # Frozen with read-only arrays, so nothing changes under the cache: every
+    # training step on this snapshot reads the same per-pixel proposal mass.
     @cached_property
     def coverage(self) -> np.ndarray:  # (H, W) sum_n m_open(p, n)
         out = self.m_open.sum(axis=2)
@@ -121,21 +130,24 @@ def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
     has_f = snapshot.features is not None
     hf, wf = snapshot.features.shape[:2] if has_f else (0, 0)
 
-    parts = [_HEADER.pack(MAGIC, VERSION, _FLAG_FEATURES if has_f else 0,
-                          v, d, n, h, w, hf, wf, float(snapshot.logit_scale))]
-    for arr in (snapshot.t_open, snapshot.z_open, snapshot.m_open):
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    if has_f:
-        parts.append(np.ascontiguousarray(snapshot.features, dtype="<f4").tobytes())
-    parts.append(struct.pack("<I", v))
+    # Names are checked before the file opens, so a refused one writes nothing.
+    vocab = [struct.pack("<I", v)]
     for i, name in enumerate(snapshot.vocab_names):
         if any(ch in name for ch in _NAME_BREAKS):
             raise InvariantError(f"vocab name {i} {name!r} contains a tab or line break")
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise InvariantError(f"vocab name too long ({len(raw)} bytes)")
-        parts.append(struct.pack("<H", len(raw)) + raw)
-    Path(path).write_bytes(b"".join(parts))
+        vocab.append(struct.pack("<H", len(raw)) + raw)
+
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, _FLAG_FEATURES if has_f else 0,
+                              v, d, n, h, w, hf, wf, float(snapshot.logit_scale)))
+        for arr in (snapshot.t_open, snapshot.z_open, snapshot.m_open, snapshot.features):
+            if arr is not None:
+                # the array's own buffer when it is already C-ordered "<f4"
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+        fh.write(b"".join(vocab))
 
 
 class _Reader:
@@ -155,7 +167,9 @@ class _Reader:
 
     def array(self, count: int, dtype: str = "<f4") -> np.ndarray:
         raw = self.take(np.dtype(dtype).itemsize * count)
-        return np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        # A signaling-NaN pattern warns on the cast; validate names the field.
+        with np.errstate(invalid="ignore"):
+            return np.frombuffer(raw, dtype=dtype).astype(np.float64)
 
     def text(self, count: int) -> str:
         start = self.off
@@ -222,10 +236,6 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
         snap.validate()
     except InvariantError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
-    # loaded snapshots are immutable and safe to share across evaluators
-    for arr in (snap.t_open, snap.z_open, snap.m_open, snap.features):
-        if arr is not None:
-            arr.setflags(write=False)
     return snap
 
 

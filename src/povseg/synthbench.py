@@ -59,6 +59,8 @@ PROPOSAL_SCALE = (1.15, 1.5)
 # pose into the prompt, while averaging over K shots cancels it.
 POSE_DIMS = 2
 POSE_NOISE = 0.7
+# Below ln(2**-1075) ~ -745.13 the correctly rounded binary64 exp is +0.0.
+EXP_UNDERFLOW = -746.0
 
 
 @dataclass
@@ -110,7 +112,10 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 def _blob(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
     ys = (np.arange(h)[:, None] - cy) / ry
     xs = (np.arange(w)[None, :] - cx) / rx
-    return np.exp(-(ys ** 2 + xs ** 2))
+    q = -(ys ** 2 + xs ** 2)
+    # Far from a small blob's centre numpy's exp takes a slow underflow path,
+    # so it runs only where the correctly rounded result is not +0.0.
+    return np.exp(q, out=np.zeros_like(q), where=q > EXP_UNDERFLOW)
 
 
 @dataclass
@@ -215,7 +220,8 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
 
     # Slot 0 is the stable scene/background query; the rest are shuffled.
     order = rng.permutation(n - 1) + 1
-    masks = np.zeros((h, w, n))
+    # The bank is built in the file's binary32; assigning rounds as a save would.
+    masks = np.zeros((h, w, n), dtype=np.float32)
     embeds = np.zeros((n, config.d))
     masks[:, :, 0] = bg_mask
     embeds[0] = bg_embed
@@ -228,8 +234,9 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
         embeds[slot] = embed
 
     # Feature map: paint each object's embedding over its support.
-    features = (dirs.background[None, None, :]
-                + FEATURE_NOISE * rng.normal(size=(config.hf, config.hf, config.d)))
+    features = rng.normal(size=(config.hf, config.hf, config.d))
+    features *= FEATURE_NOISE
+    features += dirs.background
     s = config.hf / h
     u_feat = _blob(config.hf, config.hf, u_cy * s, u_cx * s, u_ry * s, u_rx * s)
     features[u_feat >= 0.5] = u_embed

@@ -1,11 +1,17 @@
+import os
+import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from output_tree import SRC
 from output_tree import build as build_output_tree
 
 from povseg.cli import _train_config, build_parser, main
 from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
+from povseg.snapshot import _HEADER as _SNAPSHOT_HEADER
 from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_mask, save_snapshot
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
@@ -186,6 +192,29 @@ def test_invalid_state_header_names_file(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{state_path}: alpha 1.5 outside [0, 1]" in err
+
+
+PAYLOADS = ["t_open", "z_open", "m_open", "features"]  # in file order
+
+
+@pytest.mark.parametrize("field", PAYLOADS)
+def test_signaling_nan_payload_exits_one_without_warning(tmp_path, field):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    path = load_manifest(data / "manifest.tsv").split("test")[0].snapshot
+    snap = load_snapshot(path)
+    offset = _SNAPSHOT_HEADER.size + 4 * sum(
+        getattr(snap, name).size for name in PAYLOADS[:PAYLOADS.index(field)])
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = struct.pack("<I", 0x7F800001)  # binary32 signaling NaN
+    path.write_bytes(bytes(blob))
+    # a child process, so that a numpy warning reaches stderr uncaptured
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "povseg.cli", "eval", "--data", str(data),
+         "--frozen-only", "--report", str(tmp_path / "r.tsv")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == f"povseg: validation error: {path}: non-finite value in {field}\n"
 
 
 def test_bad_utf8_vocab_name_exits_one(tmp_path, capsys):

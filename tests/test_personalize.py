@@ -236,7 +236,9 @@ def test_injection_disabled_equals_alpha_zero():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_non_finite_loss_reports_step():
     samples = make_samples()
-    samples[1].snapshot.t_open[0, 0] = np.inf  # poisons the forward pass at step 1
+    t_open = samples[1].snapshot.t_open.copy()
+    t_open[0, 0] = np.inf  # poisons the forward pass at step 1
+    samples[1].snapshot = replace(samples[1].snapshot, t_open=t_open)
     with pytest.raises(NonFiniteError, match="step 1"):
         run_personalization(samples, TrainConfig(iterations=5),
                             samples[0].snapshot.t_open.mean(axis=0))

@@ -74,16 +74,18 @@ def test_save_is_byte_deterministic(tmp_path, tiny_snapshot):
 
 def test_out_of_range_mask_refused(tmp_path):
     snap = minimal_snapshot()
-    snap.m_open[0, 0, 0] = 1.5
+    m_open = snap.m_open.copy()
+    m_open[0, 0, 0] = 1.5
     with pytest.raises(InvariantError):
-        save_snapshot(snap, tmp_path / "bad.povs")
+        save_snapshot(replace(snap, m_open=m_open), tmp_path / "bad.povs")
 
 
 def test_nan_refused(tmp_path):
     snap = minimal_snapshot()
-    snap.t_open[0, 0] = np.nan
+    t_open = snap.t_open.copy()
+    t_open[0, 0] = np.nan
     with pytest.raises(InvariantError):
-        save_snapshot(snap, tmp_path / "bad.povs")
+        save_snapshot(replace(snap, t_open=t_open), tmp_path / "bad.povs")
 
 
 @pytest.mark.parametrize("values, message", [
@@ -111,6 +113,27 @@ def test_coverage_follows_a_replaced_bank():
         snap.m_open = other.m_open
     with pytest.raises(ValueError):
         snap.coverage[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["in_memory", "loaded"])
+def test_snapshot_arrays_are_read_only(tmp_path, tiny_snapshot, loaded):
+    snap = tiny_snapshot
+    if loaded:
+        save_snapshot(snap, tmp_path / "s.povs")
+        snap = load_snapshot(tmp_path / "s.povs")
+    coverage = snap.coverage.copy()
+    for name in ("t_open", "z_open", "m_open", "features"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(snap, name)[0] = 0.0
+    np.testing.assert_array_equal(snap.coverage, coverage)
+    np.testing.assert_array_equal(snap.coverage, snap.m_open.sum(axis=2))
+
+
+def test_binary32_bank_saves_the_same_bytes(tmp_path):
+    snap = random_instance(0)[0]  # uniform float64 entries, not float32-exact
+    save_snapshot(snap, tmp_path / "f8.povs")
+    save_snapshot(replace(snap, m_open=snap.m_open.astype(np.float32)), tmp_path / "f4.povs")
+    assert (tmp_path / "f8.povs").read_bytes() == (tmp_path / "f4.povs").read_bytes()
 
 
 def test_nonpositive_logit_scale_refused(tmp_path):

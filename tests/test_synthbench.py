@@ -9,7 +9,9 @@ from povseg.metrics import accumulate, evaluate_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import Sample, load_manifest, load_samples, load_snapshot
 from povseg.synthbench import (
+    EXP_UNDERFLOW,
     SynthConfig,
+    _blob,
     concat_evaluate,
     format_ablation_table,
     format_kshot_table,
@@ -33,6 +35,23 @@ def read_meta(data_dir):
 def dir_bytes(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_blob_is_plain_exp_bit_for_bit():
+    # Centres on the grid and far off it reach arguments in (-746, -708),
+    # where exp is subnormal, as well as those below the skip threshold.
+    seen = {"subnormal": False, "skipped": False}
+    for side in (4, 32, 128):
+        for r in (0.5, 1.5, 3.5, 20.0):
+            for cy, cx in ((side / 2, side / 3), (1.25, side - 0.5),
+                           (-3.0 * side, 0.5), (side + 60.0, -40.0)):
+                ys = (np.arange(side)[:, None] - cy) / r
+                xs = (np.arange(side)[None, :] - cx) / r
+                q = -(ys ** 2 + xs ** 2)
+                assert _blob(side, side, cy, cx, r, r).tobytes() == np.exp(q).tobytes()
+                seen["subnormal"] |= bool(((q > -746.0) & (q < -708.0)).any())
+                seen["skipped"] |= bool((q <= EXP_UNDERFLOW).any())
+    assert all(seen.values()), seen
 
 
 def test_generation_deterministic(tmp_path):
