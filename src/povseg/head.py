@@ -7,6 +7,15 @@ text row (index ``k = V``) and, when the negative branch is enabled, one
 derived mask embedding ``z_neg = w_z Z_open`` (column ``j = N``) and one
 derived mask channel ``m_neg = sigmoid(M_open w_m + b_m)``.
 
+Decoding composes P one TILE x TILE block of pixels at a time (``predict``).
+Mask proposals are localized, so most of ``M_open`` is exactly 0. Each block
+is multiplied only by the proposals that are nonzero somewhere in it, plus
+``m_neg``. With one BLAS thread that gives the same bits as the full
+product: OpenBLAS computes each element of a gemm as one FMA chain over the
+channels, in channel order, and an exact-zero term leaves that chain
+unchanged. This was verified on OpenBLAS only. It is also why no block is
+one pixel: numpy sends a one-row product to gemv, which sums in another order.
+
 All functions are pure; ``build_forward`` is the one personalized pass, for
 training and decoding alike, and a ForwardCache belongs to a single evaluation.
 """
@@ -64,14 +73,7 @@ class ForwardCache:
     k: int | None = None             # personal class index, None for frozen
     j: int | None = None             # negative column/channel index
 
-    # Computed on first read. Only decode reads the full (H, W, channels) bank;
-    # the training losses read coverage and q_per, which never build it.
-    @cached_property
-    def m(self) -> np.ndarray:  # (H, W, channels): m_open, then m_neg at channel j
-        if self.m_neg is None:
-            return self.snapshot.m_open
-        return np.concatenate([self.snapshot.m_open, self.m_neg[:, :, None]], axis=2)
-
+    # Computed on first read, so decoding, which reads neither, never builds them.
     @cached_property
     def coverage(self) -> np.ndarray:  # (H, W) sum_n M(p, n) = sum_v P(p, v)
         if self.m_neg is None:
@@ -130,21 +132,38 @@ def class_probs(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def predict(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Label map of the masks composed with the class probabilities.
+def predict(snapshot: FrozenSnapshot, c: np.ndarray,
+            m_neg: np.ndarray | None = None) -> np.ndarray:
+    """Label map of the snapshot's masks, then ``m_neg`` if given, composed with C.
 
     Each pixel takes the argmax of ``P = M C^T``; ties break to the smallest
     class index. C is column-stochastic, so ``M.sum(axis=2)`` is the pixel's
     total mass, and dividing P by that positive number would not change the
     argmax. Pixels whose mass is at most COVERAGE_EPS fall back to a uniform
     distribution, whose argmax is class 0.
+
+    P is composed one tile of ``snapshot.tiles`` at a time, against the
+    tile's active proposals and the ``m_neg`` channel (see the module
+    docstring), so no H x W x channels array is built.
     """
-    return np.where(m.sum(axis=2) > COVERAGE_EPS, (m @ c.T).argmax(axis=2), 0)
+    n = snapshot.num_proposals
+    coverage = snapshot.coverage if m_neg is None else snapshot.coverage + m_neg
+    labels = np.zeros(snapshot.grid_shape, dtype=np.intp)
+    for rows, cols, active in snapshot.tiles:
+        bank = snapshot.m_open[rows, cols][:, :, active]
+        if m_neg is not None:
+            bank = np.concatenate([bank, m_neg[rows, cols, None]], axis=2)
+            active = np.append(active, n)
+        if active.size:
+            h, w, k = bank.shape
+            p = bank.reshape(h * w, k) @ c[:, active].T
+            labels[rows, cols] = p.argmax(axis=1).reshape(h, w)
+    return np.where(coverage > COVERAGE_EPS, labels, 0)
 
 
 def decode(cache: ForwardCache) -> np.ndarray:
     """Label map of a forward pass, composing every class."""
-    return predict(cache.m, cache.c)
+    return predict(cache.snapshot, cache.c, cache.m_neg)
 
 
 def build_forward(snapshot: FrozenSnapshot, state: PersonalState,

@@ -82,8 +82,9 @@ def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
         hf, wf, _ = features.shape
         small = downsample_mask(sample.personal_mask, hf, wf).astype(bool)
         if not small.any():
+            where = sample.mask_path or f"sample {idx}"
             raise InvariantError(
-                f"sample {idx}: mask has no foreground at feature resolution")
+                f"{where}: mask has no foreground at feature resolution {hf}x{wf}")
         per_sample.append(features[small].mean(axis=0))
     pooled = np.mean(per_sample, axis=0)
     norm = float(np.linalg.norm(pooled))

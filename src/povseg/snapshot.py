@@ -38,6 +38,8 @@ _FLAG_FEATURES = 0x01
 _HEADER = struct.Struct("<4sBB7Id")
 # Vocabulary names become report rows, so they may not hold a field or line break.
 _NAME_BREAKS = "\t\r\n"
+# Side of the square pixel blocks that head.predict composes one at a time.
+TILE = 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,18 @@ class FrozenSnapshot:
         out.setflags(write=False)
         return out
 
+    # Shared, like coverage, by an image's frozen and personalized decodes.
+    @cached_property
+    def tiles(self) -> list[tuple[slice, slice, np.ndarray]]:
+        """``(rows, cols, active)`` for each tile, row-major.
+
+        ``active`` lists, in increasing order, the proposals with a nonzero
+        entry in the tile.
+        """
+        h, w = self.grid_shape
+        return [(rows, cols, np.flatnonzero(self.m_open[rows, cols].any(axis=(0, 1))))
+                for rows in _tile_spans(h) for cols in _tile_spans(w)]
+
     def validate(self) -> None:
         if self.t_open.ndim != 2 or self.z_open.ndim != 2 or self.m_open.ndim != 3:
             raise InvariantError("t_open must be 2-D, z_open 2-D, m_open 3-D")
@@ -119,6 +133,17 @@ class FrozenSnapshot:
                     f"feature map {hf}x{wf} must lie within [1, {h}] x [1, {w}]")
             if not np.isfinite(self.features).all():
                 raise InvariantError("non-finite value in features")
+
+
+def _tile_spans(side: int) -> list[slice]:
+    """Spans of TILE pixels along one grid side.
+
+    A one-pixel remainder joins the last span, so that no tile is a single
+    pixel unless the grid is: numpy sends a one-row product to BLAS gemv,
+    which sums in another order than gemm (see ``head``).
+    """
+    starts = list(range(0, max(side - 1, 1), TILE))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [side])]
 
 
 def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
@@ -360,13 +385,15 @@ class Sample:
     personal_mask: np.ndarray | None   # required on positive samples
     polarity: str                      # "positive" | "negative"
     partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
+    mask_path: Path | None = None        # the file personal_mask was read from
 
 
 def load_sample(entry: ManifestEntry) -> Sample:
     """Read one manifest entry's snapshot and, when it names one, its mask."""
     snap = load_snapshot(entry.snapshot)
     mask = None if entry.mask is None else load_mask(entry.mask, *snap.grid_shape)
-    return Sample(snapshot=snap, personal_mask=mask, polarity=entry.polarity)
+    return Sample(snapshot=snap, personal_mask=mask, polarity=entry.polarity,
+                  mask_path=entry.mask)
 
 
 def load_samples(manifest: Manifest, split: str) -> list[Sample]:

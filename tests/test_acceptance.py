@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_bank import full_bank
 
 from povseg.cli import main as cli_main
 from povseg.grad import backward, gradcheck
@@ -219,11 +220,11 @@ def test_criterion_6_frozen_model_preservation(bench_dir):
         # the retained composition inputs are bit-identical to the frozen ones
         np.testing.assert_array_equal(cache.t_full[:v], snapshot.t_open)
         np.testing.assert_array_equal(cache.z_full[:n], snapshot.z_open)
-        np.testing.assert_array_equal(cache.m[:, :, :n], snapshot.m_open)
+        np.testing.assert_array_equal(full_bank(cache)[:, :, :n], snapshot.m_open)
         # recomputing the pipeline from them reproduces the frozen labels exactly
         reduced_c = class_probs(cache.s[:v, :n])
         frozen = build_frozen_forward(snapshot)
-        np.testing.assert_array_equal(oracle_labels(cache.m[:, :, :n], reduced_c),
+        np.testing.assert_array_equal(oracle_labels(full_bank(cache)[:, :, :n], reduced_c),
                                       decode(frozen))
         checked += 1
     report(f"criterion 6: frozen labels reproduced exactly on all {checked} test images")

@@ -268,6 +268,21 @@ def test_feature_map_outside_grid_exits_one(tmp_path, capsys, monkeypatch, hf, w
     assert not out.exists()
 
 
+def test_empty_training_mask_named_on_exit(tmp_path, capsys):
+    data = tmp_path / "data"
+    # at a 4x4 grid this seed draws training positives whose masks are empty
+    main(["synth", "--out", str(data), "--grid", "4", "--feature-grid", "4",
+          "--seed", "3", *FAST_SYNTH])
+    mask = load_manifest(data / "manifest.tsv").split("train")[0].mask
+    assert not np.fromfile(mask, dtype=np.uint8).any()
+    out = tmp_path / "s.povp"
+    code = main(["personalize", "--data", str(data), "--out", str(out), *FAST_TRAIN])
+    assert code == 1
+    assert (f"{mask}: mask has no foreground at feature resolution 4x4"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_personalize_without_train_entries_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), *FAST_SYNTH])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,9 @@ from povseg.head import (
     sigmoid,
     similarity,
 )
-from povseg.snapshot import FrozenSnapshot
+from povseg.snapshot import TILE, FrozenSnapshot
 
+from dense_bank import bank_snapshot, dense_labels, full_bank
 from joined_bank import tile_state
 
 rng = np.random.default_rng(11)
@@ -189,14 +191,15 @@ def oracle_q(m, c):
 def test_predict_single_full_mask():
     c = class_probs(rng.normal(size=(3, 1)))
     m = np.ones((2, 2, 1))
-    np.testing.assert_array_equal(predict(m, c), np.full((2, 2), c[:, 0].argmax()))
+    np.testing.assert_array_equal(predict(bank_snapshot(m), c),
+                                  np.full((2, 2), c[:, 0].argmax()))
 
 
 def test_predict_uniform_fallback():
     c = class_probs(np.array([[0.0], [0.0], [5.0]]))
     # class 2 wins P on every pixel, but mass at or below COVERAGE_EPS is uncovered
     m = np.array([[[COVERAGE_EPS]], [[0.0]], [[2 * COVERAGE_EPS]]])
-    np.testing.assert_array_equal(predict(m, c), [[0], [0], [2]])
+    np.testing.assert_array_equal(predict(bank_snapshot(m), c), [[0], [0], [2]])
 
 
 def test_predict_matches_sum_oracle():
@@ -209,21 +212,22 @@ def test_predict_matches_sum_oracle():
                   build_forward(snapshot, replace(state, negative_enabled=False))]
         for cache in caches:
             labels = decode(cache)
-            np.testing.assert_array_equal(labels, oracle_q(cache.m, cache.c).argmax(axis=2))
+            np.testing.assert_array_equal(labels,
+                                          oracle_q(full_bank(cache), cache.c).argmax(axis=2))
             if cache.m_neg is None:
                 np.testing.assert_array_equal(labels[:4, :4], 0)
 
 
 def test_label_map_rules():
     m = np.ones((1, 1, 1))
-    assert predict(m, np.array([[0.2], [0.8]]))[0, 0] == 1
-    assert predict(m, np.array([[0.5], [0.5]]))[0, 0] == 0
+    assert predict(bank_snapshot(m), np.array([[0.2], [0.8]]))[0, 0] == 1
+    assert predict(bank_snapshot(m), np.array([[0.5], [0.5]]))[0, 0] == 0
 
 
 def test_label_map_matches_scan_oracle():
     m = rng.uniform(size=(4, 4, 3))
     c = class_probs(rng.normal(size=(5, 3)))
-    labels = predict(m, c)
+    labels = predict(bank_snapshot(m), c)
     for y in range(4):
         for x in range(4):
             best, arg = -1.0, 0
@@ -237,7 +241,67 @@ def test_label_map_matches_scan_oracle():
 def test_label_map_scale_invariant():
     m = rng.uniform(size=(3, 3, 4))
     c = class_probs(rng.normal(size=(5, 4)))
-    np.testing.assert_array_equal(predict(m, c), predict(m * 7.3, c))
+    np.testing.assert_array_equal(predict(bank_snapshot(m), c),
+                                  predict(bank_snapshot(m * 7.3), c))
+
+
+def localized_instance(seed, h, w):
+    """random_instance whose proposals are boxes, with the first tile left empty."""
+    snapshot, state = random_instance(seed, h=h, w=w)[:2]
+    box_rng = np.random.default_rng(seed + 500)
+    keep = np.zeros(snapshot.m_open.shape, dtype=bool)
+    for n in range(snapshot.num_proposals):
+        y, x = box_rng.integers(0, h), box_rng.integers(0, w)
+        keep[y:y + box_rng.integers(2, 14), x:x + box_rng.integers(2, 14), n] = True
+    m_open = np.where(keep, snapshot.m_open, 0.0)
+    rows, cols, _ = snapshot.tiles[0]
+    m_open[rows, cols] = 0.0
+    return replace(snapshot, m_open=m_open), state
+
+
+@pytest.mark.parametrize("h, w", [(5, 5), (17, 17), (30, 33), (33, 30)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tiled_labels_match_dense_oracle(seed, h, w):
+    snapshot, state = localized_instance(seed, h, w)
+    assert snapshot.tiles[0][2].size == 0
+    partner_z = rng.normal(size=snapshot.z_open.shape)
+    caches = [build_frozen_forward(snapshot), build_forward(snapshot, state),
+              build_forward(snapshot, replace(state, negative_enabled=False)),
+              build_forward(snapshot, state, partner_z)]
+    for cache in caches:
+        labels = decode(cache)
+        np.testing.assert_array_equal(labels, dense_labels(full_bank(cache), cache.c))
+        if cache.m_neg is None:
+            rows, cols, _ = snapshot.tiles[0]
+            np.testing.assert_array_equal(labels[rows, cols], 0)
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (2, 5), (5, 16), (16, 17), (17, 17),
+                                  (18, 33), (32, 40), (33, 33)])
+def test_tiles_partition_the_grid(h, w):
+    m_open = rng.uniform(size=(h, w, 6)) * (rng.uniform(size=(1, 1, 6)) < 0.5)
+    m_open[m_open < 0.7] = 0.0
+    snapshot = bank_snapshot(m_open)
+    hits = np.zeros(snapshot.grid_shape, dtype=int)
+    for rows, cols, active in snapshot.tiles:
+        hits[rows, cols] += 1
+        block = m_open[rows, cols]
+        assert block.shape[0] * block.shape[1] > 1 or m_open.shape[:2] == (1, 1)
+        assert max(block.shape[:2]) <= TILE + 1
+        np.testing.assert_array_equal(active, np.flatnonzero(block.any(axis=(0, 1))))
+    np.testing.assert_array_equal(hits, 1)
+
+
+def test_personal_decode_never_builds_the_full_bank():
+    snapshot, state = random_instance(0, v=150, n=100, h=128, w=128)[:2]
+    bank_bytes = 128 * 128 * 101 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        decode(build_forward(snapshot, state))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bank_bytes, f"decode peaked at {peak} bytes"
 
 
 def test_forward_frozen_subblock_preserved(tiny_snapshot):
@@ -246,11 +310,11 @@ def test_forward_frozen_subblock_preserved(tiny_snapshot):
     v, n = tiny_snapshot.vocab_size, tiny_snapshot.num_proposals
     np.testing.assert_array_equal(cache.t_full[:v], tiny_snapshot.t_open)
     np.testing.assert_array_equal(cache.z_full[:n], tiny_snapshot.z_open)
-    np.testing.assert_array_equal(cache.m[:, :, :n], tiny_snapshot.m_open)
+    np.testing.assert_array_equal(full_bank(cache)[:, :, :n], tiny_snapshot.m_open)
     # recomposing from the retained inputs reproduces the frozen pipeline
     frozen = build_frozen_forward(tiny_snapshot)
     np.testing.assert_array_equal(
-        predict(cache.m[:, :, :n], class_probs(cache.s[:v, :n])), decode(frozen))
+        predict(cache.snapshot, class_probs(cache.s[:v, :n])), decode(frozen))
 
 
 def test_forward_personal_channel_matches_full_composition():
@@ -263,7 +327,7 @@ def test_forward_personal_channel_matches_full_composition():
                   replace(state, negative_enabled=False)))
     for snapshot, state in cases:
         cache = build_forward(snapshot, state)
-        q = oracle_q(cache.m, cache.c)
+        q = oracle_q(full_bank(cache), cache.c)
         np.testing.assert_allclose(cache.q_per, q[..., state.k], rtol=0, atol=1e-12)
     # the last case puts a block on the uniform fallback
     np.testing.assert_array_equal(cache.q_per[:4, :4], 1.0 / (state.k + 1))

@@ -1,5 +1,6 @@
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -255,6 +256,27 @@ def test_one_frozen_decode_per_sample(monkeypatch, with_state):
     assert [id(snap) for snap, _ in personal] == expected
     for _, cache in personal:
         assert "coverage" not in vars(cache) and "q_per" not in vars(cache)
+
+
+def test_tiles_computed_once_per_snapshot(monkeypatch):
+    counted = []
+    plain = FrozenSnapshot.tiles.func
+
+    def counting(snapshot):
+        counted.append(snapshot)
+        return plain(snapshot)
+
+    prop = cached_property(counting)
+    prop.__set_name__(FrozenSnapshot, "tiles")
+    monkeypatch.setattr(FrozenSnapshot, "tiles", prop)
+    mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+    samples = [Sample(crafted_snapshot(), mask, "positive"),
+               Sample(crafted_snapshot(), None, "negative")]
+    state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
+                          w_m=np.zeros(2), b_m=-50.0, k=2)
+    # each image is decoded twice, frozen and personalized
+    evaluate_samples(samples, "zero", state=state)
+    assert [id(s) for s in counted] == [id(sample.snapshot) for sample in samples]
 
 
 @pytest.mark.parametrize("concatenated", [False, True])
