@@ -139,8 +139,6 @@ def _cmd_kshot(args) -> int:
         k_list = [int(tok) for tok in args.k.split(",") if tok]
     except ValueError:
         raise InvariantError(f"--k must be a comma-separated integer list, got {args.k!r}")
-    if not k_list or min(k_list) < 1:
-        raise InvariantError(f"--k values must be >= 1, got {args.k!r}")
     config = TrainConfig()
     _print_config("kshot", {"data": args.data, "k": k_list, "out": args.out,
                             **asdict(config)})

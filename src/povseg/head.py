@@ -94,22 +94,6 @@ class ForwardCache:
 # The stage functions below trust their shapes: build_forward checks the state
 # against the snapshot once, for both training and decoding.
 
-def effective_embedding(t_per: np.ndarray, f_per: np.ndarray | None,
-                        alpha: float) -> np.ndarray:
-    """Interpolate the visual embedding into the personal text embedding."""
-    return t_per if f_per is None else alpha * f_per + (1.0 - alpha) * t_per
-
-
-def augment_text(t_open: np.ndarray, t_eff: np.ndarray) -> np.ndarray:
-    """Append the personal embedding as the last row (index ``V``)."""
-    return np.vstack([t_open, t_eff[None, :]])
-
-
-def negative_embedding(z_open: np.ndarray, w_z: np.ndarray) -> np.ndarray:
-    """Linear combination of the mask embeddings: ``w_z @ z_open``."""
-    return w_z @ z_open
-
-
 def negative_mask(m_open: np.ndarray, w_m: np.ndarray, b_m: float) -> np.ndarray:
     """Sigmoid of a 1x1 combination over proposal channels."""
     return sigmoid(m_open @ w_m + b_m)
@@ -192,13 +176,15 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
     if partner_z is not None and partner_z.shape != snapshot.z_open.shape:
         raise InvariantError(
             f"partner embeddings {partner_z.shape} differ from {snapshot.z_open.shape}")
-    t_eff = effective_embedding(state.t_per, state.f_per, state.alpha)
-    t_full = augment_text(snapshot.t_open, t_eff)
+    # The personal row: the text embedding, with the visual one interpolated in.
+    t_eff = state.t_per if state.f_per is None else (
+        state.alpha * state.f_per + (1.0 - state.alpha) * state.t_per)
+    t_full = np.vstack([snapshot.t_open, t_eff[None, :]])
 
     if state.negative_enabled:
-        z_neg = negative_embedding(snapshot.z_open, state.w_z)
+        z_neg = state.w_z @ snapshot.z_open
         if partner_z is not None:
-            z_neg = (z_neg + negative_embedding(partner_z, state.w_z)) / 2
+            z_neg = (z_neg + state.w_z @ partner_z) / 2
         z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
         m_neg = negative_mask(snapshot.m_open, state.w_m, state.b_m)
         j = n

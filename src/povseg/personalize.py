@@ -14,17 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FormatError,
-    InvariantError,
-    NonFiniteError,
-    VersionMismatchError,
-)
+from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import backward
 from .head import PersonalState
 from .losses import LossWeights
-from .snapshot import FrozenSnapshot, Sample, _Reader, downsample_mask
+from .snapshot import FrozenSnapshot, Sample, _Reader, _write, downsample_mask
 
 STATE_MAGIC = b"POVP"
 STATE_VERSION = 1
@@ -147,26 +141,16 @@ def save_state(state: PersonalState, path: str | Path) -> None:
     if state.negative_enabled:
         flags |= _SFLAG_NEGATIVE
     d, n = state.t_per.shape[0], state.w_z.shape[0]
-    parts = [_STATE_HEADER.pack(STATE_MAGIC, STATE_VERSION, flags, d, n,
-                                float(state.alpha), state.k)]
-    for arr in (state.t_per, state.w_z, state.w_m):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    parts.append(struct.pack("<d", float(state.b_m)))
-    if state.f_per is not None:
-        parts.append(np.ascontiguousarray(state.f_per, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write(path, _STATE_HEADER.pack(STATE_MAGIC, STATE_VERSION, flags, d, n,
+                                    float(state.alpha), state.k),
+           (state.t_per, state.w_z, state.w_m, np.array([state.b_m]), state.f_per), "<f8")
 
 
 def load_state(path: str | Path) -> PersonalState:
     """Read a POVP file; non-finite values are rejected as a format error."""
     path = Path(path)
-    rd = _Reader(path.read_bytes(), path)
-    magic, version, flags, d, n, alpha, k = _STATE_HEADER.unpack(
-        rd.take(_STATE_HEADER.size))
-    if magic != STATE_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != STATE_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {STATE_VERSION}")
+    rd = _Reader(path, _STATE_HEADER, STATE_MAGIC, STATE_VERSION)
+    flags, d, n, alpha, k = rd.fields
     t_per = rd.array(d, "<f8")
     w_z = rd.array(n, "<f8")
     w_m = rd.array(n, "<f8")
@@ -177,11 +161,6 @@ def load_state(path: str | Path) -> PersonalState:
                         ("w_m", w_m), ("b_m", b_m), ("f_per", f_per)):
         if value is not None and not np.isfinite(value).all():
             raise FormatError(f"{path}: non-finite value in {name}")
-    state = PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k,
-                          alpha=alpha, f_per=f_per,
-                          negative_enabled=bool(flags & _SFLAG_NEGATIVE))
-    try:
-        state.validate()
-    except InvariantError as exc:
-        raise InvariantError(f"{path}: {exc}") from exc
-    return state
+    return rd.validated(PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k,
+                                      alpha=alpha, f_per=f_per,
+                                      negative_enabled=bool(flags & _SFLAG_NEGATIVE)))

@@ -10,6 +10,12 @@ On disk everything floating is IEEE-754 binary32 (POVS format, little
 endian). A loaded snapshot's arrays are promoted to float64 in memory;
 ``synth`` builds its mask bank in binary32, the file's own type. Every
 snapshot's arrays are read-only, however the snapshot was built.
+
+This module also holds the one reader and the one writer of both binary
+formats, the snapshot here and the personal state (POVP) in ``personalize``.
+Both loaders map the file read-only and share its rules: a header ``struct``
+led by magic and version, payloads read front to back, no trailing bytes,
+and every error, ``validate()``'s included, prefixed with the file's path.
 """
 
 from __future__ import annotations
@@ -165,21 +171,48 @@ def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
             raise InvariantError(f"vocab name too long ({len(raw)} bytes)")
         vocab.append(struct.pack("<H", len(raw)) + raw)
 
+    _write(path, _HEADER.pack(MAGIC, VERSION, _FLAG_FEATURES if has_f else 0,
+                              v, d, n, h, w, hf, wf, float(snapshot.logit_scale)),
+           (snapshot.t_open, snapshot.z_open, snapshot.m_open, snapshot.features),
+           "<f4", b"".join(vocab))
+
+
+def _write(path: str | Path, header: bytes, arrays: tuple[np.ndarray | None, ...],
+           dtype: str, tail: bytes = b"") -> None:
+    """Write ``header``, each array that is not None as ``dtype``, then ``tail``."""
     with Path(path).open("wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, _FLAG_FEATURES if has_f else 0,
-                              v, d, n, h, w, hf, wf, float(snapshot.logit_scale)))
-        for arr in (snapshot.t_open, snapshot.z_open, snapshot.m_open, snapshot.features):
+        fh.write(header)
+        for arr in arrays:
             if arr is not None:
-                # the array's own buffer when it is already C-ordered "<f4"
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
-        fh.write(b"".join(vocab))
+                # the array's own buffer when it is already C-ordered ``dtype``
+                fh.write(np.ascontiguousarray(arr, dtype=dtype))
+        fh.write(tail)
 
 
 class _Reader:
-    def __init__(self, data: bytes | mmap.mmap, path: Path):
+    """A POVS or POVP file, read front to back from a read-only mapping.
+
+    Opening it checks the magic and version that lead ``header``; ``fields``
+    holds the header's other fields. Arrays are copied out of the mapping
+    once, as float64: a read would copy the whole file first, and evaluation,
+    which lets go of each image before it loads the next, would then fault
+    that buffer's pages in again per file. The mapping closes when the last
+    view of it goes.
+    """
+
+    def __init__(self, path: Path, header: struct.Struct, magic: bytes, version: int):
+        self.path = path
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            # an empty file cannot be mapped
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
         self.data = memoryview(data)  # slices share the file bytes, no copy
         self.off = 0
-        self.path = path
+        found, found_version, *self.fields = header.unpack(self.take(header.size))
+        if found != magic:
+            raise BadMagicError(f"{path}: bad magic {found!r}")
+        if found_version != version:
+            raise VersionMismatchError(f"{path}: version {found_version}, expected {version}")
 
     def take(self, count: int) -> memoryview:
         if self.off + count > len(self.data):
@@ -208,31 +241,20 @@ class _Reader:
         if self.off != len(self.data):
             raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
 
-
-def _mapped(path: Path) -> bytes | mmap.mmap:
-    """The file's bytes, mapped read-only instead of read into a fresh buffer.
-
-    Each array is copied out of the mapping once, as float64. A read would copy
-    the whole file first, and evaluation, which lets go of each image before it
-    loads the next, would then fault that buffer's pages in again per file.
-    The mapping closes when the last view of it goes.
-    """
-    with path.open("rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:
-            return b""  # an empty file cannot be mapped
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    def validated(self, obj):
+        """``obj`` once its ``validate()`` passes; a failure names the file."""
+        try:
+            obj.validate()
+        except InvariantError as exc:
+            raise InvariantError(f"{self.path}: {exc}") from exc
+        return obj
 
 
 def load_snapshot(path: str | Path) -> FrozenSnapshot:
     """Read and validate a POVS file."""
     path = Path(path)
-    rd = _Reader(_mapped(path), path)
-    magic, version, flags, v, d, n, h, w, hf, wf, logit_scale = _HEADER.unpack(
-        rd.take(_HEADER.size))
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
+    rd = _Reader(path, _HEADER, MAGIC, VERSION)
+    flags, v, d, n, h, w, hf, wf, logit_scale = rd.fields
     has_f = bool(flags & _FLAG_FEATURES)
     if not has_f and (hf or wf):
         raise FormatError(f"{path}: feature dims set but feature flag clear")
@@ -253,15 +275,9 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
             raise FormatError(
                 f"{path}: vocab name {i} {names[-1]!r} contains a tab or line break")
     rd.finish()
-
-    snap = FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
-                          vocab_names=names, logit_scale=logit_scale,
-                          features=features)
-    try:
-        snap.validate()
-    except InvariantError as exc:
-        raise InvariantError(f"{path}: {exc}") from exc
-    return snap
+    return rd.validated(FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
+                                       vocab_names=names, logit_scale=logit_scale,
+                                       features=features))
 
 
 def save_mask(mask: np.ndarray, path: str | Path) -> None:

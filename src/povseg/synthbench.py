@@ -90,8 +90,11 @@ class SynthConfig:
                 f"embedding dim {self.d} < {self.v + 2 + POSE_DIMS} directions")
         if self.n < 4:
             raise InvariantError("need at least 4 proposals (background, 2 objects, clutter)")
-        if self.h < 4:  # clutter blobs are centred in [2, h - 2)
-            raise InvariantError(f"grid side {self.h} must be at least 4")
+        # The personal object's radii are at least 0.125 h and the grid point
+        # nearest its centre lies within 0.5 px on each axis, so that point is
+        # in its mask (blob >= 0.5) when 2 (0.5 / (0.125 h))^2 <= ln 2: h >= 7.
+        if self.h < 7:
+            raise InvariantError(f"grid side {self.h} must be at least 7")
         if not 1 <= self.hf <= self.h:
             raise InvariantError(
                 f"feature grid side {self.hf} must lie in [1, grid side {self.h}]")
@@ -325,6 +328,13 @@ def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sam
     return run_personalization(samples, config, init)
 
 
+def _train_and_score(manifest: Manifest, config: TrainConfig, train: list[Sample],
+                     samples: list[Sample]) -> MetricsReport:
+    """Personalize on ``train``, then evaluate the state on ``samples``."""
+    state, _ = train_on_manifest(manifest, config, train)
+    return evaluate_samples(samples, manifest.personal_class_name, state=state)
+
+
 @dataclass
 class AblationRow:
     label: str
@@ -338,7 +348,6 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
     """Train and evaluate the five module combinations under one seed."""
     samples = load_samples(manifest, "test")
     train = load_samples(manifest, "train")
-    name = manifest.personal_class_name
 
     toggles = [
         ("frozen", False, False, False),
@@ -350,11 +359,10 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
     rows = []
     for label, prompt, neg, inject in toggles:
         if not prompt:
-            report = evaluate_samples(samples, name, state=None)
+            report = evaluate_samples(samples, manifest.personal_class_name, state=None)
         else:
             run_cfg = replace(config, negative_enabled=neg, injection_enabled=inject)
-            state, _ = train_on_manifest(manifest, run_cfg, train)
-            report = evaluate_samples(samples, name, state=state)
+            report = _train_and_score(manifest, run_cfg, train, samples)
         rows.append(AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
                                 visual_inject=inject, report=report))
     return rows
@@ -383,20 +391,18 @@ class KShotRow:
 def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
               ) -> list[KShotRow]:
     """Full-method runs at each K, on the first K train entries, plus the mean row."""
-    if not k_list:
-        raise InvariantError("empty K list")
+    if not k_list or min(k_list) < 1:
+        raise InvariantError(f"K values must be >= 1, got {k_list}")
     n_train = len(manifest.split("train"))
     if max(k_list) > n_train:
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
     samples = load_samples(manifest, "test")
     train = load_samples(manifest, "train")
-    name = manifest.personal_class_name
 
     rows = []
     for k in k_list:
-        state, _ = train_on_manifest(manifest, config, train[:k])
-        report = evaluate_samples(samples, name, state=state)
+        report = _train_and_score(manifest, config, train[:k], samples)
         rows.append(KShotRow(label=str(k), iou_per=report.iou_per, miou=report.miou))
     rows.append(KShotRow(label="Avg.",
                          iou_per=sum(r.iou_per for r in rows) / len(rows),
@@ -435,6 +441,6 @@ def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> tuple[Sample, Sampl
     return pos, neg
 
 
-def concat_evaluate(manifest: Manifest, state: PersonalState | None) -> MetricsReport:
+def concat_evaluate(manifest: Manifest, state: PersonalState) -> MetricsReport:
     return evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
                             state=state)

@@ -91,7 +91,8 @@ def test_full_workflow(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, named", [
-    ("--grid", "3", "grid side 3"), ("--feature-grid", "0", "feature grid side 0"),
+    ("--grid", "3", "grid side 3"), ("--grid", "6", "grid side 6 must be at least 7"),
+    ("--feature-grid", "0", "feature grid side 0"),
     ("--seed", "-5", "seed must be >= 0"), ("--delta", "nan", "delta must be finite"),
     ("--sigma", "inf", "sigma must be finite")])
 def test_bad_synth_flag_exits_one(tmp_path, capsys, flag, value, named):
@@ -270,15 +271,13 @@ def test_feature_map_outside_grid_exits_one(tmp_path, capsys, monkeypatch, hf, w
 
 def test_empty_training_mask_named_on_exit(tmp_path, capsys):
     data = tmp_path / "data"
-    # at a 4x4 grid this seed draws training positives whose masks are empty
-    main(["synth", "--out", str(data), "--grid", "4", "--feature-grid", "4",
-          "--seed", "3", *FAST_SYNTH])
+    main(["synth", "--out", str(data), *FAST_SYNTH])
     mask = load_manifest(data / "manifest.tsv").split("train")[0].mask
-    assert not np.fromfile(mask, dtype=np.uint8).any()
+    mask.write_bytes(bytes(32 * 32))
     out = tmp_path / "s.povp"
     code = main(["personalize", "--data", str(data), "--out", str(out), *FAST_TRAIN])
     assert code == 1
-    assert (f"{mask}: mask has no foreground at feature resolution 4x4"
+    assert (f"{mask}: mask has no foreground at feature resolution 16x16"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -306,6 +305,14 @@ def test_kshot_k_beyond_train_split_exits_one(bench_dir, tmp_path, capsys):
     code = main(["kshot", "--data", str(bench_dir), "--k", "9", "--out", str(out)])
     assert code == 1
     assert "K=9 exceeds the 5 available training samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kshot_k_below_one_exits_one(bench_dir, tmp_path, capsys):
+    out = tmp_path / "kshot.tsv"
+    code = main(["kshot", "--data", str(bench_dir), "--k", "1,0", "--out", str(out)])
+    assert code == 1
+    assert "K values must be >= 1, got [1, 0]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,13 +10,10 @@ from povseg.grad import random_instance
 from povseg.head import (
     COVERAGE_EPS,
     PersonalState,
-    augment_text,
     build_forward,
     build_frozen_forward,
     class_probs,
     decode,
-    effective_embedding,
-    negative_embedding,
     negative_mask,
     predict,
     sigmoid,
@@ -24,8 +21,7 @@ from povseg.head import (
 )
 from povseg.snapshot import TILE, FrozenSnapshot
 
-from dense_bank import bank_snapshot, dense_labels, full_bank
-from joined_bank import tile_state
+from dense_bank import bank_snapshot, dense_labels, full_bank, tile_state
 
 rng = np.random.default_rng(11)
 
@@ -40,12 +36,28 @@ def make_state(snapshot, **kw):
     return PersonalState(**defaults)
 
 
-def test_effective_embedding_endpoints():
+def personal_row(snapshot, **kw):
+    """Row k of ``t_full``: the personal embedding ``build_forward`` uses."""
+    state = make_state(snapshot, **kw)
+    return build_forward(snapshot, state).t_full[state.k]
+
+
+def negative_row(z, w_z):
+    """Column j of ``z_full``: the negative embedding ``build_forward`` derives from z."""
+    snapshot = FrozenSnapshot(t_open=np.ones((1, z.shape[1])), z_open=z,
+                              m_open=np.full((2, 2, z.shape[0]), 0.5), vocab_names=["a"])
+    cache = build_forward(snapshot, make_state(snapshot, w_z=w_z))
+    return cache.z_full[cache.j]
+
+
+def test_effective_embedding_endpoints(tiny_snapshot):
     t = rng.normal(size=4)
     f = rng.normal(size=4)
-    np.testing.assert_array_equal(effective_embedding(t, f, 0.0), t)
-    np.testing.assert_array_equal(effective_embedding(t, f, 1.0), f)
-    np.testing.assert_allclose(effective_embedding(t, f, 0.1),
+    np.testing.assert_array_equal(
+        personal_row(tiny_snapshot, t_per=t, f_per=f, alpha=0.0), t)
+    np.testing.assert_array_equal(
+        personal_row(tiny_snapshot, t_per=t, f_per=f, alpha=1.0), f)
+    np.testing.assert_allclose(personal_row(tiny_snapshot, t_per=t, f_per=f, alpha=0.1),
                                0.1 * f + 0.9 * t, rtol=0, atol=0)
 
 
@@ -61,22 +73,17 @@ def test_effective_embedding_validation(tiny_snapshot):
                                                 f_per=rng.normal(size=d - 1)))
 
 
-def test_augment_text():
+def test_augment_text(tiny_snapshot):
     t_eff = rng.normal(size=4)
-    empty = np.zeros((0, 4))
-    out = augment_text(empty, t_eff)
-    assert out.shape == (1, 4)
-    np.testing.assert_array_equal(out[0], t_eff)
-
-    bank = rng.normal(size=(2, 4))
-    out = augment_text(bank, t_eff)
-    np.testing.assert_array_equal(out[:2], bank)
-    np.testing.assert_array_equal(out[2], t_eff)
+    out = build_forward(tiny_snapshot, make_state(tiny_snapshot, t_per=t_eff)).t_full
+    assert out.shape == (4, 4)
+    np.testing.assert_array_equal(out[:3], tiny_snapshot.t_open)
+    np.testing.assert_array_equal(out[3], t_eff)
 
 
 def test_augment_twice_refused(tiny_snapshot):
     state = make_state(tiny_snapshot)
-    once = replace(tiny_snapshot, t_open=augment_text(tiny_snapshot.t_open, state.t_per),
+    once = replace(tiny_snapshot, t_open=build_forward(tiny_snapshot, state).t_full,
                    vocab_names=tiny_snapshot.vocab_names + ["<personal>"])
     with pytest.raises(InvariantError):
         build_forward(once, state)
@@ -86,16 +93,15 @@ def test_negative_embedding_selection_and_mean():
     z = rng.normal(size=(4, 3))
     one_hot = np.zeros(4)
     one_hot[2] = 1.0
-    np.testing.assert_array_equal(negative_embedding(z, one_hot), z[2])
-    np.testing.assert_allclose(negative_embedding(z, np.full(4, 0.25)),
-                               z.mean(axis=0))
+    np.testing.assert_array_equal(negative_row(z, one_hot), z[2])
+    np.testing.assert_allclose(negative_row(z, np.full(4, 0.25)), z.mean(axis=0))
 
 
 def test_negative_embedding_matches_dot_oracle(tiny_snapshot):
     z = rng.normal(size=(3, 2))
     w = rng.normal(size=3)
     expected = np.array([sum(w[n] * z[n, d] for n in range(3)) for d in range(2)])
-    np.testing.assert_allclose(negative_embedding(z, w), expected, rtol=1e-15)
+    np.testing.assert_allclose(negative_row(z, w), expected, rtol=1e-15)
     n = tiny_snapshot.num_proposals
     with pytest.raises(InvariantError):
         build_forward(tiny_snapshot, make_state(tiny_snapshot, w_z=rng.normal(size=n + 1),

@@ -20,7 +20,7 @@ from povseg.metrics import (
     write_report,
 )
 from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
-from povseg.synthbench import concat_evaluate
+from povseg.synthbench import SynthConfig, concat_evaluate
 
 rng = np.random.default_rng(23)
 
@@ -295,7 +295,9 @@ def test_evaluation_holds_at_most_two_samples(bench_dir, monkeypatch, concatenat
     monkeypatch.setattr("povseg.synthbench.load_sample", tracking)
     manifest = load_manifest(bench_dir / "manifest.tsv")
     if concatenated:
-        concat_evaluate(manifest, None)
+        cfg = SynthConfig()
+        concat_evaluate(manifest, PersonalState(t_per=np.zeros(cfg.d), w_z=np.zeros(cfg.n),
+                                                w_m=np.zeros(cfg.n), b_m=0.0, k=cfg.v))
     else:
         evaluate(manifest)
     assert len(refs) == len(manifest.split("test"))

@@ -208,6 +208,26 @@ def test_every_prefix_and_trailing_byte_rejected(tmp_path, save, load):
         load(path)
 
 
+@pytest.mark.parametrize("save, load, other", [
+    (_saved_povs, load_snapshot, _saved_povp),
+    (_saved_povp, load_state, _saved_povs),
+], ids=["povs", "povp"])
+def test_magic_and_version_checked(tmp_path, save, load, other):
+    path = tmp_path / "file"
+    named = re.escape(str(path))
+    save(path)
+    blob = path.read_bytes()
+    path.write_bytes(b"XXXX" + blob[4:])
+    with pytest.raises(BadMagicError, match=f"^{named}: bad magic b'XXXX'$"):
+        load(path)
+    path.write_bytes(blob[:4] + bytes([9]) + blob[5:])
+    with pytest.raises(VersionMismatchError, match=f"^{named}: version 9, expected 1$"):
+        load(path)
+    other(path)  # the other format's file
+    with pytest.raises(BadMagicError, match=f"^{named}: bad magic"):
+        load(path)
+
+
 def test_bad_utf8_vocab_name_rejected(tmp_path):
     path = tmp_path / "s.povs"
     save_snapshot(minimal_snapshot(), path)

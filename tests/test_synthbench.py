@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from povseg.synthbench import (
     SynthConfig,
     _blob,
     concat_evaluate,
+    concat_pairs,
     format_ablation_table,
     format_kshot_table,
     generate,
@@ -21,7 +23,7 @@ from povseg.synthbench import (
     train_on_manifest,
 )
 
-from joined_bank import concat, tile_state
+from dense_bank import concat, tile_state
 
 SMALL = dict(k_train=2, n_test_pos=2, n_test_neg=2)
 
@@ -127,8 +129,8 @@ def test_infeasible_configs_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("h, hf, message", [
-    (3, 3, "grid side 3 must be at least 4"),
-    (1, 1, "grid side 1 must be at least 4"),
+    (6, 6, "grid side 6 must be at least 7"),
+    (1, 1, "grid side 1 must be at least 7"),
     (32, 0, "feature grid side 0 must lie in [1, grid side 32]"),
     (32, -2, "feature grid side -2 must lie in [1, grid side 32]"),
 ])
@@ -137,7 +139,17 @@ def test_grid_sides_rejected_before_writing(tmp_path, h, hf, message):
         generate(SynthConfig(h=h, hf=hf, **SMALL), tmp_path / "out")
     assert str(excinfo.value) == message
     assert not (tmp_path / "out").exists()
-    generate(SynthConfig(h=4, hf=1, **SMALL), tmp_path / "smallest")
+    generate(SynthConfig(h=7, hf=1, **SMALL), tmp_path / "smallest")
+
+
+def test_positive_masks_non_empty_at_smallest_grid(tmp_path):
+    """At the lowest grid side every positive mask keeps a foreground pixel."""
+    for seed in range(6):
+        manifest = load_manifest(generate(
+            SynthConfig(h=7, hf=7, n_test_neg=1, seed=seed), tmp_path / str(seed)))
+        masks = [e.mask for e in manifest.entries if e.polarity == "positive"]
+        assert len(masks) == 29
+        assert all(np.fromfile(mask, dtype=np.uint8).any() for mask in masks), seed
 
 
 def make_pair(data_dir):
@@ -239,7 +251,10 @@ def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, va
                            decode(build_forward(neg.snapshot, state, pos.snapshot.z_open))]),
                 decode(build_forward(pair.snapshot, tiled)))
 
-    report, counts = scored(monkeypatch, lambda: concat_evaluate(manifest, state))
+    # concat_evaluate requires a state; the frozen variant scores the pairs directly
+    run = (partial(concat_evaluate, manifest, state) if state is not None else
+           partial(evaluate_samples, concat_pairs(manifest), manifest.personal_class_name))
+    report, counts = scored(monkeypatch, run)
     expected, expected_counts = scored(monkeypatch, lambda: evaluate_samples(
         joined, manifest.personal_class_name, state=tiled))
     np.testing.assert_array_equal(counts, expected_counts)
@@ -291,6 +306,13 @@ def test_kshot_rows_and_average(bench_dir):
 def test_kshot_k_exceeding_train_set(bench_dir):
     with pytest.raises(InvariantError):
         run_kshot(load_manifest(bench_dir / "manifest.tsv"), [99],
+                  TrainConfig(iterations=5))
+
+
+@pytest.mark.parametrize("k_list", [[], [0], [2, -1]])
+def test_kshot_k_below_one_refused(bench_dir, k_list):
+    with pytest.raises(InvariantError, match=r"K values must be >= 1"):
+        run_kshot(load_manifest(bench_dir / "manifest.tsv"), k_list,
                   TrainConfig(iterations=5))
 
 
