@@ -52,6 +52,25 @@ def _manifest(args) -> Manifest:
     return load_manifest(Path(args.data) / "manifest.tsv")
 
 
+def _check_out_file(path: str) -> None:
+    """Refuse, before any work, an output file that cannot be created."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise InvariantError(f"cannot write {path}: {out.parent} is not a directory")
+    if out.is_dir():
+        raise InvariantError(f"cannot write {path}: it is a directory")
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse, before any work, an output directory that cannot be created."""
+    out = Path(path)
+    # synth makes the directory and its missing parents; the nearest one
+    # that exists must be a directory.
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise InvariantError(f"cannot write into {path}: {nearest} is not a directory")
+
+
 def _train_config(args) -> TrainConfig:
     weights = LossWeights(dice=args.lambda_dice, bce=args.lambda_bce,
                           cls=args.lambda_cls, neg_z=args.lambda_negz,
@@ -74,6 +93,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_synth(args) -> int:
+    _check_out_dir(args.out)
     config = SynthConfig(v=args.vocab, d=args.dim, n=args.proposals,
                          h=args.grid, hf=args.feature_grid,
                          instances_per_class=args.instances,
@@ -89,6 +109,7 @@ def _cmd_synth(args) -> int:
 def _cmd_personalize(args) -> int:
     if args.iters < 1:
         raise InvariantError(f"--iters must be >= 1, got {args.iters}")
+    _check_out_file(args.out)
     config = _train_config(args)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = _manifest(args)
@@ -108,6 +129,7 @@ def _write_report(report: MetricsReport, path: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    _check_out_file(args.report)
     _print_config("eval", {"data": args.data, "state": args.state,
                            "report": args.report, "frozen_only": args.frozen_only,
                            "per_image": args.per_image})
@@ -125,6 +147,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_out_file(args.out)
     config = TrainConfig()
     _print_config("ablate", {"data": args.data, "out": args.out, **asdict(config)})
     rows = run_ablation(_manifest(args), config)
@@ -136,9 +159,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_kshot(args) -> int:
     try:
-        k_list = [int(tok) for tok in args.k.split(",") if tok]
+        k_list = [int(tok) for tok in args.k.split(",")]
     except ValueError:
         raise InvariantError(f"--k must be a comma-separated integer list, got {args.k!r}")
+    _check_out_file(args.out)
     config = TrainConfig()
     _print_config("kshot", {"data": args.data, "k": k_list, "out": args.out,
                             **asdict(config)})
@@ -150,6 +174,7 @@ def _cmd_kshot(args) -> int:
 
 
 def _cmd_concat_eval(args) -> int:
+    _check_out_file(args.report)
     _print_config("concat-eval", {"data": args.data, "state": args.state,
                                   "report": args.report})
     state = load_state(args.state)

@@ -14,11 +14,21 @@ This construction makes the core failure mode arise by design: tuning only
 the text prompt inflates the personal logit until it outgrows the
 neighboring fine-class entries, producing false positives on distractors
 that the negative mask branch then has to suppress.
+
+Each proposal enters the binary32 mask bank as ``amp * exp(q)`` with
+``amp <= 1`` and ``q = -((y - cy) / ry)^2 - ((x - cx) / rx)^2``. Where
+``q <= -104`` that value is at most e^-104 ~ 6.82e-46, below 2^-150 ~
+7.01e-46, half the smallest binary32 subnormal, so it rounds to +0.0. The
+generator therefore computes and writes each proposal only on the box
+``|y - cy| <= sqrt(104) ry + 1``, ``|x - cx| <= sqrt(104) rx + 1`` clipped to
+the grid, with the same expressions on the same grid values; the bank keeps
+its zeros outside, and every byte equals that of a full-plane fill.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,6 +71,9 @@ POSE_DIMS = 2
 POSE_NOISE = 0.7
 # Below ln(2**-1075) ~ -745.13 the correctly rounded binary64 exp is +0.0.
 EXP_UNDERFLOW = -746.0
+# Beyond BANK_REACH radii (plus a pixel of rounding slack) from its centre on
+# either axis, a bank proposal rounds to +0.0 in binary32: see the docstring.
+BANK_REACH = math.sqrt(104.0)
 
 
 @dataclass
@@ -112,13 +125,37 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
-def _blob(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
-    ys = (np.arange(h)[:, None] - cy) / ry
-    xs = (np.arange(w)[None, :] - cx) / rx
+def _gauss(rows: np.ndarray, cols: np.ndarray, cy: float, cx: float,
+           ry: float, rx: float) -> np.ndarray:
+    """exp(-((y - cy) / ry)^2 - ((x - cx) / rx)^2) at grid ``rows`` x ``cols``."""
+    ys = (rows[:, None] - cy) / ry
+    xs = (cols[None, :] - cx) / rx
     q = -(ys ** 2 + xs ** 2)
     # Far from a small blob's centre numpy's exp takes a slow underflow path,
     # so it runs only where the correctly rounded result is not +0.0.
     return np.exp(q, out=np.zeros_like(q), where=q > EXP_UNDERFLOW)
+
+
+def _blob(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
+    return _gauss(np.arange(h), np.arange(w), cy, cx, ry, rx)
+
+
+def _span(c: float, reach: float, n: int) -> tuple[int, int]:
+    return max(0, math.ceil(c - reach)), min(n, math.floor(c + reach) + 1)
+
+
+def _paint(plane: np.ndarray, cy: float, cx: float, ry: float, rx: float,
+           amp: float = 1.0) -> None:
+    """Write ``amp * _blob(...)`` (``amp <= 1``) into a zeroed binary32 ``plane``.
+
+    Only the proposal's box is computed and written; the plane keeps its zeros
+    outside it, and each entry inside has the bits a full-plane fill gives.
+    """
+    y0, y1 = _span(cy, BANK_REACH * ry + 1, plane.shape[0])
+    x0, x1 = _span(cx, BANK_REACH * rx + 1, plane.shape[1])
+    if y0 < y1 and x0 < x1:
+        plane[y0:y1, x0:x1] = amp * _gauss(np.arange(y0, y1), np.arange(x0, x1),
+                                           cy, cx, ry, rx)
 
 
 @dataclass
@@ -187,8 +224,7 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     g_embed = _unit(dirs.coarse + config.delta * dirs.fine[group_dir_index]
                     + POSE_NOISE * g_pose + config.sigma * g_noise)
     g_true = _blob(h, w, g_cy, g_cx, g_ry, g_rx)
-    g_prop = _blob(h, w, g_cy + g_jit[0], g_cx + g_jit[1],
-                   g_ry * g_scale[0], g_rx * g_scale[1])
+    g_prop = (g_cy + g_jit[0], g_cx + g_jit[1], g_ry * g_scale[0], g_rx * g_scale[1])
 
     # Second object: an unrelated vocabulary class when the vocabulary has
     # one, otherwise an out-of-vocabulary scene object.
@@ -204,18 +240,18 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     u_noise = rng.normal(size=config.d)
     u_embed = _unit(u_base + config.sigma * u_noise)
     u_true = _blob(h, w, u_cy, u_cx, u_ry, u_rx)
-    u_prop = _blob(h, w, u_cy + u_jit[0], u_cx + u_jit[1],
-                   u_ry * u_scale[0], u_rx * u_scale[1])
+    u_prop = (u_cy + u_jit[0], u_cx + u_jit[1], u_ry * u_scale[0], u_rx * u_scale[1])
 
-    # Clutter proposals: small weak blobs with junk embeddings.
+    # Clutter proposals: small weak blobs with junk embeddings. Proposals are
+    # kept as (cy, cx, ry, rx[, amp]) and painted once their slots are drawn.
     n_clutter = n - 3
-    clutter_masks = []
+    clutter_props = []
     clutter_embeds = []
     for _ in range(n_clutter):
         cy, cx = rng.uniform(2, h - 2), rng.uniform(2, w - 2)
         r = rng.uniform(1.5, 3.5)
         amp = rng.uniform(0.25, 0.7)
-        clutter_masks.append(amp * _blob(h, w, cy, cx, r, r))
+        clutter_props.append((cy, cx, r, r, amp))
         clutter_embeds.append(_unit(rng.normal(size=config.d)))
 
     bg_mask = 1.0 - np.maximum(g_true, u_true)
@@ -228,12 +264,12 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     embeds = np.zeros((n, config.d))
     masks[:, :, 0] = bg_mask
     embeds[0] = bg_embed
-    role_masks = [g_prop, u_prop] + clutter_masks
+    role_props = [g_prop, u_prop] + clutter_props
     role_embeds = [g_embed, u_embed] + clutter_embeds
     group_slot = int(order[0])
     unrelated_slot = int(order[1])
-    for slot, mask, embed in zip(order, role_masks, role_embeds):
-        masks[:, :, slot] = mask
+    for slot, prop, embed in zip(order, role_props, role_embeds):
+        _paint(masks[:, :, slot], *prop)
         embeds[slot] = embed
 
     # Feature map: paint each object's embedding over its support.

@@ -316,6 +316,55 @@ def test_kshot_k_below_one_exits_one(bench_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["1,,3", "1,3,", ""])
+def test_kshot_k_with_empty_item_exits_one(bench_dir, tmp_path, capsys, k):
+    out = tmp_path / "kshot.tsv"
+    code = main(["kshot", "--data", str(bench_dir), "--k", k, "--out", str(out)])
+    assert code == 1
+    assert f"--k must be a comma-separated integer list, got {k!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_synth_out_through_a_file_exits_one(tmp_path, capsys, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / sub if sub else blocker
+    assert main(["synth", "--out", str(out), *FAST_SYNTH]) == 1
+    assert (f"cannot write into {out}: {blocker} is not a directory"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["personalize", *FAST_TRAIN],
+    ["ablate"],
+    ["kshot", "--k", "1,3"],
+    ["eval", "--frozen-only", "--report"],
+    ["concat-eval", "--state", "missing.povp", "--report"],
+], ids=lambda argv: argv[0])
+def test_output_in_missing_directory_exits_one_before_reading(
+        bench_dir, tmp_path, capsys, monkeypatch, argv):
+    def refuse(args):
+        raise AssertionError("the dataset was read before the output path was checked")
+
+    monkeypatch.setattr("povseg.cli._manifest", refuse)
+    out = tmp_path / "missing" / "result"
+    flag = [] if argv[-1] == "--report" else ["--out"]
+    code = main([*argv, *flag, str(out), "--data", str(bench_dir)])
+    assert code == 1
+    assert (f"cannot write {out}: {out.parent} is not a directory"
+            in capsys.readouterr().err)
+    assert not out.parent.exists()
+
+
+def test_output_naming_a_directory_exits_one(bench_dir, tmp_path, capsys):
+    code = main(["ablate", "--data", str(bench_dir), "--out", str(tmp_path)])
+    assert code == 1
+    assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim", ["V", "H", "W"])
 def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
     data = tmp_path / "data"

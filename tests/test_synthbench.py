@@ -13,6 +13,7 @@ from povseg.synthbench import (
     EXP_UNDERFLOW,
     SynthConfig,
     _blob,
+    _paint,
     concat_evaluate,
     concat_pairs,
     format_ablation_table,
@@ -54,6 +55,48 @@ def test_blob_is_plain_exp_bit_for_bit():
                 seen["subnormal"] |= bool(((q > -746.0) & (q < -708.0)).any())
                 seen["skipped"] |= bool((q <= EXP_UNDERFLOW).any())
     assert all(seen.values()), seen
+
+
+def test_paint_matches_full_binary32_plane_bit_for_bit():
+    # The plane sits between two others of a sentinel-filled bank, so any
+    # write outside its own box, or outside the plane, shows.
+    left_outside = False
+    for side in (7, 32, 128):
+        for ry, rx in ((0.3, 0.3), (1.5, 3.5), (3.5, 1.5), (12.0, 0.7), (40.0, 40.0)):
+            for cy, cx in ((side / 2, side / 3), (1.25, side - 0.5), (-6.0, side + 2.5),
+                           (-3.0 * side, 0.5), (side + 60.0, -40.0)):
+                for amp in (1.0, 0.25, 0.7 - 1e-12):
+                    bank = np.full((side, side, 3), -1.0, dtype=np.float32)
+                    _paint(bank[:, :, 1], cy, cx, ry, rx, amp)
+                    assert (bank[:, :, [0, 2]] == -1.0).all()
+                    plane = bank[:, :, 1]
+                    skipped = plane == -1.0
+                    full = amp * _blob(side, side, cy, cx, ry, rx)
+                    expected = np.float32(full)
+                    assert not expected[skipped].any()
+                    painted = np.where(skipped, np.float32(0.0), plane)
+                    assert painted.tobytes() == expected.tobytes(), (side, ry, rx, cy, cx, amp)
+                    left_outside |= bool(full[skipped].any())
+    assert left_outside
+
+
+def full_plane_paint(plane, cy, cx, ry, rx, amp=1.0):
+    plane[...] = amp * _blob(*plane.shape, cy, cx, ry, rx)
+
+
+@pytest.mark.parametrize("scale", [
+    {},
+    dict(h=7, hf=7),
+    dict(v=150, d=512, n=100, h=128, hf=32),
+], ids=["desk", "grid7", "backbone"])
+def test_generate_matches_full_plane_painter(tmp_path, monkeypatch, scale):
+    for seed in range(3):
+        config = SynthConfig(seed=seed, k_train=2, n_test_pos=1, n_test_neg=1, **scale)
+        generate(config, tmp_path / f"box{seed}")
+        with monkeypatch.context() as patch:
+            patch.setattr("povseg.synthbench._paint", full_plane_paint)
+            generate(config, tmp_path / f"full{seed}")
+        assert dir_bytes(tmp_path / f"box{seed}") == dir_bytes(tmp_path / f"full{seed}")
 
 
 def test_generation_deterministic(tmp_path):
