@@ -104,12 +104,12 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     """Score decoded labels against combined pseudo-label ground truth.
 
     Samples are read once, in order, and none is kept, so a ``LazySamples``
-    holds only the images of one item (an image, or a concat-eval pair) in
-    memory. Each sample's frozen label map is decoded once: it is the ground
-    truth and, for the frozen baseline, the prediction. ``state=None``
-    evaluates the frozen baseline (with the class-name proxy when the
-    vocabulary contains ``personal_class_name``). ``per_image`` averages
-    scalar metrics over images instead of aggregating counts.
+    holds one image in memory at a time. Each sample's frozen label map is
+    decoded once: it is the ground truth and, for the frozen baseline, the
+    prediction. ``state=None`` evaluates the frozen baseline (with the
+    class-name proxy when the vocabulary contains ``personal_class_name``).
+    ``per_image`` averages scalar metrics over images instead of aggregating
+    counts.
     """
     vocab_names = None
     scalars = []
@@ -164,13 +164,13 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
 
 
 class LazySamples:
-    """Samples read as they are iterated: ``load(item)`` returns ``per_item`` of them.
+    """Samples read as they are iterated: ``load(item)`` yields ``per_item`` of them.
 
     Nothing is kept once a sample has been handed out, and ``len`` counts the
     samples without reading any.
     """
 
-    def __init__(self, items: list, load: Callable[..., tuple[Sample, ...]],
+    def __init__(self, items: list, load: Callable[..., Iterable[Sample]],
                  per_item: int = 1):
         self._items = items
         self._load = load

@@ -79,7 +79,8 @@ def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
             where = sample.mask_path or f"sample {idx}"
             raise InvariantError(
                 f"{where}: mask has no foreground at feature resolution {hf}x{wf}")
-        per_sample.append(features[small].mean(axis=0))
+        # A loaded map stays binary32: promote only the rows the mean reads.
+        per_sample.append(features[small].astype(np.float64).mean(axis=0))
     pooled = np.mean(per_sample, axis=0)
     norm = float(np.linalg.norm(pooled))
     if norm == 0.0:
@@ -149,14 +150,14 @@ def save_state(state: PersonalState, path: str | Path) -> None:
 def load_state(path: str | Path) -> PersonalState:
     """Read a POVP file; non-finite values are rejected as a format error."""
     path = Path(path)
-    rd = _Reader(path, _STATE_HEADER, STATE_MAGIC, STATE_VERSION)
-    flags, d, n, alpha, k = rd.fields
-    t_per = rd.array(d, "<f8")
-    w_z = rd.array(n, "<f8")
-    w_m = rd.array(n, "<f8")
-    b_m = float(rd.array(1, "<f8")[0])
-    f_per = rd.array(d, "<f8") if flags & _SFLAG_VISUAL else None
-    rd.finish()
+    with _Reader(path) as rd:
+        flags, d, n, alpha, k = rd.header(_STATE_HEADER, STATE_MAGIC, STATE_VERSION)
+        t_per = rd.raw(d, "<f8")
+        w_z = rd.raw(n, "<f8")
+        w_m = rd.raw(n, "<f8")
+        b_m = float(rd.raw(1, "<f8")[0])
+        f_per = rd.raw(d, "<f8") if flags & _SFLAG_VISUAL else None
+        rd.finish()
     for name, value in (("alpha", alpha), ("t_per", t_per), ("w_z", w_z),
                         ("w_m", w_m), ("b_m", b_m), ("f_per", f_per)):
         if value is not None and not np.isfinite(value).all():

@@ -7,20 +7,23 @@ with entries in [0, 1], a logit scale, the vocabulary names, and optionally
 an image feature map ``f`` (Hf x Wf x D) for visual-embedding extraction.
 
 On disk everything floating is IEEE-754 binary32 (POVS format, little
-endian). A loaded snapshot's arrays are promoted to float64 in memory;
-``synth`` builds its mask bank in binary32, the file's own type. Every
-snapshot's arrays are read-only, however the snapshot was built.
+endian). A loaded snapshot's ``t_open``, ``z_open`` and ``m_open`` are
+promoted to float64 in memory, the type decoding and training compute in.
+Its feature map stays binary32: only training's masked pooling reads it,
+and that promotes the rows it gathers. ``synth`` builds its mask bank in
+binary32 too. Every snapshot's arrays are read-only, however the snapshot
+was built.
 
 This module also holds the one reader and the one writer of both binary
 formats, the snapshot here and the personal state (POVP) in ``personalize``.
-Both loaders map the file read-only and share its rules: a header ``struct``
-led by magic and version, payloads read front to back, no trailing bytes,
-and every error, ``validate()``'s included, prefixed with the file's path.
+Both loaders read the file through one handle, which they close however the
+read ends, and share its rules: a header ``struct`` led by magic and
+version, payloads read front to back, no trailing bytes, and every error,
+``validate()``'s included, prefixed with the file's path.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -46,6 +49,8 @@ _HEADER = struct.Struct("<4sBB7Id")
 _NAME_BREAKS = "\t\r\n"
 # Side of the square pixel blocks that head.predict composes one at a time.
 TILE = 16
+# Elements per read when a binary32 payload is promoted to float64.
+READ_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class FrozenSnapshot:
     m_open: np.ndarray            # (H, W, N), entries in [0, 1]
     vocab_names: list[str]
     logit_scale: float = 1.0
-    features: np.ndarray | None = None   # (Hf, Wf, D)
+    features: np.ndarray | None = None   # (Hf, Wf, D), binary32 when loaded
 
     def __post_init__(self) -> None:
         # Read-only however the snapshot was built, so that no in-place write
@@ -190,56 +195,89 @@ def _write(path: str | Path, header: bytes, arrays: tuple[np.ndarray | None, ...
 
 
 class _Reader:
-    """A POVS or POVP file, read front to back from a read-only mapping.
+    """A POVS or POVP file, read front to back from its open handle.
 
-    Opening it checks the magic and version that lead ``header``; ``fields``
-    holds the header's other fields. Arrays are copied out of the mapping
-    once, as float64: a read would copy the whole file first, and evaluation,
-    which lets go of each image before it loads the next, would then fault
-    that buffer's pages in again per file. The mapping closes when the last
-    view of it goes.
+    Use it in a ``with`` block, which closes the file however the read ends;
+    ``header`` checks the magic and version that lead the header ``struct``
+    and returns its other fields. A payload kept at its file type (``raw``)
+    is read straight into its array. A binary32 payload promoted to float64
+    (``promoted``) is cast through the reader's one buffer of ``READ_CHUNK``
+    elements, so no copy of the file's bytes, whole or per payload, is held.
     """
 
-    def __init__(self, path: Path, header: struct.Struct, magic: bytes, version: int):
+    def __init__(self, path: Path):
         self.path = path
-        with path.open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            # an empty file cannot be mapped
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
-        self.data = memoryview(data)  # slices share the file bytes, no copy
+        self.fh = path.open("rb")
+        self.size = os.fstat(self.fh.fileno()).st_size
         self.off = 0
-        found, found_version, *self.fields = header.unpack(self.take(header.size))
-        if found != magic:
-            raise BadMagicError(f"{path}: bad magic {found!r}")
-        if found_version != version:
-            raise VersionMismatchError(f"{path}: version {found_version}, expected {version}")
+        # One staging buffer per file: a buffer per payload would leave holes
+        # in the heap that the next image's float64 bank no longer fits.
+        self.buf = np.empty(READ_CHUNK, "<f4")
 
-    def take(self, count: int) -> memoryview:
-        if self.off + count > len(self.data):
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def header(self, header: struct.Struct, magic: bytes, version: int) -> list:
+        found, found_version, *fields = header.unpack(self.take(header.size))
+        if found != magic:
+            raise BadMagicError(f"{self.path}: bad magic {found!r}")
+        if found_version != version:
+            raise VersionMismatchError(
+                f"{self.path}: version {found_version}, expected {version}")
+        return fields
+
+    def _advance(self, count: int) -> None:
+        if self.off + count > self.size:
             raise TruncatedPayloadError(
                 f"{self.path}: needed {count} bytes at offset {self.off}, "
-                f"file has {len(self.data)}")
-        out = self.data[self.off:self.off + count]
+                f"file has {self.size}")
         self.off += count
-        return out
 
-    def array(self, count: int, dtype: str = "<f4") -> np.ndarray:
-        raw = self.take(np.dtype(dtype).itemsize * count)
+    def take(self, count: int) -> bytearray:
+        self._advance(count)
+        return self._read_into(bytearray(count))
+
+    def _read_into(self, buf):
+        # A file that shrinks while it is read ends early here.
+        if self.fh.readinto(buf) != memoryview(buf).nbytes:
+            raise TruncatedPayloadError(f"{self.path}: file ended before offset {self.off}")
+        return buf
+
+    def skip(self, count: int) -> None:
+        self._advance(count)
+        self.fh.seek(self.off)
+
+    def raw(self, count: int, dtype: str) -> np.ndarray:
+        """``count`` values of ``dtype``, in an array of the file's own type."""
+        out = np.empty(count, dtype)
+        self._advance(out.nbytes)
+        return self._read_into(out)
+
+    def promoted(self, count: int) -> np.ndarray:
+        """``count`` binary32 values, cast to float64 a bounded chunk at a time."""
+        self._advance(4 * count)
+        out = np.empty(count, np.float64)
         # A signaling-NaN pattern warns on the cast; validate names the field.
         with np.errstate(invalid="ignore"):
-            return np.frombuffer(raw, dtype=dtype).astype(np.float64)
+            for start in range(0, count, READ_CHUNK):
+                chunk = self._read_into(self.buf[:count - start])
+                out[start:start + chunk.size] = chunk
+        return out
 
     def text(self, count: int) -> str:
         start = self.off
         try:
-            return bytes(self.take(count)).decode("utf-8")
+            return self.take(count).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{self.path}: invalid UTF-8 at offset {start + exc.start}") from exc
 
     def finish(self) -> None:
-        if self.off != len(self.data):
-            raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+        if self.off != self.size:
+            raise FormatError(f"{self.path}: {self.size - self.off} trailing bytes")
 
     def validated(self, obj):
         """``obj`` once its ``validate()`` passes; a failure names the file."""
@@ -253,31 +291,43 @@ class _Reader:
 def load_snapshot(path: str | Path) -> FrozenSnapshot:
     """Read and validate a POVS file."""
     path = Path(path)
-    rd = _Reader(path, _HEADER, MAGIC, VERSION)
-    flags, v, d, n, h, w, hf, wf, logit_scale = rd.fields
-    has_f = bool(flags & _FLAG_FEATURES)
-    if not has_f and (hf or wf):
-        raise FormatError(f"{path}: feature dims set but feature flag clear")
+    with _Reader(path) as rd:
+        flags, v, d, n, h, w, hf, wf, logit_scale = rd.header(_HEADER, MAGIC, VERSION)
+        has_f = bool(flags & _FLAG_FEATURES)
+        if not has_f and (hf or wf):
+            raise FormatError(f"{path}: feature dims set but feature flag clear")
 
-    t_open = rd.array(v * d).reshape(v, d)
-    z_open = rd.array(n * d).reshape(n, d)
-    m_open = rd.array(h * w * n).reshape(h, w, n)
-    features = rd.array(hf * wf * d).reshape(hf, wf, d) if has_f else None
+        t_open = rd.promoted(v * d).reshape(v, d)
+        z_open = rd.promoted(n * d).reshape(n, d)
+        m_open = rd.promoted(h * w * n).reshape(h, w, n)
+        features = rd.raw(hf * wf * d, "<f4").reshape(hf, wf, d) if has_f else None
 
-    (count,) = struct.unpack("<I", rd.take(4))
-    if count != v:
-        raise FormatError(f"{path}: vocab count {count} != V {v}")
-    names = []
-    for i in range(count):
-        (nbytes,) = struct.unpack("<H", rd.take(2))
-        names.append(rd.text(nbytes))
-        if any(ch in names[-1] for ch in _NAME_BREAKS):
-            raise FormatError(
-                f"{path}: vocab name {i} {names[-1]!r} contains a tab or line break")
-    rd.finish()
+        (count,) = struct.unpack("<I", rd.take(4))
+        if count != v:
+            raise FormatError(f"{path}: vocab count {count} != V {v}")
+        names = []
+        for i in range(count):
+            (nbytes,) = struct.unpack("<H", rd.take(2))
+            names.append(rd.text(nbytes))
+            if any(ch in names[-1] for ch in _NAME_BREAKS):
+                raise FormatError(
+                    f"{path}: vocab name {i} {names[-1]!r} contains a tab or line break")
+        rd.finish()
     return rd.validated(FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
                                        vocab_names=names, logit_scale=logit_scale,
                                        features=features))
+
+
+def _load_z_open(path: Path) -> np.ndarray:
+    """The float64 ``z_open`` of a POVS file, read without the payloads around it."""
+    with _Reader(path) as rd:
+        _, v, d, n, *_ = rd.header(_HEADER, MAGIC, VERSION)
+        rd.skip(4 * v * d)
+        z_open = rd.promoted(n * d).reshape(n, d)
+    if not np.isfinite(z_open).all():
+        raise InvariantError(f"{path}: non-finite value in z_open")
+    z_open.setflags(write=False)
+    return z_open
 
 
 def save_mask(mask: np.ndarray, path: str | Path) -> None:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import io
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -43,6 +45,7 @@ from .snapshot import (
     Manifest,
     ManifestEntry,
     Sample,
+    _load_z_open,
     load_sample,
     load_samples,
     save_mask,
@@ -74,6 +77,8 @@ EXP_UNDERFLOW = -746.0
 # Beyond BANK_REACH radii (plus a pixel of rounding slack) from its centre on
 # either axis, a bank proposal rounds to +0.0 in binary32: see the docstring.
 BANK_REACH = math.sqrt(104.0)
+# Stem of every snapshot and mask file ``generate`` writes.
+_STEM = re.compile(r"(train|test_positive|test_negative)_\d{3,}")
 
 
 @dataclass
@@ -290,7 +295,11 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
 
 
 def generate(config: SynthConfig, out_dir: str | Path) -> Path:
-    """Write snapshots, masks, manifest and metadata sidecar; returns manifest path."""
+    """Write snapshots, masks, manifest and metadata sidecar; returns manifest path.
+
+    Snapshot and mask files of generate's own naming that the new manifest
+    does not list, left by an earlier run into ``out_dir``, are removed.
+    """
     config.validate()
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
@@ -343,6 +352,12 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     manifest_path = out / "manifest.tsv"
     manifest_path.write_text("\n".join(manifest_lines) + "\n")
     (out / "meta.tsv").write_text("\n".join(meta_lines) + "\n")
+    # Only names this function writes are removed: a user's own files stay.
+    named = {field for line in manifest_lines for field in line.split("\t")[:2]}
+    for pattern in ("snapshots/*.povs", "masks/*.mask"):
+        for path in out.glob(pattern):
+            if _STEM.fullmatch(path.stem) and path.relative_to(out).as_posix() not in named:
+                path.unlink()
     return manifest_path
 
 
@@ -456,9 +471,9 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     """Pair test positives with test negatives in manifest order.
 
     A pair is scored as its two images, each decoded against its own
-    proposals plus the negative column the pair shares; its two images are
-    read only when it is scored. Entries left without a partner are read
-    here once, so that a malformed file among them is still refused.
+    proposals plus the negative column the pair shares; its images are read
+    only when it is scored, one at a time. Entries left without a partner are
+    read here once, so that a malformed file among them is still refused.
     """
     entries = manifest.split("test")
     positives = [e for e in entries if e.polarity == "positive"]
@@ -471,10 +486,21 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     return LazySamples(list(zip(positives, negatives)), _load_pair, per_item=2)
 
 
-def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> tuple[Sample, Sample]:
-    pos, neg = load_sample(pair[0]), load_sample(pair[1])
-    pos.partner_z, neg.partner_z = neg.snapshot.z_open, pos.snapshot.z_open
-    return pos, neg
+def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> Iterator[Sample]:
+    """The positive, then the negative, each with its partner's ``z_open``.
+
+    Only the negative's ``z_open`` is read ahead, and only the positive's is
+    kept while the negative loads, so one image is held at a time.
+    """
+    pos, neg = pair
+    neg_z = _load_z_open(neg.snapshot)
+    sample = load_sample(pos)
+    sample.partner_z, pos_z = neg_z, sample.snapshot.z_open
+    yield sample
+    del sample  # scored: let it go before the negative is read
+    sample = load_sample(neg)
+    sample.partner_z = pos_z
+    yield sample
 
 
 def concat_evaluate(manifest: Manifest, state: PersonalState) -> MetricsReport:

@@ -409,6 +409,48 @@ def test_malformed_last_test_snapshot_exits_one(tmp_path, capsys):
         assert "povseg: validation error" in err and str(last) in err
 
 
+@pytest.mark.parametrize("fault", ["z_open_cut", "last_byte_cut", "z_open_nan"])
+def test_malformed_concat_negative_exits_one_before_the_report(tmp_path, capsys, fault):
+    data = tmp_path / "data"
+    state = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state), "--iters", "1"])
+    negative = [e for e in load_manifest(data / "manifest.tsv").split("test")
+                if e.polarity == "negative"][0].snapshot
+    snap = load_snapshot(negative)
+    z_at = _SNAPSHOT_HEADER.size + 4 * snap.t_open.size
+    blob = negative.read_bytes()
+    negative.write_bytes({
+        "z_open_cut": blob[:z_at + 8],
+        "last_byte_cut": blob[:-1],
+        "z_open_nan": blob[:z_at] + struct.pack("<f", np.nan) + blob[z_at + 4:],
+    }[fault])
+    report = tmp_path / "r.tsv"
+    code = main(["concat-eval", "--data", str(data), "--state", str(state),
+                 "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{negative}: " in err
+    if fault == "z_open_nan":
+        assert f"{negative}: non-finite value in z_open" in err
+    assert not report.exists()
+
+
+def test_non_finite_feature_exits_one_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    path = load_manifest(data / "manifest.tsv").split("train")[0].snapshot
+    snap = load_snapshot(path)
+    at = _SNAPSHOT_HEADER.size + 4 * (snap.t_open.size + snap.z_open.size + snap.m_open.size)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:at] + struct.pack("<f", np.inf) + blob[at + 4:])
+    out = tmp_path / "s.povp"
+    code = main(["personalize", "--data", str(data), "--out", str(out), *FAST_TRAIN])
+    assert code == 1
+    assert f"{path}: non-finite value in features" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_utf8_manifest_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), *FAST_SYNTH])

@@ -109,6 +109,15 @@ def test_visual_embedding_indexes_masked_cells():
                                rtol=1e-12)
 
 
+def test_visual_embedding_of_binary32_features_matches_promoted(bench_dir):
+    samples = load_samples(load_manifest(bench_dir / "manifest.tsv"), "train")
+    assert all(s.snapshot.features.dtype == np.float32 for s in samples)
+    promoted = [replace(s, snapshot=replace(
+        s.snapshot, features=s.snapshot.features.astype(np.float64))) for s in samples]
+    assert (compute_visual_embedding(samples).tobytes()
+            == compute_visual_embedding(promoted).tobytes())
+
+
 def test_visual_embedding_errors():
     samples = make_samples(count=1, with_features=False)
     with pytest.raises(InvariantError):

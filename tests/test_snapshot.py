@@ -1,5 +1,8 @@
+import gc
+import os
 import re
 import struct
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -13,9 +16,11 @@ from povseg.errors import (
     VersionMismatchError,
 )
 from povseg.grad import random_instance
-from povseg.personalize import load_state, save_state
+from povseg.personalize import _STATE_HEADER, load_state, save_state
 from povseg.snapshot import (
+    _HEADER,
     FrozenSnapshot,
+    _load_z_open,
     downsample_mask,
     load_manifest,
     load_mask,
@@ -121,6 +126,9 @@ def test_snapshot_arrays_are_read_only(tmp_path, tiny_snapshot, loaded):
     if loaded:
         save_snapshot(snap, tmp_path / "s.povs")
         snap = load_snapshot(tmp_path / "s.povs")
+        # features keep the file's binary32; the arrays decoding reads are promoted
+        assert snap.features.dtype == np.float32
+        assert {a.dtype for a in (snap.t_open, snap.z_open, snap.m_open)} == {np.dtype(np.float64)}
     coverage = snap.coverage.copy()
     for name in ("t_open", "z_open", "m_open", "features"):
         with pytest.raises(ValueError, match="read-only"):
@@ -226,6 +234,59 @@ def test_magic_and_version_checked(tmp_path, save, load, other):
     other(path)  # the other format's file
     with pytest.raises(BadMagicError, match=f"^{named}: bad magic"):
         load(path)
+
+
+def _spliced(blob, offset, data):
+    return blob[:offset] + data + blob[offset + len(data):]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_every_read_closes_its_file(tmp_path, tiny_snapshot):
+    save_snapshot(tiny_snapshot, tmp_path / "s.povs")
+    _saved_povp(tmp_path / "s.povp")
+    povs, povp = (tmp_path / "s.povs").read_bytes(), (tmp_path / "s.povp").read_bytes()
+    nan = struct.pack("<f", np.nan)
+    header = list(_HEADER.unpack_from(povs))
+    z_at = _HEADER.size + 4 * header[3] * header[4]  # past t_open (V x D)
+    no_flag = _HEADER.pack(*header[:2], 0, *header[3:])
+    state_header = list(_STATE_HEADER.unpack_from(povp))
+    bad_alpha = _STATE_HEADER.pack(*state_header[:5], 1.5, state_header[6])
+    cases = [
+        (load_snapshot, povs, None),
+        (_load_z_open, povs, None),
+        (load_state, povp, None),
+        (load_snapshot, b"XXXX" + povs[4:], BadMagicError),
+        (load_state, _spliced(povp, 4, b"\x09"), VersionMismatchError),
+        (load_snapshot, b"", TruncatedPayloadError),
+        (load_snapshot, povs[:z_at + 2], TruncatedPayloadError),
+        (load_snapshot, povs[:-2], TruncatedPayloadError),
+        (_load_z_open, povs[:z_at + 2], TruncatedPayloadError),
+        (load_state, povp[:-3], TruncatedPayloadError),
+        (load_snapshot, povs + b"\x00", FormatError),
+        (load_state, povp + b"\x00", FormatError),
+        (load_snapshot, povs[:-1] + b"\xff", FormatError),
+        (load_snapshot, no_flag + povs[_HEADER.size:], FormatError),
+        (load_snapshot, povs[:-2] + b"\tt", FormatError),
+        (load_snapshot, _spliced(povs, z_at, nan), InvariantError),
+        (_load_z_open, _spliced(povs, z_at, nan), InvariantError),
+        (load_state, _spliced(povp, _STATE_HEADER.size, struct.pack("<d", np.nan)),
+         FormatError),
+        (load_state, bad_alpha + povp[_STATE_HEADER.size:], InvariantError),
+    ]
+    path = tmp_path / "case"
+    for index, (load, blob, error) in enumerate(cases):
+        path.write_bytes(blob)
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if error is None:
+                load(path)
+            else:
+                with pytest.raises(error, match=re.escape(str(path))):
+                    load(path)
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before, index
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)], index
 
 
 def test_bad_utf8_vocab_name_rejected(tmp_path):

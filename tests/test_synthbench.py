@@ -108,6 +108,19 @@ def test_generation_deterministic(tmp_path):
     assert dir_bytes(a) != dir_bytes(tmp_path / "c")
 
 
+def test_reused_out_dir_holds_only_the_new_manifest_files(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    generate(SynthConfig(k_train=2, n_test_pos=3, n_test_neg=3), reused)
+    own = reused / "snapshots" / "mine.povs"  # not a name generate writes
+    own.write_bytes(b"")
+    for out in (reused, fresh):
+        generate(SynthConfig(k_train=2, n_test_pos=1, n_test_neg=1), out)
+    entries = load_manifest(reused / "manifest.tsv").entries
+    named = {e.snapshot for e in entries} | {e.mask for e in entries if e.mask}
+    assert {*(reused / "snapshots").iterdir(), *(reused / "masks").iterdir()} == named | {own}
+    assert dir_bytes(reused) == {**dir_bytes(fresh), own.relative_to(reused): b""}
+
+
 def test_generated_dataset_wellformed(tmp_path):
     generate(SynthConfig(**SMALL), tmp_path)
     manifest = load_manifest(tmp_path / "manifest.tsv")
@@ -249,6 +262,16 @@ def test_concat_eval_runs_with_trained_state(bench_dir):
     report = concat_evaluate(manifest, state)
     assert report.n_positive > 0
     assert 0.0 <= report.iou_per <= 1.0
+
+
+def test_concat_partner_z_is_the_partners_loaded_z_open(bench_dir):
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    seen = [(s.polarity, s.snapshot.z_open.tobytes(), s.partner_z.tobytes())
+            for s in concat_pairs(manifest)]
+    assert len(seen) == len(manifest.split("test"))
+    for (pos, pos_z, pos_partner), (neg, neg_z, neg_partner) in zip(seen[::2], seen[1::2]):
+        assert (pos, neg) == ("positive", "negative")
+        assert (pos_partner, neg_partner) == (neg_z, pos_z)
 
 
 @pytest.fixture(scope="module")
