@@ -41,9 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _print_config(name: str, cfg) -> None:
-    if hasattr(cfg, "__dataclass_fields__"):
-        cfg = asdict(cfg)
+def _print_config(name: str, cfg: dict) -> None:
     items = " ".join(f"{k}={v}" for k, v in cfg.items())
     print(f"[{name}] {items}")
 
@@ -100,17 +98,16 @@ def _cmd_synth(args) -> int:
                          delta=args.delta, sigma=args.sigma,
                          k_train=args.k_train, n_test_pos=args.test_pos,
                          n_test_neg=args.test_neg, seed=args.seed)
-    _print_config("synth", config)
+    _print_config("synth", asdict(config))
     manifest = generate(config, args.out)
     print(f"wrote {manifest}")
     return 0
 
 
 def _cmd_personalize(args) -> int:
-    if args.iters < 1:
-        raise InvariantError(f"--iters must be >= 1, got {args.iters}")
-    _check_out_file(args.out)
     config = _train_config(args)
+    config.validate()
+    _check_out_file(args.out)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = _manifest(args)
     state, trace = train_on_manifest(manifest, config, load_samples(manifest, "train"))

@@ -15,19 +15,21 @@ the text prompt inflates the personal logit until it outgrows the
 neighboring fine-class entries, producing false positives on distractors
 that the negative mask branch then has to suppress.
 
-Each proposal enters the binary32 mask bank as ``amp * exp(q)`` with
-``amp <= 1`` and ``q = -((y - cy) / ry)^2 - ((x - cx) / rx)^2``. Where
-``q <= -104`` that value is at most e^-104 ~ 6.82e-46, below 2^-150 ~
-7.01e-46, half the smallest binary32 subnormal, so it rounds to +0.0. The
-generator therefore computes and writes each proposal only on the box
+Every Gaussian blob, ``amp * exp(q)`` with ``amp <= 1`` and
+``q = -((y - cy) / ry)^2 - ((x - cx) / rx)^2``, is computed on the box
 ``|y - cy| <= sqrt(104) ry + 1``, ``|x - cx| <= sqrt(104) rx + 1`` clipped to
-the grid, with the same expressions on the same grid values; the bank keeps
-its zeros outside, and every byte equals that of a full-plane fill.
+the grid, with the same expressions on the same grid values, and is +0.0
+outside it, where ``q < -104`` puts the full-plane value below e^-104 ~
+6.82e-46. No consumer can tell that value from +0.0: the binary32 mask bank
+rounds it to +0.0 (it is below 2^-150 ~ 7.01e-46, half the least binary32
+subnormal), and the float64 object planes are read only through ``>= 0.5``
+(the ground-truth mask and the feature map) and through the background
+proposal ``1 - max(...)``, exactly 1.0 for any value below 2^-54. So every
+byte equals that of a full-plane fill.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from collections.abc import Iterator
@@ -72,10 +74,8 @@ PROPOSAL_SCALE = (1.15, 1.5)
 # pose into the prompt, while averaging over K shots cancels it.
 POSE_DIMS = 2
 POSE_NOISE = 0.7
-# Below ln(2**-1075) ~ -745.13 the correctly rounded binary64 exp is +0.0.
-EXP_UNDERFLOW = -746.0
 # Beyond BANK_REACH radii (plus a pixel of rounding slack) from its centre on
-# either axis, a bank proposal rounds to +0.0 in binary32: see the docstring.
+# either axis, a blob reads as +0.0 to every consumer: see the docstring.
 BANK_REACH = math.sqrt(104.0)
 # Stem of every snapshot and mask file ``generate`` writes.
 _STEM = re.compile(r"(train|test_positive|test_negative)_\d{3,}")
@@ -130,37 +130,38 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
-def _gauss(rows: np.ndarray, cols: np.ndarray, cy: float, cx: float,
-           ry: float, rx: float) -> np.ndarray:
-    """exp(-((y - cy) / ry)^2 - ((x - cx) / rx)^2) at grid ``rows`` x ``cols``."""
-    ys = (rows[:, None] - cy) / ry
-    xs = (cols[None, :] - cx) / rx
-    q = -(ys ** 2 + xs ** 2)
-    # Far from a small blob's centre numpy's exp takes a slow underflow path,
-    # so it runs only where the correctly rounded result is not +0.0.
-    return np.exp(q, out=np.zeros_like(q), where=q > EXP_UNDERFLOW)
-
-
-def _blob(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
-    return _gauss(np.arange(h), np.arange(w), cy, cx, ry, rx)
-
-
 def _span(c: float, reach: float, n: int) -> tuple[int, int]:
     return max(0, math.ceil(c - reach)), min(n, math.floor(c + reach) + 1)
 
 
 def _paint(plane: np.ndarray, cy: float, cx: float, ry: float, rx: float,
            amp: float = 1.0) -> None:
-    """Write ``amp * _blob(...)`` (``amp <= 1``) into a zeroed binary32 ``plane``.
-
-    Only the proposal's box is computed and written; the plane keeps its zeros
-    outside it, and each entry inside has the bits a full-plane fill gives.
-    """
+    """Write ``amp * exp(q)`` (``amp <= 1``) into a zeroed ``plane``, on its box only."""
     y0, y1 = _span(cy, BANK_REACH * ry + 1, plane.shape[0])
     x0, x1 = _span(cx, BANK_REACH * rx + 1, plane.shape[1])
     if y0 < y1 and x0 < x1:
-        plane[y0:y1, x0:x1] = amp * _gauss(np.arange(y0, y1), np.arange(x0, x1),
-                                           cy, cx, ry, rx)
+        ys = (np.arange(y0, y1)[:, None] - cy) / ry
+        xs = (np.arange(x0, x1)[None, :] - cx) / rx
+        plane[y0:y1, x0:x1] = amp * np.exp(-(ys ** 2 + xs ** 2))
+
+
+def _blob(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
+    """A float64 ``h`` x ``w`` plane holding one blob over its box."""
+    plane = np.zeros((h, w))
+    _paint(plane, cy, cx, ry, rx)
+    return plane
+
+
+def _object(rng: np.random.Generator, h: int, x_lo: float, x_hi: float):
+    """One object's ellipse ``(cy, cx, ry, rx)`` and its wider, jittered proposal."""
+    cy = rng.uniform(h * 0.34, h * 0.66)
+    cx = rng.uniform(x_lo, x_hi)
+    ry, rx = rng.uniform(h * 0.125, h * 0.19, size=2)
+    jy, jx = rng.uniform(-PROPOSAL_JITTER, PROPOSAL_JITTER, size=2)
+    # Proposals run systematically wide, like real mask heads: the soft
+    # fringe outside the ground truth is what keeps prompt tuning honest.
+    sy, sx = rng.uniform(*PROPOSAL_SCALE, size=2)
+    return (cy, cx, ry, rx), (cy + jy, cx + jx, ry * sy, rx * sx)
 
 
 @dataclass
@@ -209,27 +210,16 @@ def _text_bank(config: SynthConfig, dirs: _Directions) -> tuple[np.ndarray, list
 def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
                 names: list[str], group_dir_index: int,
                 rng: np.random.Generator):
-    """One synthetic sample; returns (snapshot, gt_mask, meta_row_fields)."""
-    h, w, n = config.h, config.h, config.n
-
-    def geometry(x_lo: float, x_hi: float):
-        cy = rng.uniform(h * 0.34, h * 0.66)
-        cx = rng.uniform(x_lo, x_hi)
-        ry, rx = rng.uniform(h * 0.125, h * 0.19, size=2)
-        jitter = rng.uniform(-PROPOSAL_JITTER, PROPOSAL_JITTER, size=2)
-        # Proposals run systematically wide, like real mask heads: the soft
-        # fringe outside the ground truth is what keeps prompt tuning honest.
-        scale = rng.uniform(*PROPOSAL_SCALE, size=2)
-        return cy, cx, ry, rx, jitter, scale
+    """One sample: (snapshot, gt mask, group slot, unrelated slot, unrelated class)."""
+    h, n = config.h, config.n
 
     # Group-class object (personal instance on positives, distractor otherwise).
-    g_cy, g_cx, g_ry, g_rx, g_jit, g_scale = geometry(w * 0.22, w * 0.42)
+    g_shape, g_prop = _object(rng, h, h * 0.22, h * 0.42)
     g_noise = rng.normal(size=config.d)
     g_pose = rng.normal(size=POSE_DIMS) @ dirs.pose
     g_embed = _unit(dirs.coarse + config.delta * dirs.fine[group_dir_index]
                     + POSE_NOISE * g_pose + config.sigma * g_noise)
-    g_true = _blob(h, w, g_cy, g_cx, g_ry, g_rx)
-    g_prop = (g_cy + g_jit[0], g_cx + g_jit[1], g_ry * g_scale[0], g_rx * g_scale[1])
+    g_true = _blob(h, h, *g_shape)
 
     # Second object: an unrelated vocabulary class when the vocabulary has
     # one, otherwise an out-of-vocabulary scene object.
@@ -241,19 +231,17 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     else:
         u_class = -1
         u_base = dirs.stray
-    u_cy, u_cx, u_ry, u_rx, u_jit, u_scale = geometry(w * 0.58, w * 0.78)
+    u_shape, u_prop = _object(rng, h, h * 0.58, h * 0.78)
     u_noise = rng.normal(size=config.d)
     u_embed = _unit(u_base + config.sigma * u_noise)
-    u_true = _blob(h, w, u_cy, u_cx, u_ry, u_rx)
-    u_prop = (u_cy + u_jit[0], u_cx + u_jit[1], u_ry * u_scale[0], u_rx * u_scale[1])
+    u_true = _blob(h, h, *u_shape)
 
     # Clutter proposals: small weak blobs with junk embeddings. Proposals are
     # kept as (cy, cx, ry, rx[, amp]) and painted once their slots are drawn.
-    n_clutter = n - 3
     clutter_props = []
     clutter_embeds = []
-    for _ in range(n_clutter):
-        cy, cx = rng.uniform(2, h - 2), rng.uniform(2, w - 2)
+    for _ in range(n - 3):
+        cy, cx = rng.uniform(2, h - 2), rng.uniform(2, h - 2)
         r = rng.uniform(1.5, 3.5)
         amp = rng.uniform(0.25, 0.7)
         clutter_props.append((cy, cx, r, r, amp))
@@ -265,7 +253,7 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     # Slot 0 is the stable scene/background query; the rest are shuffled.
     order = rng.permutation(n - 1) + 1
     # The bank is built in the file's binary32; assigning rounds as a save would.
-    masks = np.zeros((h, w, n), dtype=np.float32)
+    masks = np.zeros((h, h, n), dtype=np.float32)
     embeds = np.zeros((n, config.d))
     masks[:, :, 0] = bg_mask
     embeds[0] = bg_embed
@@ -277,15 +265,14 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
         _paint(masks[:, :, slot], *prop)
         embeds[slot] = embed
 
-    # Feature map: paint each object's embedding over its support.
+    # Feature map: paint each object's embedding over its support, the group
+    # object last so that it wins where the two overlap.
     features = rng.normal(size=(config.hf, config.hf, config.d))
     features *= FEATURE_NOISE
     features += dirs.background
     s = config.hf / h
-    u_feat = _blob(config.hf, config.hf, u_cy * s, u_cx * s, u_ry * s, u_rx * s)
-    features[u_feat >= 0.5] = u_embed
-    g_feat = _blob(config.hf, config.hf, g_cy * s, g_cx * s, g_ry * s, g_rx * s)
-    features[g_feat >= 0.5] = g_embed
+    for shape, embed in ((u_shape, u_embed), (g_shape, g_embed)):
+        features[_blob(config.hf, config.hf, *(v * s for v in shape)) >= 0.5] = embed
 
     snapshot = FrozenSnapshot(t_open=text, z_open=embeds, m_open=masks,
                               vocab_names=list(names), logit_scale=LOGIT_SCALE,
@@ -313,29 +300,22 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     text, names = _text_bank(config, dirs)
     personal_name = names[1]
 
-    plan = ([("train", "positive")] * config.k_train
-            + [("test", "positive")] * config.n_test_pos
-            + [("test", "negative")] * config.n_test_neg)
+    # (split, polarity, file stem, group direction) per image; negatives
+    # cycle through the distractor instances.
+    n_distractors = config.instances_per_class - 1
+    plan = ([("train", "positive", f"train_{i:03d}", 0) for i in range(config.k_train)]
+            + [("test", "positive", f"test_positive_{i:03d}", 0)
+               for i in range(config.n_test_pos)]
+            + [("test", "negative", f"test_negative_{i:03d}", 1 + i % n_distractors)
+               for i in range(config.n_test_neg)])
 
     manifest_lines = []
     meta_lines = ["file\tpolarity\tpersonal_slot\tgroup_dir\tgroup_slot"
                   "\tunrelated_class\tunrelated_slot"]
-    counters = {"train": 0, "test_positive": 0, "test_negative": 0}
-    n_distractors = config.instances_per_class - 1
-    neg_seen = 0
-    for img_idx, (split, polarity) in enumerate(plan):
+    for img_idx, (split, polarity, stem, group_dir) in enumerate(plan):
         rng = np.random.default_rng(children[img_idx + 1])
-        if polarity == "positive":
-            group_dir = 0
-        else:
-            group_dir = 1 + neg_seen % n_distractors
-            neg_seen += 1
         snapshot, gt, group_slot, unrelated_slot, u_class = _make_image(
             config, dirs, text, names, group_dir, rng)
-
-        key = split if split == "train" else f"test_{polarity}"
-        stem = f"{key}_{counters[key]:03d}"
-        counters[key] += 1
         snap_rel = f"snapshots/{stem}.povs"
         save_snapshot(snapshot, out / snap_rel)
         if polarity == "positive":
@@ -420,16 +400,15 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
 
 
 def format_ablation_table(rows: list[AblationRow]) -> str:
-    buf = io.StringIO()
-    buf.write("text_prompt\tneg_mask\tvisual_inject\tmiou\tiou_per"
-              "\tprecision_per\trecall_per\n")
+    lines = ["text_prompt\tneg_mask\tvisual_inject\tmiou\tiou_per"
+             "\tprecision_per\trecall_per"]
     for row in rows:
         flags = ["x" if f else "-" for f in
                  (row.text_prompt, row.neg_mask, row.visual_inject)]
         r = row.report
-        buf.write("\t".join(flags) + f"\t{r.miou:.4f}\t{r.iou_per:.4f}"
-                  f"\t{r.precision_per:.4f}\t{r.recall_per:.4f}\n")
-    return buf.getvalue()
+        lines.append("\t".join(flags) + f"\t{r.miou:.4f}\t{r.iou_per:.4f}"
+                     f"\t{r.precision_per:.4f}\t{r.recall_per:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

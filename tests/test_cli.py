@@ -41,7 +41,25 @@ def test_personalize_rejects_zero_iters(tmp_path, capsys):
     code = main(["personalize", "--data", str(data),
                  "--out", str(tmp_path / "s.povp"), "--iters", "0"])
     assert code == 1
-    assert "--iters" in capsys.readouterr().err
+    assert "iterations must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "learning rate must be finite and positive, got nan"),
+    ("--alpha", "2", "alpha 2.0 outside [0, 1]"),
+    ("--lambda-bce", "-1", "loss weight bce must be finite and nonnegative, got -1.0"),
+    ("--iters", "0", "iterations must be >= 1, got 0"),
+], ids=["lr", "alpha", "lambda_bce", "iters"])
+def test_personalize_checks_its_config_before_reading_data(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    def refuse(args):
+        raise AssertionError("the dataset was read before the config was checked")
+
+    monkeypatch.setattr("povseg.cli._manifest", refuse)
+    code = main(["personalize", "--data", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "s.povp"), flag, value])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +11,7 @@ from povseg.metrics import accumulate, evaluate_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import Sample, load_manifest, load_samples, load_snapshot
 from povseg.synthbench import (
-    EXP_UNDERFLOW,
+    BANK_REACH,
     SynthConfig,
     _blob,
     _paint,
@@ -40,20 +41,33 @@ def dir_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def full_blob(h, w, cy, cx, ry, rx):
+    """exp(q) over the whole plane: the values the box rule must reproduce."""
+    ys = (np.arange(h)[:, None] - cy) / ry
+    xs = (np.arange(w)[None, :] - cx) / rx
+    return np.exp(-(ys ** 2 + xs ** 2))
+
+
 def test_blob_is_plain_exp_bit_for_bit():
-    # Centres on the grid and far off it reach arguments in (-746, -708),
-    # where exp is subnormal, as well as those below the skip threshold.
-    seen = {"subnormal": False, "skipped": False}
+    # On its box a blob is exp(q) bit for bit, subnormal values included: at
+    # r = 0.052 the diagonal neighbour of an on-grid centre has q ~ -739.6.
+    # Outside the box the blob is +0.0, and the full-plane value is below e^-104.
+    seen = {"subnormal": False, "cut": False}
     for side in (4, 32, 128):
-        for r in (0.5, 1.5, 3.5, 20.0):
-            for cy, cx in ((side / 2, side / 3), (1.25, side - 0.5),
+        grid = np.arange(side)
+        for r in (0.052, 0.5, 1.5, 3.5, 20.0):
+            reach = BANK_REACH * r + 1
+            for cy, cx in ((side / 2, side / 2), (side / 2, side / 3), (1.25, side - 0.5),
                            (-3.0 * side, 0.5), (side + 60.0, -40.0)):
-                ys = (np.arange(side)[:, None] - cy) / r
-                xs = (np.arange(side)[None, :] - cx) / r
-                q = -(ys ** 2 + xs ** 2)
-                assert _blob(side, side, cy, cx, r, r).tobytes() == np.exp(q).tobytes()
-                seen["subnormal"] |= bool(((q > -746.0) & (q < -708.0)).any())
-                seen["skipped"] |= bool((q <= EXP_UNDERFLOW).any())
+                blob = _blob(side, side, cy, cx, r, r)
+                full = full_blob(side, side, cy, cx, r, r)
+                box = (np.abs(grid - cy) <= reach)[:, None] & (np.abs(grid - cx) <= reach)[None, :]
+                assert blob[box].tobytes() == full[box].tobytes()
+                assert not blob[~box].view(np.uint64).any()
+                assert (full[~box] < math.exp(-104.0)).all()
+                inside = full[box]
+                seen["subnormal"] |= bool(((inside > 0) & (inside < np.finfo(float).tiny)).any())
+                seen["cut"] |= bool(full[~box].any())
     assert all(seen.values()), seen
 
 
@@ -71,7 +85,7 @@ def test_paint_matches_full_binary32_plane_bit_for_bit():
                     assert (bank[:, :, [0, 2]] == -1.0).all()
                     plane = bank[:, :, 1]
                     skipped = plane == -1.0
-                    full = amp * _blob(side, side, cy, cx, ry, rx)
+                    full = amp * full_blob(side, side, cy, cx, ry, rx)
                     expected = np.float32(full)
                     assert not expected[skipped].any()
                     painted = np.where(skipped, np.float32(0.0), plane)
@@ -81,20 +95,22 @@ def test_paint_matches_full_binary32_plane_bit_for_bit():
 
 
 def full_plane_paint(plane, cy, cx, ry, rx, amp=1.0):
-    plane[...] = amp * _blob(*plane.shape, cy, cx, ry, rx)
+    plane[...] = amp * full_blob(*plane.shape, cy, cx, ry, rx)
 
 
 @pytest.mark.parametrize("scale", [
     {},
     dict(h=7, hf=7),
     dict(v=150, d=512, n=100, h=128, hf=32),
-], ids=["desk", "grid7", "backbone"])
+    dict(v=9, n=5, h=37, hf=11, instances_per_class=3),
+], ids=["desk", "grid7", "backbone", "odd"])
 def test_generate_matches_full_plane_painter(tmp_path, monkeypatch, scale):
     for seed in range(3):
         config = SynthConfig(seed=seed, k_train=2, n_test_pos=1, n_test_neg=1, **scale)
         generate(config, tmp_path / f"box{seed}")
         with monkeypatch.context() as patch:
             patch.setattr("povseg.synthbench._paint", full_plane_paint)
+            patch.setattr("povseg.synthbench._blob", full_blob)
             generate(config, tmp_path / f"full{seed}")
         assert dir_bytes(tmp_path / f"box{seed}") == dir_bytes(tmp_path / f"full{seed}")
 
