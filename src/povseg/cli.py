@@ -74,8 +74,7 @@ def _train_config(args) -> TrainConfig:
                           cls=args.lambda_cls, neg_z=args.lambda_negz,
                           neg_m=args.lambda_negm)
     return TrainConfig(learning_rate=args.lr, iterations=args.iters,
-                       alpha=args.alpha, weights=weights,
-                       injection_enabled=not args.no_inject)
+                       alpha=args.alpha, weights=weights)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -87,7 +86,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-cls", type=float, default=LossWeights.cls)
     p.add_argument("--lambda-negz", type=float, default=LossWeights.neg_z)
     p.add_argument("--lambda-negm", type=float, default=LossWeights.neg_m)
-    p.add_argument("--no-inject", action="store_true")
 
 
 def _cmd_synth(args) -> int:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvariantError, NonFiniteError
-from .head import COVERAGE_EPS, ForwardCache, PersonalState, build_forward
+from .errors import InvariantError
+from .head import COVERAGE_EPS, ForwardCache, PersonalState, build_forward, check_finite
 from .losses import LossBreakdown, LossWeights, total_loss
 from .snapshot import FrozenSnapshot
 
@@ -30,12 +30,6 @@ class Gradients:
     g_w_z: np.ndarray
     g_w_m: np.ndarray
     g_b_m: float
-
-
-def _check(stage: str, *arrays) -> None:
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            raise NonFiniteError(stage)
 
 
 def _composition_row(cache: ForwardCache, scale: np.ndarray) -> np.ndarray:
@@ -55,24 +49,24 @@ def _composition_row(cache: ForwardCache, scale: np.ndarray) -> np.ndarray:
 def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
              weights: LossWeights) -> tuple[LossBreakdown, Gradients]:
     """Forward pass plus exact gradients of the weighted total loss."""
-    cache = build_forward(snapshot, state)
-    _check("forward", cache.s, cache.c, cache.q_per)
+    cache = build_forward(snapshot, state)  # checks S, C and m_neg
+    check_finite("forward", cache.q_per)
     breakdown, gq_per, gc_j, gm_loss = total_loss(cache, gt, weights)
-    _check("loss", np.array([breakdown.total]))
-    _check("loss-to-q", gq_per)
+    check_finite("loss", np.array([breakdown.total]))
+    check_finite("loss-to-q", gq_per)
     k, j = cache.k, cache.j
 
     # Per-pixel normalization q_per = M C[k] / coverage (uniform fallback has no grad).
     covered = cache.coverage > COVERAGE_EPS
     scale = np.where(covered, gq_per / np.where(covered, cache.coverage, 1.0), 0.0)
-    _check("normalize", scale)
+    check_finite("normalize", scale)
 
     # Composition reads only row k of C; the uniformity loss reads column j.
     gc = np.zeros_like(cache.c)
     gc[k] = _composition_row(cache, scale)
     if j is not None:
         gc[:, j] += gc_j
-    _check("composition", gc)
+    check_finite("composition", gc)
 
     # Column softmax.
     colsum = (gc * cache.c).sum(axis=0, keepdims=True)
@@ -82,7 +76,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     tau = snapshot.logit_scale
     g_t_eff = tau * (gs[k] @ cache.z_full)
     g_z_neg = None if j is None else tau * (gs[:, j] @ cache.t_full)
-    _check("similarity", g_t_eff, g_z_neg)
+    check_finite("similarity", g_t_eff, g_z_neg)
 
     g_t_per = (1.0 - state.alpha) * g_t_eff
 
@@ -97,7 +91,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
         g_w_z = np.zeros_like(state.w_z)
         g_w_m = np.zeros_like(state.w_m)
         g_b_m = 0.0
-    _check("negative-branch", g_t_per, g_w_z, g_w_m, np.array([g_b_m]))
+    check_finite("negative-branch", g_t_per, g_w_z, g_w_m, np.array([g_b_m]))
 
     return breakdown, Gradients(g_t_per=g_t_per, g_w_z=g_w_z, g_w_m=g_w_m,
                                 g_b_m=g_b_m)

@@ -18,6 +18,9 @@ one pixel: numpy sends a one-row product to gemv, which sums in another order.
 
 All functions are pure; ``build_forward`` is the one personalized pass, for
 training and decoding alike, and a ForwardCache belongs to a single evaluation.
+Both forward passes refuse a non-finite ``S``, ``C`` or ``m_neg`` with
+``NonFiniteError`` at stage ``"forward"``, so no decode and no training step
+reads one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, NonFiniteError
 from .snapshot import FrozenSnapshot
 
 # Per-pixel mass below this uses the uniform-class fallback.
@@ -89,6 +92,13 @@ class ForwardCache:
         covered = self.coverage > COVERAGE_EPS
         return np.where(covered, mass / np.where(covered, self.coverage, 1.0),
                         1.0 / self.c.shape[0])
+
+
+def check_finite(stage: str, *arrays) -> None:
+    """Raise ``NonFiniteError(stage)`` if any array that is not None holds NaN or inf."""
+    for arr in arrays:
+        if arr is not None and not np.isfinite(arr).all():
+            raise NonFiniteError(stage)
 
 
 # The stage functions below trust their shapes: build_forward checks the state
@@ -176,7 +186,7 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
     if partner_z is not None and partner_z.shape != snapshot.z_open.shape:
         raise InvariantError(
             f"partner embeddings {partner_z.shape} differ from {snapshot.z_open.shape}")
-    # The personal row: the text embedding, with the visual one interpolated in.
+    # The personal row: t_per, with f_per interpolated in when training set alpha > 0.
     t_eff = state.t_per if state.f_per is None else (
         state.alpha * state.f_per + (1.0 - state.alpha) * state.t_per)
     t_full = np.vstack([snapshot.t_open, t_eff[None, :]])
@@ -194,13 +204,16 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
         j = None
 
     s = similarity(t_full, z_full, snapshot.logit_scale)
+    c = class_probs(s)
+    check_finite("forward", s, c, m_neg)
     return ForwardCache(snapshot=snapshot, t_full=t_full, z_full=z_full, s=s,
-                        c=class_probs(s), m_neg=m_neg, k=state.k, j=j)
+                        c=c, m_neg=m_neg, k=state.k, j=j)
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
     """Run the unmodified pipeline (no personal row, no negative branch)."""
     s = similarity(snapshot.t_open, snapshot.z_open, snapshot.logit_scale)
     c = class_probs(s)
+    check_finite("forward", s, c)
     return ForwardCache(snapshot=snapshot, t_full=snapshot.t_open,
                         z_full=snapshot.z_open, s=s, c=c)

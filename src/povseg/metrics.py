@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, NonFiniteError
 from .head import PersonalState, build_forward, build_frozen_forward, decode
 from .snapshot import Manifest, Sample, load_sample
 
@@ -109,7 +109,8 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     prediction. ``state=None`` evaluates the frozen baseline (with the
     class-name proxy when the vocabulary contains ``personal_class_name``).
     ``per_image`` averages scalar metrics over images instead of aggregating
-    counts.
+    counts. A non-finite forward pass raises ``NonFiniteError`` naming the
+    sample's position, so no metric is reported from it.
     """
     vocab_names = None
     scalars = []
@@ -126,7 +127,12 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
             total = np.zeros((num_classes, num_classes), np.int64)
         elif snap.vocab_names != vocab_names:
             raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
-        frozen = decode(build_frozen_forward(snap))
+        try:
+            frozen = decode(build_frozen_forward(snap))
+            pred = None if state is None else decode(
+                build_forward(snap, state, sample.partner_z))
+        except NonFiniteError as exc:
+            raise NonFiniteError(exc.stage, f"sample {idx}: {exc}") from exc
         if sample.polarity == "positive":
             if sample.personal_mask is None:
                 raise InvariantError(f"positive sample {idx} lacks a personal mask")
@@ -137,13 +143,11 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
             n_neg += 1
         else:
             raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
-        if state is not None:
-            pred = decode(build_forward(snap, state, sample.partner_z))
-        elif personal_class_name in snap.vocab_names:
-            proxy = snap.vocab_names.index(personal_class_name)
-            pred = np.where(frozen == proxy, k, frozen)
-        else:
+        if pred is None:
             pred = frozen
+            if personal_class_name in snap.vocab_names:
+                proxy = snap.vocab_names.index(personal_class_name)
+                pred = np.where(frozen == proxy, k, frozen)
         image_counts = accumulate(pred, gt, np.zeros((num_classes, num_classes), np.int64))
         if per_image:
             scalars.append(_scalars(image_counts, k))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import backward
-from .head import PersonalState
+from .head import PersonalState, check_finite
 from .losses import LossWeights
 from .snapshot import FrozenSnapshot, Sample, _Reader, _write, downsample_mask
 
@@ -33,7 +33,6 @@ class TrainConfig:
     iterations: int = 200
     alpha: float = 0.1
     weights: LossWeights = field(default_factory=LossWeights)
-    injection_enabled: bool = True
     negative_enabled: bool = True
 
     def validate(self) -> None:
@@ -93,8 +92,9 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
                         init_vector: np.ndarray) -> tuple[PersonalState, list[float]]:
     """Gradient-descend the personal parameters over K positive training samples.
 
-    ``init_vector`` is the personal embedding's starting point. Returns the
-    final state and the per-step total-loss trace.
+    ``init_vector`` is the personal embedding's starting point. ``f_per`` is
+    computed, and injected, only when ``config.alpha > 0``. Returns the final
+    state and the per-step total-loss trace.
     """
     config.validate()
     if not samples:
@@ -112,7 +112,7 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
                                  f"!= grid {snap.grid_shape}")
 
     state = init_state(first, init_vector, config)
-    if config.injection_enabled:
+    if config.alpha > 0:
         state.f_per = compute_visual_embedding(samples)
         state.alpha = config.alpha
 
@@ -123,13 +123,15 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
         try:
             breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
                                         config.weights)
+            trace.append(breakdown.total)
+            state.t_per = state.t_per - lr * grads.g_t_per
+            state.w_z = state.w_z - lr * grads.g_w_z
+            state.w_m = state.w_m - lr * grads.g_w_m
+            state.b_m = state.b_m - lr * grads.g_b_m
+            # The next step's forward would catch an overflow, but not the last one.
+            check_finite("update", state.t_per, state.w_z, state.w_m, state.b_m)
         except NonFiniteError as exc:
             raise NonFiniteError(exc.stage, f"step {step}: {exc}") from exc
-        trace.append(breakdown.total)
-        state.t_per = state.t_per - lr * grads.g_t_per
-        state.w_z = state.w_z - lr * grads.g_w_z
-        state.w_m = state.w_m - lr * grads.g_w_m
-        state.b_m = state.b_m - lr * grads.g_b_m
     return state, trace
 
 

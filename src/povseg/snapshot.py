@@ -122,6 +122,9 @@ class FrozenSnapshot:
         if len(self.vocab_names) != v:
             raise InvariantError(
                 f"{len(self.vocab_names)} vocab names for {v} text rows")
+        for i, name in enumerate(self.vocab_names):
+            if any(ch in name for ch in _NAME_BREAKS):
+                raise InvariantError(f"vocab name {i} {name!r} contains a tab or line break")
         for arr, name in ((self.t_open, "t_open"), (self.z_open, "z_open")):
             if not np.isfinite(arr).all():
                 raise InvariantError(f"non-finite value in {name}")
@@ -166,11 +169,9 @@ def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
     has_f = snapshot.features is not None
     hf, wf = snapshot.features.shape[:2] if has_f else (0, 0)
 
-    # Names are checked before the file opens, so a refused one writes nothing.
+    # Names are encoded before the file opens, so a refused one writes nothing.
     vocab = [struct.pack("<I", v)]
-    for i, name in enumerate(snapshot.vocab_names):
-        if any(ch in name for ch in _NAME_BREAKS):
-            raise InvariantError(f"vocab name {i} {name!r} contains a tab or line break")
+    for name in snapshot.vocab_names:
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise InvariantError(f"vocab name too long ({len(raw)} bytes)")
@@ -305,13 +306,7 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
         (count,) = struct.unpack("<I", rd.take(4))
         if count != v:
             raise FormatError(f"{path}: vocab count {count} != V {v}")
-        names = []
-        for i in range(count):
-            (nbytes,) = struct.unpack("<H", rd.take(2))
-            names.append(rd.text(nbytes))
-            if any(ch in names[-1] for ch in _NAME_BREAKS):
-                raise FormatError(
-                    f"{path}: vocab name {i} {names[-1]!r} contains a tab or line break")
+        names = [rd.text(struct.unpack("<H", rd.take(2))[0]) for _ in range(count)]
         rd.finish()
     return rd.validated(FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
                                        vocab_names=names, logit_scale=logit_scale,

@@ -392,7 +392,8 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
         if not prompt:
             report = evaluate_samples(samples, manifest.personal_class_name, state=None)
         else:
-            run_cfg = replace(config, negative_enabled=neg, injection_enabled=inject)
+            run_cfg = replace(config, negative_enabled=neg,
+                              alpha=config.alpha if inject else 0.0)
             report = _train_and_score(manifest, run_cfg, train, samples)
         rows.append(AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
                                 visual_inject=inject, report=report))

@@ -38,7 +38,7 @@ def commands(scale: str) -> list[tuple[str, list[str]]]:
     return [
         ("synth", ["synth", "--out", "data", *SCALES[scale]]),
         ("personalize", ["personalize", *data, "--out", "state.povp"]),
-        ("personalize_no_inject", ["personalize", *data, "--no-inject",
+        ("personalize_no_inject", ["personalize", *data, "--alpha", "0",
                                    "--out", "no_inject.povp"]),
         ("eval", ["eval", *data, "--state", "state.povp", "--report", "eval.tsv"]),
         ("eval_frozen", ["eval", *data, "--frozen-only", "--report", "eval_frozen.tsv"]),

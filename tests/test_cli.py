@@ -196,6 +196,38 @@ def test_non_finite_state_file_exits_one(tmp_path, capsys):
     assert str(state_path) in err and "t_per" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("command", ["eval", "concat-eval"])
+def test_overflowing_forward_exits_two_without_a_report(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    state_path = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state_path), "--iters", "1"])
+    state = load_state(state_path)
+    state.t_per *= 1e308  # finite, so it loads, but S = tau T Z^T overflows
+    save_state(state, state_path)
+    report = tmp_path / "r.tsv"
+    code = main([command, "--data", str(data), "--state", str(state_path),
+                 "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "povseg: numeric error: sample 0: non-finite value at stage 'forward'" in err
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_last_update_exits_two_without_a_state(tmp_path, capsys):
+    data = tmp_path / "data"
+    out = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    code = main(["personalize", "--data", str(data), "--out", str(out),
+                 "--alpha", "0", "--iters", "1", "--lr", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "povseg: numeric error: step 0: non-finite value at stage 'update'" in err
+    assert not out.exists() and not out.with_suffix(".povp.trace").exists()
+
+
 def test_invalid_state_header_names_file(tmp_path, capsys):
     data = tmp_path / "data"
     state_path = tmp_path / "s.povp"

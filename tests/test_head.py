@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from povseg.errors import InvariantError
+from povseg.errors import InvariantError, NonFiniteError
 from povseg.grad import random_instance
 from povseg.head import (
     COVERAGE_EPS,
@@ -22,6 +24,7 @@ from povseg.head import (
 from povseg.snapshot import TILE, FrozenSnapshot
 
 from dense_bank import bank_snapshot, dense_labels, full_bank, tile_state
+from output_tree import child_env
 
 rng = np.random.default_rng(11)
 
@@ -282,6 +285,52 @@ def test_tiled_labels_match_dense_oracle(seed, h, w):
             np.testing.assert_array_equal(labels[rows, cols], 0)
 
 
+_TILE_BITS = """
+from dataclasses import replace
+import numpy as np
+from povseg.grad import random_instance
+from povseg.head import build_forward, build_frozen_forward
+snapshot, state = random_instance(0, v=150, n=100, h=128, w=128)[:2]
+box_rng = np.random.default_rng(3)
+keep = np.zeros(snapshot.m_open.shape, dtype=bool)
+for n in range(snapshot.num_proposals):
+    y, x = box_rng.integers(0, 128, size=2)
+    keep[y:y + box_rng.integers(4, 48), x:x + box_rng.integers(4, 48), n] = True
+snapshot = replace(snapshot, m_open=np.where(keep, snapshot.m_open, 0.0))
+differing = []
+for cache in (build_frozen_forward(snapshot), build_forward(snapshot, state)):
+    m, c, n = snapshot.m_open, cache.c, snapshot.num_proposals
+    if cache.m_neg is not None:
+        m = np.concatenate([m, cache.m_neg[:, :, None]], axis=2)
+    dense = (m.reshape(-1, m.shape[2]) @ c.T).reshape(*m.shape[:2], -1)
+    count = 0
+    for rows, cols, active in snapshot.tiles:  # as head.predict composes a tile
+        bank = snapshot.m_open[rows, cols][:, :, active]
+        if cache.m_neg is not None:
+            bank = np.concatenate([bank, cache.m_neg[rows, cols, None]], axis=2)
+            active = np.append(active, n)
+        if active.size:
+            h, w, k = bank.shape
+            tile = bank.reshape(h * w, k) @ c[:, active].T
+            count += not np.array_equal(tile, dense[rows, cols].reshape(h * w, -1))
+    differing.append(count)
+print(len(snapshot.tiles), *differing)
+"""
+
+
+def test_tiled_product_is_dense_product_bit_for_bit():
+    """At one OpenBLAS thread each tile's P has the bits of the dense M C^T.
+
+    The proposals are boxes on a 128 x 128 grid with 100 channels, so most
+    tiles drop most channels; the frozen C and a personalized C with m_neg
+    are both checked.
+    """
+    done = subprocess.run([sys.executable, "-c", _TILE_BITS], env=child_env(1),
+                          capture_output=True, text=True, check=True)
+    tiles, *differing = map(int, done.stdout.split())
+    assert tiles == 64 and differing == [0, 0], done.stdout
+
+
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (2, 5), (5, 16), (16, 17), (17, 17),
                                   (18, 33), (32, 40), (33, 33)])
 def test_tiles_partition_the_grid(h, w):
@@ -395,3 +444,15 @@ def test_forward_bank_mismatch_rejected(tiny_snapshot):
         build_forward(bad, state)
     with pytest.raises(InvariantError, match="partner embeddings"):
         build_forward(tiny_snapshot, state, tiny_snapshot.z_open[:-1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_forward_passes_refuse_non_finite_values(tiny_snapshot):
+    unbounded = replace(tiny_snapshot, logit_scale=np.inf)  # S = inf * T Z^T
+    nan_mask = make_state(tiny_snapshot, w_m=np.full(tiny_snapshot.num_proposals, np.nan))
+    for run in (lambda: build_frozen_forward(unbounded),
+                lambda: build_forward(unbounded, make_state(unbounded)),
+                lambda: build_forward(tiny_snapshot, nan_mask)):  # only m_neg is NaN
+        with pytest.raises(NonFiniteError) as excinfo:
+            run()
+        assert excinfo.value.stage == "forward"

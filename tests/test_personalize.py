@@ -1,6 +1,6 @@
 import re
 import struct
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import cached_property
 
 import numpy as np
@@ -14,7 +14,7 @@ from povseg.errors import (
     TruncatedPayloadError,
 )
 from povseg.grad import backward, random_instance
-from povseg.head import build_forward
+from povseg.head import build_forward, decode
 from povseg.personalize import (
     TrainConfig,
     compute_visual_embedding,
@@ -26,6 +26,11 @@ from povseg.personalize import (
 from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_samples
 
 rng = np.random.default_rng(17)
+
+
+def bits(*values) -> list[bytes]:
+    """The binary64 bytes of each value, so that -0.0 and 0.0 differ."""
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
 
 
 def make_samples(seed=0, count=3, with_features=True):
@@ -177,7 +182,7 @@ def test_training_sample_must_be_positive_with_mask(polarity, with_mask):
 
 def test_single_step_is_one_gradient_update():
     samples = make_samples()
-    config = TrainConfig(iterations=1, injection_enabled=False)
+    config = TrainConfig(iterations=1, alpha=0.0)
     init_vec = samples[0].snapshot.t_open.mean(axis=0)
     state, trace = run_personalization(samples, config, init_vector=init_vec)
     assert len(trace) == 1
@@ -218,7 +223,7 @@ def test_frozen_inputs_unchanged_by_training():
 
 
 def test_no_injection_independent_of_features():
-    config = TrainConfig(iterations=10, injection_enabled=False)
+    config = TrainConfig(iterations=10, alpha=0.0)
     a = make_samples(seed=3)
     b = make_samples(seed=3)
     for sample in b:
@@ -233,13 +238,18 @@ def test_no_injection_independent_of_features():
 def test_injection_disabled_equals_alpha_zero():
     a = make_samples(seed=4)
     init = a[0].snapshot.t_open.mean(axis=0)
-    off, trace_off = run_personalization(a, TrainConfig(iterations=12,
-                                                        injection_enabled=False), init)
-    on, trace_on = run_personalization(a, TrainConfig(iterations=12, alpha=0.0,
-                                                      injection_enabled=True), init)
-    assert trace_off == trace_on
-    np.testing.assert_array_equal(off.t_per, on.t_per)
-    np.testing.assert_array_equal(off.w_z, on.w_z)
+    off, _ = run_personalization(a, TrainConfig(iterations=12, alpha=0.0), init)
+    assert off.f_per is None and off.alpha == 0.0
+    # f_per at interpolation weight 0 is neutral, bit for bit
+    with_f = replace(off, f_per=compute_visual_embedding(a))
+    weights = TrainConfig().weights
+    for sample in a:
+        loss_off, grads_off = backward(sample.snapshot, off, sample.personal_mask, weights)
+        loss_f, grads_f = backward(sample.snapshot, with_f, sample.personal_mask, weights)
+        assert bits(*astuple(loss_off)) == bits(*astuple(loss_f))
+        assert bits(*astuple(grads_off)) == bits(*astuple(grads_f))
+        np.testing.assert_array_equal(decode(build_forward(sample.snapshot, off)),
+                                      decode(build_forward(sample.snapshot, with_f)))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -251,6 +261,24 @@ def test_non_finite_loss_reports_step():
     with pytest.raises(NonFiniteError, match="step 1"):
         run_personalization(samples, TrainConfig(iterations=5),
                             samples[0].snapshot.t_open.mean(axis=0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_last_update_reports_step():
+    samples = make_samples()
+    config = TrainConfig(iterations=1, learning_rate=1e308, alpha=0.0)
+    with pytest.raises(NonFiniteError, match="step 0") as excinfo:
+        run_personalization(samples, config, samples[0].snapshot.t_open.mean(axis=0))
+    assert excinfo.value.stage == "update"
+
+
+def test_alpha_zero_trains_without_a_feature_map():
+    samples = make_samples(with_features=False)
+    init = samples[0].snapshot.t_open.mean(axis=0)
+    with pytest.raises(InvariantError, match="no feature map"):
+        run_personalization(samples, TrainConfig(iterations=2), init)
+    state, trace = run_personalization(samples, TrainConfig(iterations=2, alpha=0.0), init)
+    assert state.f_per is None and len(trace) == 2
 
 
 def test_defaults_match_reported_settings():
