@@ -50,7 +50,7 @@ def _manifest(args) -> Manifest:
     return load_manifest(Path(args.data) / "manifest.tsv")
 
 
-def _check_out_file(path: str) -> None:
+def _check_out_file(path: str | Path) -> None:
     """Refuse, before any work, an output file that cannot be created."""
     out = Path(path)
     if not out.parent.is_dir():
@@ -91,11 +91,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_synth(args) -> int:
     _check_out_dir(args.out)
     config = SynthConfig(v=args.vocab, d=args.dim, n=args.proposals,
-                         h=args.grid, hf=args.feature_grid,
-                         instances_per_class=args.instances,
-                         delta=args.delta, sigma=args.sigma,
-                         k_train=args.k_train, n_test_pos=args.test_pos,
-                         n_test_neg=args.test_neg, seed=args.seed)
+                         h=args.grid, hf=args.feature_grid, k_train=args.k_train,
+                         n_test_pos=args.test_pos, n_test_neg=args.test_neg,
+                         seed=args.seed)
     _print_config("synth", asdict(config))
     manifest = generate(config, args.out)
     print(f"wrote {manifest}")
@@ -105,12 +103,13 @@ def _cmd_synth(args) -> int:
 def _cmd_personalize(args) -> int:
     config = _train_config(args)
     config.validate()
+    trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
     _check_out_file(args.out)
+    _check_out_file(trace_path)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = _manifest(args)
     state, trace = train_on_manifest(manifest, config, load_samples(manifest, "train"))
     save_state(state, args.out)
-    trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
     trace_path.write_text("".join(f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))
     print(f"wrote {args.out} and {trace_path} (final loss {trace[-1]:.6f})")
     return 0
@@ -135,8 +134,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _print_config("gradcheck", {"seed": args.seed, "eps": args.eps, "tol": args.tol})
-    report = gradcheck(seed=args.seed, eps=args.eps, tol=args.tol)
+    _print_config("gradcheck", {"seed": args.seed})
+    report = gradcheck(seed=args.seed)
     print(report.summary())
     return 0 if report.passed else 2
 
@@ -191,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proposals", type=int, default=SynthConfig.n)
     p.add_argument("--grid", type=int, default=SynthConfig.h)
     p.add_argument("--feature-grid", type=int, default=SynthConfig.hf)
-    p.add_argument("--instances", type=int, default=SynthConfig.instances_per_class)
-    p.add_argument("--delta", type=float, default=SynthConfig.delta)
-    p.add_argument("--sigma", type=float, default=SynthConfig.sigma)
     p.add_argument("--k-train", type=int, default=SynthConfig.k_train)
     p.add_argument("--test-pos", type=int, default=SynthConfig.n_test_pos)
     p.add_argument("--test-neg", type=int, default=SynthConfig.n_test_neg)
@@ -217,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="Analytic vs finite-difference gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="Five-row module ablation table")

@@ -115,44 +115,46 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     vocab_names = None
     scalars = []
     n_pos = n_neg = 0
+    # check_finite sees every forward and decode array; numpy's warnings would repeat it.
     # No enumerate: its cached (index, sample) pair would keep the last image
     # alive while the next item is read.
-    for sample in samples:
-        idx = n_pos + n_neg
-        snap = sample.snapshot
-        if vocab_names is None:
-            vocab_names = snap.vocab_names
-            k = snap.vocab_size
-            num_classes = k + 1
-            total = np.zeros((num_classes, num_classes), np.int64)
-        elif snap.vocab_names != vocab_names:
-            raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
-        try:
-            frozen = decode(build_frozen_forward(snap))
-            pred = None if state is None else decode(
-                build_forward(snap, state, sample.partner_z))
-        except NonFiniteError as exc:
-            raise NonFiniteError(exc.stage, f"sample {idx}: {exc}") from exc
-        if sample.polarity == "positive":
-            if sample.personal_mask is None:
-                raise InvariantError(f"positive sample {idx} lacks a personal mask")
-            gt = pseudo_label(frozen, sample.personal_mask, k)
-            n_pos += 1
-        elif sample.polarity == "negative":
-            gt = frozen
-            n_neg += 1
-        else:
-            raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
-        if pred is None:
-            pred = frozen
-            if personal_class_name in snap.vocab_names:
-                proxy = snap.vocab_names.index(personal_class_name)
-                pred = np.where(frozen == proxy, k, frozen)
-        image_counts = accumulate(pred, gt, np.zeros((num_classes, num_classes), np.int64))
-        if per_image:
-            scalars.append(_scalars(image_counts, k))
-        total += image_counts
-        del sample, snap  # let go of this image before the next item is read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sample in samples:
+            idx = n_pos + n_neg
+            snap = sample.snapshot
+            if vocab_names is None:
+                vocab_names = snap.vocab_names
+                k = snap.vocab_size
+                num_classes = k + 1
+                total = np.zeros((num_classes, num_classes), np.int64)
+            elif snap.vocab_names != vocab_names:
+                raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
+            try:
+                frozen = decode(build_frozen_forward(snap))
+                pred = None if state is None else decode(
+                    build_forward(snap, state, sample.partner_z))
+            except NonFiniteError as exc:
+                raise NonFiniteError(exc.stage, f"sample {idx}: {exc}") from exc
+            if sample.polarity == "positive":
+                if sample.personal_mask is None:
+                    raise InvariantError(f"positive sample {idx} lacks a personal mask")
+                gt = pseudo_label(frozen, sample.personal_mask, k)
+                n_pos += 1
+            elif sample.polarity == "negative":
+                gt = frozen
+                n_neg += 1
+            else:
+                raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
+            if pred is None:
+                pred = frozen
+                if personal_class_name in snap.vocab_names:
+                    proxy = snap.vocab_names.index(personal_class_name)
+                    pred = np.where(frozen == proxy, k, frozen)
+            image_counts = accumulate(pred, gt, np.zeros_like(total))
+            if per_image:
+                scalars.append(_scalars(image_counts, k))
+            total += image_counts
+            del sample, snap  # let go of this image before the next item is read
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
@@ -170,8 +172,7 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
 class LazySamples:
     """Samples read as they are iterated: ``load(item)`` yields ``per_item`` of them.
 
-    Nothing is kept once a sample has been handed out, and ``len`` counts the
-    samples without reading any.
+    Nothing is kept once a sample has been handed out.
     """
 
     def __init__(self, items: list, load: Callable[..., Iterable[Sample]],
@@ -181,6 +182,8 @@ class LazySamples:
         self._per_item = per_item
 
     def __len__(self) -> int:
+        """Counts without reading. ``perfbench/tracer.py`` takes ``len`` of every
+        ``samples`` argument: a generator passed to ``evaluate_samples`` would crash it."""
         return self._per_item * len(self._items)
 
     def __iter__(self) -> Iterator[Sample]:

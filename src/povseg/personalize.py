@@ -118,20 +118,22 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
 
     trace: list[float] = []
     lr = config.learning_rate
-    for step in range(config.iterations):
-        sample = samples[step % len(samples)]
-        try:
-            breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
-                                        config.weights)
-            trace.append(breakdown.total)
-            state.t_per = state.t_per - lr * grads.g_t_per
-            state.w_z = state.w_z - lr * grads.g_w_z
-            state.w_m = state.w_m - lr * grads.g_w_m
-            state.b_m = state.b_m - lr * grads.g_b_m
-            # The next step's forward would catch an overflow, but not the last one.
-            check_finite("update", state.t_per, state.w_z, state.w_m, state.b_m)
-        except NonFiniteError as exc:
-            raise NonFiniteError(exc.stage, f"step {step}: {exc}") from exc
+    # check_finite sees every array a step makes; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.iterations):
+            sample = samples[step % len(samples)]
+            try:
+                breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
+                                            config.weights)
+                trace.append(breakdown.total)
+                state.t_per = state.t_per - lr * grads.g_t_per
+                state.w_z = state.w_z - lr * grads.g_w_z
+                state.w_m = state.w_m - lr * grads.g_w_m
+                state.b_m = state.b_m - lr * grads.g_b_m
+                # The next step's forward would catch an overflow, but not the last one.
+                check_finite("update", state.t_per, state.w_z, state.w_m, state.b_m)
+            except NonFiniteError as exc:
+                raise NonFiniteError(exc.stage, f"step {step}: {exc}") from exc
     return state, trace
 
 

@@ -253,9 +253,8 @@ class _Reader:
 
     def raw(self, count: int, dtype: str) -> np.ndarray:
         """``count`` values of ``dtype``, in an array of the file's own type."""
-        out = np.empty(count, dtype)
-        self._advance(out.nbytes)
-        return self._read_into(out)
+        self._advance(count * np.dtype(dtype).itemsize)  # before np.empty trusts count
+        return self._read_into(np.empty(count, dtype))
 
     def promoted(self, count: int) -> np.ndarray:
         """``count`` binary32 values, cast to float64 a bounded chunk at a time."""

@@ -4,7 +4,7 @@ The generator builds a desk-scale stand-in for the personalization
 benchmarks. The vocabulary holds a background entry, a group of visually
 similar fine classes sharing one coarse direction (the personal concept is
 the first of them), and a few unrelated classes. Object embeddings are
-``centroid + delta * instance_direction + sigma * noise``; the text entry
+``centroid + DELTA * instance_direction + SIGMA * noise``; the text entry
 for a fine class carries only part of its instance offset, so the visual
 embedding genuinely adds information. Positive images contain the personal
 instance, negative images a same-group distractor instance, and every image
@@ -66,6 +66,10 @@ DISTRACTOR_TEXT_OFFSET = 1.0
 # the frozen model's confidence on the personal column; the tuned prompt
 # must outgrow both.
 TWIN_TEXT_OFFSET = 0.7
+# The personal instance and its same-group distractors, one direction each.
+INSTANCES_PER_CLASS = 4
+DELTA = 1.1   # instance offset from the class centroid
+SIGMA = 0.04  # per-image embedding noise
 FEATURE_NOISE = 0.02
 PROPOSAL_JITTER = 1.0
 PROPOSAL_SCALE = (1.15, 1.5)
@@ -88,21 +92,16 @@ class SynthConfig:
     n: int = 12                 # proposals per image
     h: int = 32                 # side of the square proposal grid
     hf: int = 16                # side of the square feature grid
-    instances_per_class: int = 4
-    delta: float = 1.1          # instance offset from the class centroid
-    sigma: float = 0.04         # per-image embedding noise
     k_train: int = 5
     n_test_pos: int = 24
     n_test_neg: int = 24
     seed: int = 20
 
     def validate(self) -> None:
-        if self.instances_per_class < 2:
-            raise InvariantError("need at least 2 instances per class")
-        if self.v < self.instances_per_class + 2:
+        if self.v < INSTANCES_PER_CLASS + 2:
             raise InvariantError(
                 f"vocabulary size {self.v} too small: need background, "
-                f"{self.instances_per_class} fine-class entries and the near-synonym")
+                f"{INSTANCES_PER_CLASS} fine-class entries and the near-synonym")
         if self.d < self.v + 2 + POSE_DIMS:
             raise InvariantError(
                 f"embedding dim {self.d} < {self.v + 2 + POSE_DIMS} directions")
@@ -118,9 +117,6 @@ class SynthConfig:
                 f"feature grid side {self.hf} must lie in [1, grid side {self.h}]")
         if min(self.k_train, self.n_test_pos, self.n_test_neg) < 1:
             raise InvariantError("k_train, n_test_pos and n_test_neg must be >= 1")
-        for name, value in (("delta", self.delta), ("sigma", self.sigma)):
-            if not (np.isfinite(value) and value >= 0):
-                raise InvariantError(f"{name} must be finite and nonnegative, got {value}")
         if self.seed < 0:
             raise InvariantError(f"seed must be >= 0, got {self.seed}")
 
@@ -168,9 +164,9 @@ def _object(rng: np.random.Generator, h: int, x_lo: float, x_hi: float):
 class _Directions:
     background: np.ndarray
     coarse: np.ndarray
-    fine: np.ndarray          # (instances_per_class, d)
+    fine: np.ndarray          # (INSTANCES_PER_CLASS, d)
     twin: np.ndarray          # offset of the near-synonym text entry
-    unrelated: np.ndarray     # (v - instances_per_class - 2, d) vocabulary extras
+    unrelated: np.ndarray     # (v - INSTANCES_PER_CLASS - 2, d) vocabulary extras
     stray: np.ndarray         # out-of-vocabulary scene object
     pose: np.ndarray          # (POSE_DIMS, d) appearance subspace
 
@@ -180,9 +176,9 @@ def _draw_directions(config: SynthConfig, rng: np.random.Generator) -> _Directio
     cols = iter(range(config.d))
     background = basis[:, next(cols)]
     coarse = basis[:, next(cols)]
-    fine = np.stack([basis[:, next(cols)] for _ in range(config.instances_per_class)])
+    fine = np.stack([basis[:, next(cols)] for _ in range(INSTANCES_PER_CLASS)])
     twin = basis[:, next(cols)]
-    n_extra = config.v - config.instances_per_class - 2
+    n_extra = config.v - INSTANCES_PER_CLASS - 2
     unrelated = np.stack([basis[:, next(cols)] for _ in range(n_extra)]) \
         if n_extra > 0 else np.zeros((0, config.d))
     stray = basis[:, next(cols)]
@@ -193,17 +189,17 @@ def _draw_directions(config: SynthConfig, rng: np.random.Generator) -> _Directio
 def _text_bank(config: SynthConfig, dirs: _Directions) -> tuple[np.ndarray, list[str]]:
     rows = [dirs.background]
     names = ["background"]
-    personal = dirs.coarse + PERSONAL_TEXT_OFFSET * config.delta * dirs.fine[0]
+    personal = dirs.coarse + PERSONAL_TEXT_OFFSET * DELTA * dirs.fine[0]
     rows.append(_unit(personal))
     names.append("class_01")
-    for i in range(1, config.instances_per_class):
-        rows.append(_unit(dirs.coarse + DISTRACTOR_TEXT_OFFSET * config.delta * dirs.fine[i]))
+    for i in range(1, INSTANCES_PER_CLASS):
+        rows.append(_unit(dirs.coarse + DISTRACTOR_TEXT_OFFSET * DELTA * dirs.fine[i]))
         names.append(f"class_{i + 1:02d}")
     rows.append(_unit(personal + TWIN_TEXT_OFFSET * dirs.twin))
-    names.append(f"class_{config.instances_per_class + 1:02d}")
+    names.append(f"class_{INSTANCES_PER_CLASS + 1:02d}")
     for i, centroid in enumerate(dirs.unrelated):
         rows.append(centroid)
-        names.append(f"class_{config.instances_per_class + 2 + i:02d}")
+        names.append(f"class_{INSTANCES_PER_CLASS + 2 + i:02d}")
     return np.stack(rows), names
 
 
@@ -217,23 +213,23 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
     g_shape, g_prop = _object(rng, h, h * 0.22, h * 0.42)
     g_noise = rng.normal(size=config.d)
     g_pose = rng.normal(size=POSE_DIMS) @ dirs.pose
-    g_embed = _unit(dirs.coarse + config.delta * dirs.fine[group_dir_index]
-                    + POSE_NOISE * g_pose + config.sigma * g_noise)
+    g_embed = _unit(dirs.coarse + DELTA * dirs.fine[group_dir_index]
+                    + POSE_NOISE * g_pose + SIGMA * g_noise)
     g_true = _blob(h, h, *g_shape)
 
     # Second object: an unrelated vocabulary class when the vocabulary has
     # one, otherwise an out-of-vocabulary scene object.
-    n_extra = config.v - config.instances_per_class - 2
+    n_extra = len(dirs.unrelated)
     pick = int(rng.integers(0, n_extra + 1))
     if pick < n_extra:
-        u_class = config.instances_per_class + 2 + pick
+        u_class = INSTANCES_PER_CLASS + 2 + pick
         u_base = text[u_class]
     else:
         u_class = -1
         u_base = dirs.stray
     u_shape, u_prop = _object(rng, h, h * 0.58, h * 0.78)
     u_noise = rng.normal(size=config.d)
-    u_embed = _unit(u_base + config.sigma * u_noise)
+    u_embed = _unit(u_base + SIGMA * u_noise)
     u_true = _blob(h, h, *u_shape)
 
     # Clutter proposals: small weak blobs with junk embeddings. Proposals are
@@ -248,7 +244,7 @@ def _make_image(config: SynthConfig, dirs: _Directions, text: np.ndarray,
         clutter_embeds.append(_unit(rng.normal(size=config.d)))
 
     bg_mask = 1.0 - np.maximum(g_true, u_true)
-    bg_embed = _unit(dirs.background + config.sigma * rng.normal(size=config.d))
+    bg_embed = _unit(dirs.background + SIGMA * rng.normal(size=config.d))
 
     # Slot 0 is the stable scene/background query; the rest are shuffled.
     order = rng.permutation(n - 1) + 1
@@ -302,7 +298,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
 
     # (split, polarity, file stem, group direction) per image; negatives
     # cycle through the distractor instances.
-    n_distractors = config.instances_per_class - 1
+    n_distractors = INSTANCES_PER_CLASS - 1
     plan = ([("train", "positive", f"train_{i:03d}", 0) for i in range(config.k_train)]
             + [("test", "positive", f"test_positive_{i:03d}", 0)
                for i in range(config.n_test_pos)]

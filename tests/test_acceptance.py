@@ -12,7 +12,7 @@ import pytest
 from dense_bank import full_bank
 
 from povseg.cli import main as cli_main
-from povseg.grad import backward, gradcheck
+from povseg.grad import GRADCHECK_EPS, GRADCHECK_TOL, backward, gradcheck
 from povseg.head import (
     COVERAGE_EPS,
     PersonalState,
@@ -63,10 +63,12 @@ def oracle_labels(m, c):
 
 def test_criterion_1_gradient_correctness():
     """Analytic gradients match central differences on 10 seeded instances."""
+    # The contract's numbers: a looser tolerance or a coarser step fails here.
+    assert (GRADCHECK_EPS, GRADCHECK_TOL) == (1e-4, 1e-5)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        result = gradcheck(seed=seed, eps=1e-4, tol=1e-5)
+        result = gradcheck(seed=seed)
         assert result.passed, result.summary()
         worst = max(worst, result.max_error)
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -111,12 +112,23 @@ def test_full_workflow(tmp_path):
 @pytest.mark.parametrize("flag, value, named", [
     ("--grid", "3", "grid side 3"), ("--grid", "6", "grid side 6 must be at least 7"),
     ("--feature-grid", "0", "feature grid side 0"),
-    ("--seed", "-5", "seed must be >= 0"), ("--delta", "nan", "delta must be finite"),
-    ("--sigma", "inf", "sigma must be finite")])
+    ("--seed", "-5", "seed must be >= 0")])
 def test_bad_synth_flag_exits_one(tmp_path, capsys, flag, value, named):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), flag, value]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--instances", "3"), ("synth", "--delta", "1"), ("synth", "--sigma", "0"),
+    ("gradcheck", "--eps", "1e-4"), ("gradcheck", "--tol", "1")])
+def test_generator_and_contract_constants_are_not_flags(tmp_path, capsys, command, flag,
+                                                          value):
+    out = tmp_path / "data"
+    where = ["--out", str(out)] if command == "synth" else []
+    assert main([command, *where, flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -164,9 +176,10 @@ def test_output_tree_same_at_one_and_two_blas_threads(tmp_path):
         assert f"  {name}\n" in one
 
 
-def test_failed_gradcheck_exits_two(capsys):
+def test_failed_gradcheck_exits_two(capsys, monkeypatch):
     # an unreachable tolerance turns the pass report into a numeric failure
-    assert main(["gradcheck", "--tol", "1e-12"]) == 2
+    monkeypatch.setattr("povseg.grad.GRADCHECK_TOL", 1e-12)
+    assert main(["gradcheck"]) == 2
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -196,7 +209,15 @@ def test_non_finite_state_file_exits_one(tmp_path, capsys):
     assert str(state_path) in err and "t_per" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def main_without_warnings(argv):
+    """``main(argv)``, failing if it raised any warning: povseg's message stands alone."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 @pytest.mark.parametrize("command", ["eval", "concat-eval"])
 def test_overflowing_forward_exits_two_without_a_report(tmp_path, capsys, command):
     data = tmp_path / "data"
@@ -207,21 +228,20 @@ def test_overflowing_forward_exits_two_without_a_report(tmp_path, capsys, comman
     state.t_per *= 1e308  # finite, so it loads, but S = tau T Z^T overflows
     save_state(state, state_path)
     report = tmp_path / "r.tsv"
-    code = main([command, "--data", str(data), "--state", str(state_path),
-                 "--report", str(report)])
+    code = main_without_warnings([command, "--data", str(data), "--state", str(state_path),
+                                  "--report", str(report)])
     assert code == 2
     err = capsys.readouterr().err
     assert "povseg: numeric error: sample 0: non-finite value at stage 'forward'" in err
     assert not report.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_last_update_exits_two_without_a_state(tmp_path, capsys):
     data = tmp_path / "data"
     out = tmp_path / "s.povp"
     main(["synth", "--out", str(data), *FAST_SYNTH])
-    code = main(["personalize", "--data", str(data), "--out", str(out),
-                 "--alpha", "0", "--iters", "1", "--lr", "1e308"])
+    code = main_without_warnings(["personalize", "--data", str(data), "--out", str(out),
+                                  "--alpha", "0", "--iters", "1", "--lr", "1e308"])
     assert code == 2
     err = capsys.readouterr().err
     assert "povseg: numeric error: step 0: non-finite value at stage 'update'" in err
@@ -415,6 +435,47 @@ def test_output_naming_a_directory_exits_one(bench_dir, tmp_path, capsys):
     assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
+def test_trace_naming_a_directory_exits_one_before_training(bench_dir, tmp_path, capsys,
+                                                            monkeypatch):
+    def refuse(args):
+        raise AssertionError("the dataset was read before the trace path was checked")
+
+    monkeypatch.setattr("povseg.cli._manifest", refuse)
+    out = tmp_path / "s.povp"
+    trace = tmp_path / "s.povp.trace"
+    trace.mkdir()
+    code = main(["personalize", "--data", str(bench_dir), "--out", str(out), *FAST_TRAIN])
+    assert code == 1
+    assert f"cannot write {trace}: it is a directory" in capsys.readouterr().err
+    assert not out.exists() and not any(trace.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["povs", "povp"])
+def test_header_size_beyond_the_file_exits_one_without_a_traceback(tmp_path, kind):
+    data = tmp_path / "data"
+    state_path = tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state_path), "--iters", "1"])
+    if kind == "povs":  # a 2^32-1 x 2^32-1 feature grid: no machine can allocate it
+        path = load_manifest(data / "manifest.tsv").split("test")[0].snapshot
+        header, sizes = _SNAPSHOT_HEADER, {8: 2**32 - 1, 9: 2**32 - 1}  # hf, wf
+    else:  # d = 2^31: 16 GiB for t_per alone
+        path, header, sizes = state_path, _STATE_HEADER, {3: 2**31}  # d
+    blob = bytearray(path.read_bytes())
+    fields = list(header.unpack_from(blob))
+    for index, size in sizes.items():
+        fields[index] = size
+    header.pack_into(blob, 0, *fields)
+    path.write_bytes(bytes(blob))
+    done = subprocess.run(
+        [sys.executable, "-m", "povseg.cli", "eval", "--data", str(data),
+         "--state", str(state_path), "--report", str(tmp_path / "r.tsv")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"povseg: validation error: {path}: needed ")
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("dim", ["V", "H", "W"])
 def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
     data = tmp_path / "data"
@@ -526,9 +587,7 @@ def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "s.povp").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"),
-                                        ("--eps", "inf"), ("--tol", "nan"),
-                                        ("--tol", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [("--seed", "-1")])
 def test_bad_gradcheck_flag_exits_one(capsys, flag, value):
     assert main(["gradcheck", flag, value]) == 1
     assert f"gradcheck {flag[2:]} must be" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import gc
 import os
 import re
 import struct
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -18,6 +19,7 @@ from povseg.errors import (
 from povseg.grad import random_instance
 from povseg.personalize import _STATE_HEADER, load_state, save_state
 from povseg.snapshot import (
+    _FLAG_FEATURES,
     _HEADER,
     FrozenSnapshot,
     _load_z_open,
@@ -234,6 +236,46 @@ def test_magic_and_version_checked(tmp_path, save, load, other):
     other(path)  # the other format's file
     with pytest.raises(BadMagicError, match=f"^{named}: bad magic"):
         load(path)
+
+
+HUGE = 2**32 - 1  # the largest size a header field holds
+
+
+def _oversized_povs(path):
+    """A POVS whose feature grid claims HUGE x HUGE: more than numpy can allocate."""
+    _saved_povs(path)
+    blob = path.read_bytes()
+    fields = list(_HEADER.unpack_from(blob))
+    fields[2] |= _FLAG_FEATURES
+    fields[8] = fields[9] = HUGE  # hf, wf
+    path.write_bytes(_HEADER.pack(*fields) + blob[_HEADER.size:])
+
+
+def _oversized_povp(path):
+    """A POVP whose embedding dim claims HUGE: 32 GiB for t_per alone."""
+    _saved_povp(path)
+    blob = path.read_bytes()
+    fields = list(_STATE_HEADER.unpack_from(blob))
+    fields[3] = HUGE  # d
+    path.write_bytes(_STATE_HEADER.pack(*fields) + blob[_STATE_HEADER.size:])
+
+
+@pytest.mark.parametrize("write, load", [
+    (_oversized_povs, load_snapshot),
+    (_oversized_povp, load_state),
+], ids=["povs", "povp"])
+def test_header_size_beyond_the_file_refused_before_allocating(tmp_path, write, load):
+    path = tmp_path / "file"
+    write(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match=re.escape(str(path))):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A machine that could allocate the header's size would have, and shown it here.
+    assert peak < 1 << 24
 
 
 def _spliced(blob, offset, data):
@@ -517,8 +559,7 @@ CORRUPTION_BYTES = (0x00, 0x01, 0x09, 0x0A, 0x0D, 0x20, 0x2D, 0x2F, 0x30, 0x31,
 
 
 def test_single_byte_corruption_loads_or_raises_format_error(tmp_path):
-    config = SynthConfig(v=6, d=10, n=4, h=8, hf=4,
-                         instances_per_class=2, k_train=2, n_test_pos=1,
+    config = SynthConfig(v=6, d=10, n=4, h=8, hf=4, k_train=2, n_test_pos=1,
                          n_test_neg=1)
     manifest_path = generate(config, tmp_path)
     mask_path = load_manifest(manifest_path).split("train")[0].mask

@@ -12,6 +12,7 @@ from povseg.personalize import TrainConfig
 from povseg.snapshot import Sample, load_manifest, load_samples, load_snapshot
 from povseg.synthbench import (
     BANK_REACH,
+    INSTANCES_PER_CLASS,
     SynthConfig,
     _blob,
     _paint,
@@ -98,13 +99,14 @@ def full_plane_paint(plane, cy, cx, ry, rx, amp=1.0):
     plane[...] = amp * full_blob(*plane.shape, cy, cx, ry, rx)
 
 
-@pytest.mark.parametrize("scale", [
-    {},
-    dict(h=7, hf=7),
-    dict(v=150, d=512, n=100, h=128, hf=32),
-    dict(v=9, n=5, h=37, hf=11, instances_per_class=3),
+@pytest.mark.parametrize("scale, instances", [
+    ({}, INSTANCES_PER_CLASS),
+    (dict(h=7, hf=7), INSTANCES_PER_CLASS),
+    (dict(v=150, d=512, n=100, h=128, hf=32), INSTANCES_PER_CLASS),
+    (dict(v=9, n=5, h=37, hf=11), 3),
 ], ids=["desk", "grid7", "backbone", "odd"])
-def test_generate_matches_full_plane_painter(tmp_path, monkeypatch, scale):
+def test_generate_matches_full_plane_painter(tmp_path, monkeypatch, scale, instances):
+    monkeypatch.setattr("povseg.synthbench.INSTANCES_PER_CLASS", instances)
     for seed in range(3):
         config = SynthConfig(seed=seed, k_train=2, n_test_pos=1, n_test_neg=1, **scale)
         generate(config, tmp_path / f"box{seed}")
@@ -172,16 +174,17 @@ def test_personal_direction_placement(tmp_path):
     assert 0 < slot < cfg.n
 
 
-def test_degenerate_config_has_no_instance_information(tmp_path):
-    config = SynthConfig(delta=0.0, sigma=0.0, **SMALL)
-    generate(config, tmp_path)
+def test_degenerate_config_has_no_instance_information(tmp_path, monkeypatch):
+    monkeypatch.setattr("povseg.synthbench.DELTA", 0.0)
+    monkeypatch.setattr("povseg.synthbench.SIGMA", 0.0)
+    generate(SynthConfig(**SMALL), tmp_path)
     meta = read_meta(tmp_path)
     # reconstruct the fine directions via the defender texts: with delta = 0
     # all group texts collapse onto the coarse direction, and object
     # embeddings carry no instance component at all
     snaps = [load_snapshot(tmp_path / row["file"]) for row in meta]
     texts = snaps[0].t_open
-    group_rows = texts[1:config.instances_per_class + 1]
+    group_rows = texts[1:INSTANCES_PER_CLASS + 1]
     assert np.allclose(group_rows, group_rows[0], atol=1e-12)
 
 
@@ -196,8 +199,6 @@ def test_infeasible_configs_rejected(tmp_path):
         generate(SynthConfig(k_train=0), tmp_path)
     with pytest.raises(InvariantError):
         generate(SynthConfig(hf=64), tmp_path)
-    with pytest.raises(InvariantError):
-        generate(SynthConfig(instances_per_class=1), tmp_path)
 
 
 @pytest.mark.parametrize("h, hf, message", [
