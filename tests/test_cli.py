@@ -121,13 +121,11 @@ def test_bad_synth_flag_exits_one(tmp_path, capsys, flag, value, named):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("synth", "--instances", "3"), ("synth", "--delta", "1"), ("synth", "--sigma", "0"),
-    ("gradcheck", "--eps", "1e-4"), ("gradcheck", "--tol", "1")])
+    ("synth", "--instances", "3"), ("synth", "--delta", "1"), ("synth", "--sigma", "0")])
 def test_generator_and_contract_constants_are_not_flags(tmp_path, capsys, command, flag,
                                                           value):
     out = tmp_path / "data"
-    where = ["--out", str(out)] if command == "synth" else []
-    assert main([command, *where, flag, value]) == 1
+    assert main([command, "--out", str(out), flag, value]) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -587,10 +585,16 @@ def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "s.povp").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "0"), ("--eps", "inf"), ("--eps", "nan"), ("--seed", "-1"),
+    ("--tol", "0"), ("--tol", "nan")])
 def test_bad_gradcheck_flag_exits_one(capsys, flag, value):
+    # The contract's step and tolerance are grad.GRADCHECK_EPS and GRADCHECK_TOL, not
+    # flags, so any --eps or --tol is rejected as an unknown argument.
     assert main(["gradcheck", flag, value]) == 1
-    assert f"gradcheck {flag[2:]} must be" in capsys.readouterr().err
+    named = (f"gradcheck {flag[2:]} must be" if flag == "--seed"
+             else f"unrecognized arguments: {flag} {value}")
+    assert named in capsys.readouterr().err
 
 
 def test_personalize_defaults_are_train_config():
