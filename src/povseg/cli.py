@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import gradcheck
-from .losses import LossWeights
+from .losses import TERMS, LossWeights
 from .metrics import MetricsReport, evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
 from .snapshot import Manifest, load_manifest, load_samples
@@ -70,9 +70,7 @@ def _check_out_dir(path: str) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    weights = LossWeights(dice=args.lambda_dice, bce=args.lambda_bce,
-                          cls=args.lambda_cls, neg_z=args.lambda_negz,
-                          neg_m=args.lambda_negm)
+    weights = LossWeights(**{name: getattr(args, "lambda_" + name) for name in TERMS})
     return TrainConfig(learning_rate=args.lr, iterations=args.iters,
                        alpha=args.alpha, weights=weights)
 
@@ -81,11 +79,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--iters", type=int, default=TrainConfig.iterations)
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
-    p.add_argument("--lambda-dice", type=float, default=LossWeights.dice)
-    p.add_argument("--lambda-bce", type=float, default=LossWeights.bce)
-    p.add_argument("--lambda-cls", type=float, default=LossWeights.cls)
-    p.add_argument("--lambda-negz", type=float, default=LossWeights.neg_z)
-    p.add_argument("--lambda-negm", type=float, default=LossWeights.neg_m)
+    for name in TERMS:  # --lambda-negz weights neg_z
+        p.add_argument("--lambda-" + name.replace("_", ""), dest="lambda_" + name,
+                       type=float, default=getattr(LossWeights, name))
 
 
 def _cmd_synth(args) -> int:
@@ -103,8 +99,8 @@ def _cmd_synth(args) -> int:
 def _cmd_personalize(args) -> int:
     config = _train_config(args)
     config.validate()
+    _check_out_file(args.out)  # before with_suffix, which refuses "." and "/"
     trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
-    _check_out_file(args.out)
     _check_out_file(trace_path)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = _manifest(args)
@@ -208,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--state")
     source.add_argument("--frozen-only", action="store_true")
     p.add_argument("--per-image", action="store_true",
-                   help="average per-image metrics instead of aggregating counts")
+                   help="average per-image metrics; a negative image scores 0 on "
+                        "iou_per, precision_per and recall_per whatever it predicts")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="Analytic vs finite-difference gradients")
@@ -242,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvariantError, FormatError, FileNotFoundError) as exc:
+    except (InvariantError, FormatError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:  # outputs were checked first: this is an input
         print(f"povseg: validation error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteError as exc:

@@ -8,13 +8,13 @@ branch of the negative mask. Each loss term returns its own derivative
 re-evaluates the loss with central differences and is the contract
 ``backward`` is checked against.
 
-Only (t_per, w_z, w_m, b_m) receive gradients; every frozen tensor is left
-untouched.
+Only the state's ``TRAINED`` fields receive gradients; every frozen tensor is
+left untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,10 +31,14 @@ GRADCHECK_TOL = 1e-5
 
 @dataclass
 class Gradients:
-    g_t_per: np.ndarray
-    g_w_z: np.ndarray
-    g_w_m: np.ndarray
-    g_b_m: float
+    """dL/d of each trained ``PersonalState`` field; init sets every other one."""
+    t_per: np.ndarray
+    w_z: np.ndarray
+    w_m: np.ndarray
+    b_m: float
+
+
+TRAINED = tuple(f.name for f in fields(Gradients))
 
 
 def _composition_row(cache: ForwardCache, scale: np.ndarray) -> np.ndarray:
@@ -57,7 +61,7 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     cache = build_forward(snapshot, state)  # checks S, C and m_neg
     check_finite("forward", cache.q_per)
     breakdown, gq_per, gc_j, gm_loss = total_loss(cache, gt, weights)
-    check_finite("loss", np.array([breakdown.total]))
+    check_finite("loss", breakdown.total)
     check_finite("loss-to-q", gq_per)
     k, j = cache.k, cache.j
 
@@ -83,23 +87,20 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     g_z_neg = None if j is None else tau * (gs[:, j] @ cache.t_full)
     check_finite("similarity", g_t_eff, g_z_neg)
 
-    g_t_per = (1.0 - state.alpha) * g_t_eff
+    g_per = (1.0 - state.alpha) * g_t_eff
 
     if j is not None:
-        g_w_z = snapshot.z_open @ g_z_neg
         gm_neg = scale * (cache.c[k, j] - cache.q_per)
         gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
-        g_w_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)  # einsum: see _composition_row
-        g_b_m = float(ga.sum())
+        g_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)  # einsum: see _composition_row
+        grads = Gradients(t_per=g_per, w_z=snapshot.z_open @ g_z_neg, w_m=g_m,
+                          b_m=float(ga.sum()))
     else:
-        g_w_z = np.zeros_like(state.w_z)
-        g_w_m = np.zeros_like(state.w_m)
-        g_b_m = 0.0
-    check_finite("negative-branch", g_t_per, g_w_z, g_w_m, np.array([g_b_m]))
-
-    return breakdown, Gradients(g_t_per=g_t_per, g_w_z=g_w_z, g_w_m=g_w_m,
-                                g_b_m=g_b_m)
+        grads = Gradients(t_per=g_per, w_z=np.zeros_like(state.w_z),
+                          w_m=np.zeros_like(state.w_m), b_m=0.0)
+    check_finite("negative-branch", *(getattr(grads, name) for name in TRAINED))
+    return breakdown, grads
 
 
 def _loss_at(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
@@ -111,42 +112,33 @@ def finite_diff(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
                 weights: LossWeights, eps: float = GRADCHECK_EPS) -> Gradients:
     """Central-difference gradients, one coordinate at a time."""
 
-    def probe(**kw) -> float:
-        return _loss_at(snapshot, replace(state, **kw), gt, weights)
+    def central(name: str) -> np.ndarray | float:
+        base = np.asarray(getattr(state, name), dtype=np.float64)
 
-    def central(base: np.ndarray, key: str) -> np.ndarray:
+        def probe(i: tuple, step: float) -> float:
+            shifted = base.copy()
+            shifted[i] += step
+            # shifted[()] is the array itself, or a 0-d one's scalar.
+            return _loss_at(snapshot, replace(state, **{name: shifted[()]}), gt, weights)
+
         out = np.zeros_like(base)
-        for i in range(base.size):
-            shifted = base.copy().reshape(-1)
-            shifted[i] = base.reshape(-1)[i] + eps
-            hi = probe(**{key: shifted.reshape(base.shape)})
-            shifted[i] = base.reshape(-1)[i] - eps
-            lo = probe(**{key: shifted.reshape(base.shape)})
-            out.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
-        return out
+        for i in np.ndindex(base.shape):  # a 0-d b_m yields the one index ()
+            out[i] = (probe(i, eps) - probe(i, -eps)) / (2.0 * eps)
+        return out[()]
 
-    g_b = (probe(b_m=state.b_m + eps) - probe(b_m=state.b_m - eps)) / (2.0 * eps)
-    return Gradients(g_t_per=central(state.t_per, "t_per"),
-                     g_w_z=central(state.w_z, "w_z"),
-                     g_w_m=central(state.w_m, "w_m"),
-                     g_b_m=float(g_b))
+    return Gradients(**{name: central(name) for name in TRAINED})
 
 
 def relative_errors(analytic: Gradients, numeric: Gradients) -> dict[str, float]:
     """Per-parameter max of |a - f| / max(|a|, |f|, 1e-8)."""
 
-    def err(a, f) -> float:
-        a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-        f = np.atleast_1d(np.asarray(f, dtype=np.float64))
+    def err(name: str) -> float:
+        a = np.asarray(getattr(analytic, name), dtype=np.float64)
+        f = np.asarray(getattr(numeric, name), dtype=np.float64)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
         return float((np.abs(a - f) / denom).max())
 
-    return {
-        "t_per": err(analytic.g_t_per, numeric.g_t_per),
-        "w_z": err(analytic.g_w_z, numeric.g_w_z),
-        "w_m": err(analytic.g_w_m, numeric.g_w_m),
-        "b_m": err(analytic.g_b_m, numeric.g_b_m),
-    }
+    return {name: err(name) for name in TRAINED}
 
 
 def random_instance(seed: int, v: int = 5, d: int = 8, n: int = 6,

@@ -95,7 +95,7 @@ class ForwardCache:
 
 
 def check_finite(stage: str, *arrays) -> None:
-    """Raise ``NonFiniteError(stage)`` if any array that is not None holds NaN or inf."""
+    """Raise ``NonFiniteError(stage)`` if an array or scalar, not None, holds NaN or inf."""
     for arr in arrays:
         if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteError(stage)

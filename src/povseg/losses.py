@@ -12,7 +12,7 @@ to its input; a clamped entry passes no gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +32,15 @@ class LossWeights:
     neg_m: float = 500.0
 
     def validate(self) -> None:
-        for name in ("dice", "bce", "cls", "neg_z", "neg_m"):
+        for name in TERMS:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise InvariantError(f"loss weight {name} must be finite and nonnegative, "
                                      f"got {value}")
+
+
+# The weighted loss terms, in the order total_loss adds them.
+TERMS = tuple(f.name for f in fields(LossWeights))
 
 
 @dataclass
@@ -129,7 +133,8 @@ def total_loss(cache: ForwardCache, gt: np.ndarray, weights: LossWeights
     else:
         neg_z = neg_m = 0.0
         g_c_j = g_m_neg = None
-    total = (weights.dice * dice + weights.bce * bce + weights.cls * cls
-             + weights.neg_z * neg_z + weights.neg_m * neg_m)
-    return (LossBreakdown(dice=dice, bce=bce, cls=cls, neg_z=neg_z, neg_m=neg_m,
-                          total=total), g_q_per, g_c_j, g_m_neg)
+    breakdown = LossBreakdown(dice=dice, bce=bce, cls=cls, neg_z=neg_z, neg_m=neg_m,
+                              total=0.0)
+    for name in TERMS:  # left to right; 0.0 + the first product is that product
+        breakdown.total += getattr(weights, name) * getattr(breakdown, name)
+    return breakdown, g_q_per, g_c_j, g_m_neg

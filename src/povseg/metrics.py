@@ -110,7 +110,8 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     class-name proxy when the vocabulary contains ``personal_class_name``).
     ``per_image`` averages scalar metrics over images instead of aggregating
     counts. A non-finite forward pass raises ``NonFiniteError`` naming the
-    sample's position, so no metric is reported from it.
+    sample's position, so no metric is reported from it; a state that does not
+    fit a sample raises ``InvariantError`` naming its snapshot file.
     """
     vocab_names = None
     scalars = []
@@ -135,6 +136,9 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
                     build_forward(snap, state, sample.partner_z))
             except NonFiniteError as exc:
                 raise NonFiniteError(exc.stage, f"sample {idx}: {exc}") from exc
+            except InvariantError as exc:  # e.g. a state trained on another V or D
+                where = sample.snapshot_path or f"sample {idx}"
+                raise InvariantError(f"{where}: {exc}") from exc
             if sample.polarity == "positive":
                 if sample.personal_mask is None:
                     raise InvariantError(f"positive sample {idx} lacks a personal mask")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvariantError, NonFiniteError
-from .grad import backward
+from .grad import TRAINED, backward
 from .head import PersonalState, check_finite
 from .losses import LossWeights
 from .snapshot import FrozenSnapshot, Sample, _Reader, _write, downsample_mask
@@ -126,12 +126,10 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
                 breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
                                             config.weights)
                 trace.append(breakdown.total)
-                state.t_per = state.t_per - lr * grads.g_t_per
-                state.w_z = state.w_z - lr * grads.g_w_z
-                state.w_m = state.w_m - lr * grads.g_w_m
-                state.b_m = state.b_m - lr * grads.g_b_m
+                for name in TRAINED:
+                    setattr(state, name, getattr(state, name) - lr * getattr(grads, name))
                 # The next step's forward would catch an overflow, but not the last one.
-                check_finite("update", state.t_per, state.w_z, state.w_m, state.b_m)
+                check_finite("update", *(getattr(state, name) for name in TRAINED))
             except NonFiniteError as exc:
                 raise NonFiniteError(exc.stage, f"step {step}: {exc}") from exc
     return state, trace

@@ -446,6 +446,7 @@ class Sample:
     polarity: str                      # "positive" | "negative"
     partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
     mask_path: Path | None = None        # the file personal_mask was read from
+    snapshot_path: Path | None = None    # the file snapshot was read from
 
 
 def load_sample(entry: ManifestEntry) -> Sample:
@@ -453,7 +454,7 @@ def load_sample(entry: ManifestEntry) -> Sample:
     snap = load_snapshot(entry.snapshot)
     mask = None if entry.mask is None else load_mask(entry.mask, *snap.grid_shape)
     return Sample(snapshot=snap, personal_mask=mask, polarity=entry.polarity,
-                  mask_path=entry.mask)
+                  mask_path=entry.mask, snapshot_path=entry.snapshot)
 
 
 def load_samples(manifest: Manifest, split: str) -> list[Sample]:

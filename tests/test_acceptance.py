@@ -104,8 +104,8 @@ def test_criterion_2_loss_minimizer_properties():
     lr = 5.0
     for _ in range(500):
         _, grads = backward(snapshot, state, gt, weights)
-        state.w_z = state.w_z - lr * grads.g_w_z
-        state.t_per = state.t_per - lr * grads.g_t_per
+        state.w_z = state.w_z - lr * grads.w_z
+        state.t_per = state.t_per - lr * grads.t_per
     cache = build_forward(snapshot, state)
     breakdown = total_loss(cache, gt, weights)[0]
     v_np = snapshot.vocab_size
@@ -130,8 +130,8 @@ def test_criterion_2_loss_minimizer_properties():
     weights2 = LossWeights(0, 0, 0, 0, 1.0)
     for _ in range(500):
         _, grads = backward(snapshot2, state2, gt2, weights2)
-        state2.w_m = state2.w_m - lr * grads.g_w_m
-        state2.b_m = state2.b_m - lr * grads.g_b_m
+        state2.w_m = state2.w_m - lr * grads.w_m
+        state2.b_m = state2.b_m - lr * grads.b_m
     final = total_loss(build_forward(snapshot2, state2), gt2, weights2)[0]
     assert final.neg_m < 0.05
     report(f"criterion 2: neg_z gap {gap:.2e} <= 1e-3, personal column mass "

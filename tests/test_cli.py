@@ -433,6 +433,51 @@ def test_output_naming_a_directory_exits_one(bench_dir, tmp_path, capsys):
     assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [".", "/"])
+def test_personalize_out_naming_cwd_or_root_exits_one(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    code = main(["personalize", "--data", "missing", "--out", out, *FAST_TRAIN])
+    assert code == 1
+    assert f"cannot write {out}: it is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--state", "{dir}", "--report", "r.tsv"], "Is a directory"),
+    (["eval", "--data", "{file}", "--frozen-only", "--report", "r.tsv"], "Not a directory"),
+    (["personalize", "--data", "{file}", "--out", "s.povp", *FAST_TRAIN], "Not a directory"),
+], ids=["eval_state_dir", "eval_data_file", "personalize_data_file"])
+def test_input_path_of_the_wrong_kind_exits_one(bench_dir, tmp_path, capsys, monkeypatch,
+                                                argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("kept\n")
+    (tmp_path / "folder").mkdir()
+    argv = [a.format(dir="folder", file="taken") for a in argv]
+    if "--data" not in argv:
+        argv += ["--data", str(bench_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "povseg: validation error" in err and error in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
+
+
+@pytest.mark.parametrize("command", ["eval", "concat-eval"])
+def test_state_from_another_vocabulary_names_the_snapshot(tmp_path, capsys, command):
+    data, other, state_path = tmp_path / "data", tmp_path / "v17", tmp_path / "s.povp"
+    assert main(["synth", "--out", str(data), *FAST_SYNTH]) == 0
+    assert main(["synth", "--out", str(other), "--vocab", "17", *FAST_SYNTH]) == 0
+    assert main(["personalize", "--data", str(other), "--out", str(state_path),
+                 "--iters", "1"]) == 0
+    capsys.readouterr()
+    code = main([command, "--data", str(data), "--state", str(state_path),
+                 "--report", str(tmp_path / "r.tsv")])
+    assert code == 1
+    snapshot = data / "snapshots" / "test_positive_000.povs"
+    assert (f"povseg: validation error: {snapshot}: personal index 17 != vocabulary size 16"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_trace_naming_a_directory_exits_one_before_training(bench_dir, tmp_path, capsys,
                                                             monkeypatch):
     def refuse(args):

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,33 +10,59 @@ from output_tree import child_env
 import povseg.grad as grad_mod
 from povseg.errors import NonFiniteError
 from povseg.grad import (
-    Gradients,
+    TRAINED,
     backward,
     finite_diff,
     gradcheck,
     random_instance,
     relative_errors,
 )
-from povseg.head import COVERAGE_EPS, build_forward, build_frozen_forward, decode
-from povseg.losses import LossWeights, total_loss
+from povseg.head import (
+    COVERAGE_EPS,
+    PersonalState,
+    build_forward,
+    build_frozen_forward,
+    decode,
+)
+from povseg.losses import TERMS, LossBreakdown, LossWeights, total_loss
 from povseg.metrics import evaluate_samples
+from povseg.personalize import TrainConfig, run_personalization
 from povseg.snapshot import FrozenSnapshot, Sample
+
+
+def test_trained_and_term_lists_are_dataclass_fields():
+    """A step moves exactly TRAINED; LossWeights weighs, and LossBreakdown reports, TERMS."""
+    assert set(TRAINED) <= {f.name for f in fields(PersonalState)}
+    snapshot, _, gt, _ = random_instance(0)
+    features = np.random.default_rng(0).normal(size=(4, 4, snapshot.embed_dim))
+    samples = [Sample(replace(snapshot, features=features), gt, "positive")]
+    config = TrainConfig(iterations=1)
+    init = snapshot.t_open.mean(axis=0)
+    one, _ = run_personalization(samples, config, init)
+    two, _ = run_personalization(samples, replace(config, iterations=2), init)
+    assert one.f_per is not None and one.alpha == config.alpha  # set at init
+    changed = {f.name for f in fields(PersonalState)
+               if not np.array_equal(getattr(one, f.name), getattr(two, f.name))}
+    assert changed == set(TRAINED)
+
+    assert TERMS == tuple(f.name for f in fields(LossWeights))
+    assert tuple(f.name for f in fields(LossBreakdown)) == TERMS + ("total",)
 
 
 def test_zero_weights_zero_gradients():
     snapshot, state, gt, _ = random_instance(0)
     _, grads = backward(snapshot, state, gt, LossWeights(0, 0, 0, 0, 0))
-    assert not grads.g_t_per.any()
-    assert not grads.g_w_z.any()
-    assert not grads.g_w_m.any()
-    assert grads.g_b_m == 0.0
+    assert not grads.t_per.any()
+    assert not grads.w_z.any()
+    assert not grads.w_m.any()
+    assert grads.b_m == 0.0
 
 
 def test_alpha_one_kills_text_gradient():
     snapshot, state, gt, weights = random_instance(0)
     state.alpha = 1.0
     _, grads = backward(snapshot, state, gt, weights)
-    np.testing.assert_array_equal(grads.g_t_per, np.zeros_like(state.t_per))
+    np.testing.assert_array_equal(grads.t_per, np.zeros_like(state.t_per))
 
 
 def test_text_gradient_scales_with_one_minus_alpha():
@@ -48,7 +74,7 @@ def test_text_gradient_scales_with_one_minus_alpha():
     _, g0 = backward(snapshot, state, gt, weights)
     state.alpha = 0.4
     _, g4 = backward(snapshot, state, gt, weights)
-    np.testing.assert_allclose(g4.g_t_per, 0.6 * g0.g_t_per, rtol=1e-12)
+    np.testing.assert_allclose(g4.t_per, 0.6 * g0.t_per, rtol=1e-12)
 
 
 def test_backward_matches_finite_differences():
@@ -65,7 +91,7 @@ def test_backward_matches_fd_without_negative_branch():
     _, analytic = backward(snapshot, state, gt, weights)
     numeric = finite_diff(snapshot, state, gt, weights, eps=1e-4)
     assert max(relative_errors(analytic, numeric).values()) <= 1e-5
-    assert not analytic.g_w_z.any() and not analytic.g_w_m.any()
+    assert not analytic.w_z.any() and not analytic.w_m.any()
 
 
 _GRADIENT_BYTES = """
@@ -155,10 +181,10 @@ def test_finite_diff_quadratic_stub(monkeypatch):
     monkeypatch.setattr(grad_mod, "_loss_at", quadratic)
     snapshot, state, gt, weights = random_instance(2)
     grads = finite_diff(snapshot, state, gt, weights, eps=1e-4)
-    np.testing.assert_allclose(grads.g_t_per, 2 * state.t_per, atol=1e-8)
-    np.testing.assert_allclose(grads.g_w_z, 2 * state.w_z, atol=1e-8)
-    np.testing.assert_allclose(grads.g_w_m, 2 * state.w_m, atol=1e-8)
-    assert grads.g_b_m == pytest.approx(2 * state.b_m, abs=1e-8)
+    np.testing.assert_allclose(grads.t_per, 2 * state.t_per, atol=1e-8)
+    np.testing.assert_allclose(grads.w_z, 2 * state.w_z, atol=1e-8)
+    np.testing.assert_allclose(grads.w_m, 2 * state.w_m, atol=1e-8)
+    assert grads.b_m == pytest.approx(2 * state.b_m, abs=1e-8)
 
 
 def test_finite_diff_richardson_consistency():
@@ -171,13 +197,13 @@ def test_finite_diff_richardson_consistency():
 def test_finite_diff_constant_loss_is_zero():
     snapshot, state, gt, _ = random_instance(6)
     grads = finite_diff(snapshot, state, gt, LossWeights(0, 0, 0, 0, 0))
-    assert not grads.g_t_per.any() and grads.g_b_m == 0.0
+    assert not grads.t_per.any() and grads.b_m == 0.0
 
 
 def test_gradcheck_passes_and_reports():
     report = gradcheck(seed=0)
     assert report.passed
-    assert set(report.errors) == {"t_per", "w_z", "w_m", "b_m"}
+    assert tuple(report.errors) == TRAINED
     assert "PASS" in report.summary()
 
 
@@ -185,9 +211,7 @@ def test_corrupted_gradient_fails_check():
     snapshot, state, gt, weights = random_instance(0)
     _, analytic = backward(snapshot, state, gt, weights)
     numeric = finite_diff(snapshot, state, gt, weights)
-    corrupted = Gradients(g_t_per=analytic.g_t_per + 0.1,
-                          g_w_z=analytic.g_w_z, g_w_m=analytic.g_w_m,
-                          g_b_m=analytic.g_b_m)
+    corrupted = replace(analytic, t_per=analytic.t_per + 0.1)
     assert max(relative_errors(corrupted, numeric).values()) > 1e-5
 
 
@@ -239,8 +263,8 @@ def test_empty_proposal_changes_nothing(seed):
     loss, grads = backward(snapshot, state, gt, weights)
     padded_loss, padded_grads = backward(padded, padded_state, gt, weights)
     assert padded_loss.total == pytest.approx(loss.total, rel=1e-12, abs=0)
-    for field, rows in (("g_t_per", slice(None)), ("g_w_z", slice(n)),
-                        ("g_w_m", slice(n)), ("g_b_m", slice(None))):
+    for field, rows in (("t_per", slice(None)), ("w_z", slice(n)),
+                        ("w_m", slice(n)), ("b_m", slice(None))):
         np.testing.assert_allclose(np.atleast_1d(getattr(padded_grads, field))[rows],
                                    np.atleast_1d(getattr(grads, field)), rtol=1e-12)
 
@@ -256,8 +280,8 @@ def test_proposal_permutation_permutes_gradients(seed):
     p_loss, p_grads = backward(permuted, replace(state, w_z=state.w_z[perm],
                                                  w_m=state.w_m[perm]), gt, weights)
     assert p_loss.total == pytest.approx(loss.total, rel=1e-12, abs=0)
-    for field, order in (("g_t_per", slice(None)), ("g_w_z", perm),
-                         ("g_w_m", perm), ("g_b_m", slice(None))):
+    for field, order in (("t_per", slice(None)), ("w_z", perm),
+                         ("w_m", perm), ("b_m", slice(None))):
         np.testing.assert_allclose(np.atleast_1d(getattr(p_grads, field)),
                                    np.atleast_1d(getattr(grads, field))[order], rtol=1e-12)
 

@@ -191,10 +191,10 @@ def test_single_step_is_one_gradient_update():
     fresh = init_state(first.snapshot, init_vec, config)
     _, grads = backward(first.snapshot, fresh, first.personal_mask, config.weights)
     lr = config.learning_rate
-    np.testing.assert_array_equal(state.t_per, init_vec - lr * grads.g_t_per)
-    np.testing.assert_array_equal(state.w_z, -lr * grads.g_w_z)
-    np.testing.assert_array_equal(state.w_m, -lr * grads.g_w_m)
-    assert state.b_m == -lr * grads.g_b_m
+    np.testing.assert_array_equal(state.t_per, init_vec - lr * grads.t_per)
+    np.testing.assert_array_equal(state.w_z, -lr * grads.w_z)
+    np.testing.assert_array_equal(state.w_m, -lr * grads.w_m)
+    assert state.b_m == -lr * grads.b_m
 
 
 def test_determinism_bitwise():
