@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import gradcheck
-from .losses import TERMS, LossWeights
+from .losses import LossWeights
 from .metrics import MetricsReport, evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
 from .snapshot import Manifest, load_manifest, load_samples
@@ -70,7 +70,9 @@ def _check_out_dir(path: str) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    weights = LossWeights(**{name: getattr(args, "lambda_" + name) for name in TERMS})
+    weights = LossWeights(dice=args.lambda_dice, bce=args.lambda_bce,
+                          cls=args.lambda_cls, neg_z=args.lambda_negz,
+                          neg_m=args.lambda_negm)
     return TrainConfig(learning_rate=args.lr, iterations=args.iters,
                        alpha=args.alpha, weights=weights)
 
@@ -79,13 +81,18 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--iters", type=int, default=TrainConfig.iterations)
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
-    for name in TERMS:  # --lambda-negz weights neg_z
-        p.add_argument("--lambda-" + name.replace("_", ""), dest="lambda_" + name,
-                       type=float, default=getattr(LossWeights, name))
+    p.add_argument("--lambda-dice", type=float, default=LossWeights.dice)
+    p.add_argument("--lambda-bce", type=float, default=LossWeights.bce)
+    p.add_argument("--lambda-cls", type=float, default=LossWeights.cls)
+    p.add_argument("--lambda-negz", type=float, default=LossWeights.neg_z)
+    p.add_argument("--lambda-negm", type=float, default=LossWeights.neg_m)
 
 
 def _cmd_synth(args) -> int:
     _check_out_dir(args.out)
+    if Path(args.out).is_dir():  # generate writes these two last, after every snapshot
+        for name in ("manifest.tsv", "meta.tsv"):
+            _check_out_file(Path(args.out) / name)
     config = SynthConfig(v=args.vocab, d=args.dim, n=args.proposals,
                          h=args.grid, hf=args.feature_grid, k_train=args.k_train,
                          n_test_pos=args.test_pos, n_test_neg=args.test_neg,
@@ -118,6 +125,11 @@ def _write_report(report: MetricsReport, path: str) -> None:
           f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")
 
 
+def _write_table(table: str, path: str) -> None:
+    Path(path).write_text(table)
+    print(table, end="")
+
+
 def _cmd_eval(args) -> int:
     _check_out_file(args.report)
     _print_config("eval", {"data": args.data, "state": args.state,
@@ -140,10 +152,7 @@ def _cmd_ablate(args) -> int:
     _check_out_file(args.out)
     config = TrainConfig()
     _print_config("ablate", {"data": args.data, "out": args.out, **asdict(config)})
-    rows = run_ablation(_manifest(args), config)
-    table = format_ablation_table(rows)
-    Path(args.out).write_text(table)
-    print(table, end="")
+    _write_table(format_ablation_table(run_ablation(_manifest(args), config)), args.out)
     return 0
 
 
@@ -156,10 +165,7 @@ def _cmd_kshot(args) -> int:
     config = TrainConfig()
     _print_config("kshot", {"data": args.data, "k": k_list, "out": args.out,
                             **asdict(config)})
-    rows = run_kshot(_manifest(args), k_list, config)
-    table = format_kshot_table(rows)
-    Path(args.out).write_text(table)
-    print(table, end="")
+    _write_table(format_kshot_table(run_kshot(_manifest(args), k_list, config)), args.out)
     return 0
 
 
@@ -240,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InvariantError, FormatError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:  # outputs were checked first: this is an input
+            NotADirectoryError) as exc:  # mostly inputs: commands check outputs first
         print(f"povseg: validation error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteError as exc:

@@ -87,18 +87,14 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
     g_z_neg = None if j is None else tau * (gs[:, j] @ cache.t_full)
     check_finite("similarity", g_t_eff, g_z_neg)
 
-    g_per = (1.0 - state.alpha) * g_t_eff
-
+    grads = Gradients(t_per=(1.0 - state.alpha) * g_t_eff, w_z=np.zeros_like(state.w_z),
+                      w_m=np.zeros_like(state.w_m), b_m=0.0)
     if j is not None:
         gm_neg = scale * (cache.c[k, j] - cache.q_per)
         gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
         g_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)  # einsum: see _composition_row
-        grads = Gradients(t_per=g_per, w_z=snapshot.z_open @ g_z_neg, w_m=g_m,
-                          b_m=float(ga.sum()))
-    else:
-        grads = Gradients(t_per=g_per, w_z=np.zeros_like(state.w_z),
-                          w_m=np.zeros_like(state.w_m), b_m=0.0)
+        grads = replace(grads, w_z=snapshot.z_open @ g_z_neg, w_m=g_m, b_m=float(ga.sum()))
     check_finite("negative-branch", *(getattr(grads, name) for name in TRAINED))
     return breakdown, grads
 

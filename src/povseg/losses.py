@@ -133,8 +133,8 @@ def total_loss(cache: ForwardCache, gt: np.ndarray, weights: LossWeights
     else:
         neg_z = neg_m = 0.0
         g_c_j = g_m_neg = None
-    breakdown = LossBreakdown(dice=dice, bce=bce, cls=cls, neg_z=neg_z, neg_m=neg_m,
-                              total=0.0)
-    for name in TERMS:  # left to right; 0.0 + the first product is that product
-        breakdown.total += getattr(weights, name) * getattr(breakdown, name)
-    return breakdown, g_q_per, g_c_j, g_m_neg
+    terms = dict(dice=dice, bce=bce, cls=cls, neg_z=neg_z, neg_m=neg_m)
+    total = 0.0
+    for name in TERMS:  # plain left-to-right adds; sum() compensates from Python 3.12
+        total += getattr(weights, name) * terms[name]
+    return LossBreakdown(**terms, total=total), g_q_per, g_c_j, g_m_neg

@@ -109,9 +109,8 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     prediction. ``state=None`` evaluates the frozen baseline (with the
     class-name proxy when the vocabulary contains ``personal_class_name``).
     ``per_image`` averages scalar metrics over images instead of aggregating
-    counts. A non-finite forward pass raises ``NonFiniteError`` naming the
-    sample's position, so no metric is reported from it; a state that does not
-    fit a sample raises ``InvariantError`` naming its snapshot file.
+    counts. A sample whose forward pass is non-finite, or does not fit the
+    state, raises an error that names it, so no metric is reported from it.
     """
     vocab_names = None
     scalars = []

@@ -405,6 +405,15 @@ def test_synth_out_through_a_file_exits_one(tmp_path, capsys, sub):
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name", ["manifest.tsv", "meta.tsv"])
+def test_synth_listing_that_is_a_directory_exits_one_before_work(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert main(["synth", "--out", str(tmp_path), *FAST_SYNTH]) == 1
+    assert (f"cannot write {tmp_path / name}: it is a directory"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("argv", [
     ["personalize", *FAST_TRAIN],
     ["ablate"],
