@@ -8,6 +8,8 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -47,7 +49,11 @@ def _print_config(name: str, cfg: dict) -> None:
 
 
 def _manifest(args) -> Manifest:
-    return load_manifest(Path(args.data) / "manifest.tsv")
+    data = Path(args.data)
+    if not data.is_dir():  # name the path as typed, not <data>/manifest.tsv
+        code = errno.ENOTDIR if data.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.data)
+    return load_manifest(data / "manifest.tsv")
 
 
 def _check_out_file(path: str | Path) -> None:
@@ -105,7 +111,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_personalize(args) -> int:
     config = _train_config(args)
-    config.validate()
     _check_out_file(args.out)  # before with_suffix, which refuses "." and "/"
     trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace")
     _check_out_file(trace_path)

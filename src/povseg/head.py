@@ -37,7 +37,7 @@ from .snapshot import FrozenSnapshot
 COVERAGE_EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersonalState:
     """Trainable personalization parameters plus frozen injection vector."""
 
@@ -50,7 +50,7 @@ class PersonalState:
     f_per: np.ndarray | None = None   # (D,) frozen masked visual embedding
     negative_enabled: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.t_per.ndim != 1 or self.w_z.ndim != 1 or self.w_m.ndim != 1:
             raise InvariantError("state vectors must be 1-D")
         if self.w_z.shape != self.w_m.shape:
@@ -164,15 +164,15 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
                   partner_z: np.ndarray | None = None) -> ForwardCache:
     """Run the personalized pipeline for training and decoding: C, M and m_neg.
 
-    The only check of a state against a snapshot: the state must be valid,
-    match the embedding dimension, put its personal row at ``k = V`` and
-    carry exactly the snapshot's proposal count, ``len(state.w_z)``.
+    The only check of a state against a snapshot, each of which checked
+    itself when it was built: the state must match the embedding dimension,
+    put its personal row at ``k = V`` and carry exactly the snapshot's
+    proposal count, ``len(state.w_z)``.
 
     ``partner_z`` is the ``z_open`` of an image scored side by side with this
     one. The pair shares one negative column, the mean of ``w_z Z`` over both
     banks; every other column, and ``m_neg``, depends on this image alone.
     """
-    state.validate()
     if state.t_per.shape[0] != snapshot.embed_dim:
         raise InvariantError(
             f"state dim {state.t_per.shape[0]} != snapshot dim {snapshot.embed_dim}")

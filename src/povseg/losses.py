@@ -23,7 +23,7 @@ DICE_EPS = 1e-6
 PROB_CLAMP = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     dice: float = 1.0
     bce: float = 1.0
@@ -31,7 +31,7 @@ class LossWeights:
     neg_z: float = 0.1
     neg_m: float = 500.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in TERMS:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -116,8 +116,8 @@ def total_loss(cache: ForwardCache, gt: np.ndarray, weights: LossWeights
 
     Returns the breakdown and the derivatives of its total with respect to
     ``q_per``, column ``j`` of ``C`` and ``m_neg`` (the last two are None
-    without the negative branch). ``weights`` are taken as valid;
-    ``TrainConfig.validate`` checks them once per run.
+    without the negative branch). ``weights`` are valid: ``LossWeights``
+    checks its values when it is built.
     """
     if cache.k is None:
         raise InvariantError("total_loss needs a personalized forward pass")

@@ -120,7 +120,7 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
     # alive while the next item is read.
     with np.errstate(over="ignore", invalid="ignore"):
         for sample in samples:
-            idx = n_pos + n_neg
+            where = sample.snapshot_path or f"sample {n_pos + n_neg}"
             snap = sample.snapshot
             if vocab_names is None:
                 vocab_names = snap.vocab_names
@@ -128,26 +128,21 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
                 num_classes = k + 1
                 total = np.zeros((num_classes, num_classes), np.int64)
             elif snap.vocab_names != vocab_names:
-                raise InvariantError(f"sample {idx} vocabulary differs from sample 0")
+                raise InvariantError(f"{where} vocabulary differs from sample 0")
             try:
                 frozen = decode(build_frozen_forward(snap))
                 pred = None if state is None else decode(
                     build_forward(snap, state, sample.partner_z))
             except NonFiniteError as exc:
-                raise NonFiniteError(exc.stage, f"sample {idx}: {exc}") from exc
+                raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
             except InvariantError as exc:  # e.g. a state trained on another V or D
-                where = sample.snapshot_path or f"sample {idx}"
                 raise InvariantError(f"{where}: {exc}") from exc
             if sample.polarity == "positive":
-                if sample.personal_mask is None:
-                    raise InvariantError(f"positive sample {idx} lacks a personal mask")
                 gt = pseudo_label(frozen, sample.personal_mask, k)
                 n_pos += 1
-            elif sample.polarity == "negative":
+            else:
                 gt = frozen
                 n_neg += 1
-            else:
-                raise InvariantError(f"sample {idx}: unknown polarity {sample.polarity!r}")
             if pred is None:
                 pred = frozen
                 if personal_class_name in snap.vocab_names:

@@ -9,7 +9,7 @@ rerun reproduces the same trajectory bit for bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ _SFLAG_NEGATIVE = 0x02
 _STATE_HEADER = struct.Struct("<4sBB2IdI")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 5e-4
     iterations: int = 200
@@ -35,7 +35,7 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     negative_enabled: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.iterations < 1:
             raise InvariantError(f"iterations must be >= 1, got {self.iterations}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -43,7 +43,6 @@ class TrainConfig:
                 f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvariantError(f"alpha {self.alpha} outside [0, 1]")
-        self.weights.validate()
 
 
 def init_state(snapshot: FrozenSnapshot, init_vector: np.ndarray,
@@ -71,7 +70,8 @@ def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
     for idx, sample in enumerate(samples):
         features = sample.snapshot.features
         if features is None:
-            raise InvariantError(f"sample {idx} has no feature map")
+            where = sample.snapshot_path or f"sample {idx}"
+            raise InvariantError(f"{where} has no feature map")
         hf, wf, _ = features.shape
         small = downsample_mask(sample.personal_mask, hf, wf).astype(bool)
         if not small.any():
@@ -96,25 +96,21 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
     computed, and injected, only when ``config.alpha > 0``. Returns the final
     state and the per-step total-loss trace.
     """
-    config.validate()
     if not samples:
         raise InvariantError("empty training sample set")
     first = samples[0].snapshot
     for idx, sample in enumerate(samples):
-        snap, mask = sample.snapshot, sample.personal_mask
-        if sample.polarity != "positive" or mask is None:
+        snap = sample.snapshot
+        if sample.polarity != "positive":
             raise InvariantError(f"sample {idx} is not a positive with a mask")
         if (snap.vocab_size, snap.embed_dim, snap.num_proposals, snap.vocab_names) != (
                 first.vocab_size, first.embed_dim, first.num_proposals, first.vocab_names):
-            raise InvariantError(f"sample {idx} disagrees on (V, D, N) or vocabulary names")
-        if mask.shape != snap.grid_shape:
-            raise InvariantError(f"sample {idx}: mask shape {mask.shape} "
-                                 f"!= grid {snap.grid_shape}")
+            where = sample.snapshot_path or f"sample {idx}"
+            raise InvariantError(f"{where} disagrees on (V, D, N) or vocabulary names")
 
     state = init_state(first, init_vector, config)
     if config.alpha > 0:
-        state.f_per = compute_visual_embedding(samples)
-        state.alpha = config.alpha
+        state = replace(state, f_per=compute_visual_embedding(samples), alpha=config.alpha)
 
     trace: list[float] = []
     lr = config.learning_rate
@@ -126,8 +122,8 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
                 breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
                                             config.weights)
                 trace.append(breakdown.total)
-                for name in TRAINED:
-                    setattr(state, name, getattr(state, name) - lr * getattr(grads, name))
+                state = replace(state, **{name: getattr(state, name) - lr * getattr(grads, name)
+                                          for name in TRAINED})
                 # The next step's forward would catch an overflow, but not the last one.
                 check_finite("update", *(getattr(state, name) for name in TRAINED))
             except NonFiniteError as exc:
@@ -137,7 +133,6 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
 
 def save_state(state: PersonalState, path: str | Path) -> None:
     """Write a POVP state file (binary64 payload, little endian)."""
-    state.validate()
     flags = 0
     if state.f_per is not None:
         flags |= _SFLAG_VISUAL
@@ -160,10 +155,9 @@ def load_state(path: str | Path) -> PersonalState:
         b_m = float(rd.raw(1, "<f8")[0])
         f_per = rd.raw(d, "<f8") if flags & _SFLAG_VISUAL else None
         rd.finish()
-    for name, value in (("alpha", alpha), ("t_per", t_per), ("w_z", w_z),
-                        ("w_m", w_m), ("b_m", b_m), ("f_per", f_per)):
-        if value is not None and not np.isfinite(value).all():
-            raise FormatError(f"{path}: non-finite value in {name}")
-    return rd.validated(PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k,
-                                      alpha=alpha, f_per=f_per,
-                                      negative_enabled=bool(flags & _SFLAG_NEGATIVE)))
+        for name, value in (("alpha", alpha), ("t_per", t_per), ("w_z", w_z),
+                            ("w_m", w_m), ("b_m", b_m), ("f_per", f_per)):
+            if value is not None and not np.isfinite(value).all():
+                raise FormatError(f"non-finite value in {name}")
+        return PersonalState(t_per=t_per, w_z=w_z, w_m=w_m, b_m=b_m, k=k, alpha=alpha,
+                             f_per=f_per, negative_enabled=bool(flags & _SFLAG_NEGATIVE))

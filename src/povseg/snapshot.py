@@ -18,8 +18,11 @@ This module also holds the one reader and the one writer of both binary
 formats, the snapshot here and the personal state (POVP) in ``personalize``.
 Both loaders read the file through one handle, which they close however the
 read ends, and share its rules: a header ``struct`` led by magic and
-version, payloads read front to back, no trailing bytes, and every error,
-``validate()``'s included, prefixed with the file's path.
+version, payloads read front to back, no trailing bytes, and every error
+prefixed with the file's path, once, by the reader: a loader builds its
+object inside the reader's block, so the object's own checks name the file
+too. ``FrozenSnapshot`` and ``Sample`` check their rules when they are
+built, so no invalid one exists.
 """
 
 from __future__ import annotations
@@ -68,44 +71,6 @@ class FrozenSnapshot:
         for arr in (self.t_open, self.z_open, self.m_open, self.features):
             if arr is not None:
                 arr.setflags(write=False)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.t_open.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.t_open.shape[1]
-
-    @property
-    def num_proposals(self) -> int:
-        return self.m_open.shape[2]
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.m_open.shape[0], self.m_open.shape[1]
-
-    # Frozen with read-only arrays, so nothing changes under the cache: every
-    # training step on this snapshot reads the same per-pixel proposal mass.
-    @cached_property
-    def coverage(self) -> np.ndarray:  # (H, W) sum_n m_open(p, n)
-        out = self.m_open.sum(axis=2)
-        out.setflags(write=False)
-        return out
-
-    # Shared, like coverage, by an image's frozen and personalized decodes.
-    @cached_property
-    def tiles(self) -> list[tuple[slice, slice, np.ndarray]]:
-        """``(rows, cols, active)`` for each tile, row-major.
-
-        ``active`` lists, in increasing order, the proposals with a nonzero
-        entry in the tile.
-        """
-        h, w = self.grid_shape
-        return [(rows, cols, np.flatnonzero(self.m_open[rows, cols].any(axis=(0, 1))))
-                for rows in _tile_spans(h) for cols in _tile_spans(w)]
-
-    def validate(self) -> None:
         if self.t_open.ndim != 2 or self.z_open.ndim != 2 or self.m_open.ndim != 3:
             raise InvariantError("t_open must be 2-D, z_open 2-D, m_open 3-D")
         v, d = self.t_open.shape
@@ -148,6 +113,42 @@ class FrozenSnapshot:
             if not np.isfinite(self.features).all():
                 raise InvariantError("non-finite value in features")
 
+    @property
+    def vocab_size(self) -> int:
+        return self.t_open.shape[0]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.t_open.shape[1]
+
+    @property
+    def num_proposals(self) -> int:
+        return self.m_open.shape[2]
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        return self.m_open.shape[0], self.m_open.shape[1]
+
+    # Frozen with read-only arrays, so nothing changes under the cache: every
+    # training step on this snapshot reads the same per-pixel proposal mass.
+    @cached_property
+    def coverage(self) -> np.ndarray:  # (H, W) sum_n m_open(p, n)
+        out = self.m_open.sum(axis=2)
+        out.setflags(write=False)
+        return out
+
+    # Shared, like coverage, by an image's frozen and personalized decodes.
+    @cached_property
+    def tiles(self) -> list[tuple[slice, slice, np.ndarray]]:
+        """``(rows, cols, active)`` for each tile, row-major.
+
+        ``active`` lists, in increasing order, the proposals with a nonzero
+        entry in the tile.
+        """
+        h, w = self.grid_shape
+        return [(rows, cols, np.flatnonzero(self.m_open[rows, cols].any(axis=(0, 1))))
+                for rows in _tile_spans(h) for cols in _tile_spans(w)]
+
 
 def _tile_spans(side: int) -> list[slice]:
     """Spans of TILE pixels along one grid side.
@@ -162,7 +163,6 @@ def _tile_spans(side: int) -> list[slice]:
 
 def save_snapshot(snapshot: FrozenSnapshot, path: str | Path) -> None:
     """Write a snapshot in POVS format. Byte-deterministic for equal input."""
-    snapshot.validate()
     v, d = snapshot.t_open.shape
     n = snapshot.z_open.shape[0]
     h, w = snapshot.grid_shape
@@ -198,7 +198,9 @@ def _write(path: str | Path, header: bytes, arrays: tuple[np.ndarray | None, ...
 class _Reader:
     """A POVS or POVP file, read front to back from its open handle.
 
-    Use it in a ``with`` block, which closes the file however the read ends;
+    Use it in a ``with`` block, which closes the file however the read ends
+    and puts the path in front of any ``FormatError`` or ``InvariantError``
+    raised inside it, those of the object the loader builds there included.
     ``header`` checks the magic and version that lead the header ``struct``
     and returns its other fields. A payload kept at its file type (``raw``)
     is read straight into its array. A binary32 payload promoted to float64
@@ -218,23 +220,23 @@ class _Reader:
     def __enter__(self) -> _Reader:
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, exc, tb) -> None:
         self.fh.close()
+        if isinstance(exc, (FormatError, InvariantError)):
+            raise type(exc)(f"{self.path}: {exc}") from exc
 
     def header(self, header: struct.Struct, magic: bytes, version: int) -> list:
         found, found_version, *fields = header.unpack(self.take(header.size))
         if found != magic:
-            raise BadMagicError(f"{self.path}: bad magic {found!r}")
+            raise BadMagicError(f"bad magic {found!r}")
         if found_version != version:
-            raise VersionMismatchError(
-                f"{self.path}: version {found_version}, expected {version}")
+            raise VersionMismatchError(f"version {found_version}, expected {version}")
         return fields
 
     def _advance(self, count: int) -> None:
         if self.off + count > self.size:
             raise TruncatedPayloadError(
-                f"{self.path}: needed {count} bytes at offset {self.off}, "
-                f"file has {self.size}")
+                f"needed {count} bytes at offset {self.off}, file has {self.size}")
         self.off += count
 
     def take(self, count: int) -> bytearray:
@@ -244,7 +246,7 @@ class _Reader:
     def _read_into(self, buf):
         # A file that shrinks while it is read ends early here.
         if self.fh.readinto(buf) != memoryview(buf).nbytes:
-            raise TruncatedPayloadError(f"{self.path}: file ended before offset {self.off}")
+            raise TruncatedPayloadError(f"file ended before offset {self.off}")
         return buf
 
     def skip(self, count: int) -> None:
@@ -260,7 +262,7 @@ class _Reader:
         """``count`` binary32 values, cast to float64 a bounded chunk at a time."""
         self._advance(4 * count)
         out = np.empty(count, np.float64)
-        # A signaling-NaN pattern warns on the cast; validate names the field.
+        # A signaling-NaN pattern warns on the cast; FrozenSnapshot names the field.
         with np.errstate(invalid="ignore"):
             for start in range(0, count, READ_CHUNK):
                 chunk = self._read_into(self.buf[:count - start])
@@ -272,20 +274,14 @@ class _Reader:
         try:
             return self.take(count).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{self.path}: invalid UTF-8 at offset {start + exc.start}") from exc
+            raise FormatError(f"invalid UTF-8 at offset {start + exc.start}") from exc
 
     def finish(self) -> None:
         if self.off != self.size:
-            raise FormatError(f"{self.path}: {self.size - self.off} trailing bytes")
-
-    def validated(self, obj):
-        """``obj`` once its ``validate()`` passes; a failure names the file."""
-        try:
-            obj.validate()
-        except InvariantError as exc:
-            raise InvariantError(f"{self.path}: {exc}") from exc
-        return obj
+            raise FormatError(f"{self.size - self.off} trailing bytes")
+        # Closed before the loader builds and checks its object: glibc's heap
+        # layout, and so the peak RSS of a load, follows that order.
+        self.fh.close()
 
 
 def load_snapshot(path: str | Path) -> FrozenSnapshot:
@@ -295,7 +291,7 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
         flags, v, d, n, h, w, hf, wf, logit_scale = rd.header(_HEADER, MAGIC, VERSION)
         has_f = bool(flags & _FLAG_FEATURES)
         if not has_f and (hf or wf):
-            raise FormatError(f"{path}: feature dims set but feature flag clear")
+            raise FormatError("feature dims set but feature flag clear")
 
         t_open = rd.promoted(v * d).reshape(v, d)
         z_open = rd.promoted(n * d).reshape(n, d)
@@ -304,12 +300,11 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
 
         (count,) = struct.unpack("<I", rd.take(4))
         if count != v:
-            raise FormatError(f"{path}: vocab count {count} != V {v}")
+            raise FormatError(f"vocab count {count} != V {v}")
         names = [rd.text(struct.unpack("<H", rd.take(2))[0]) for _ in range(count)]
         rd.finish()
-    return rd.validated(FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
-                                       vocab_names=names, logit_scale=logit_scale,
-                                       features=features))
+        return FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
+                              vocab_names=names, logit_scale=logit_scale, features=features)
 
 
 def _load_z_open(path: Path) -> np.ndarray:
@@ -318,8 +313,8 @@ def _load_z_open(path: Path) -> np.ndarray:
         _, v, d, n, *_ = rd.header(_HEADER, MAGIC, VERSION)
         rd.skip(4 * v * d)
         z_open = rd.promoted(n * d).reshape(n, d)
-    if not np.isfinite(z_open).all():
-        raise InvariantError(f"{path}: non-finite value in z_open")
+        if not np.isfinite(z_open).all():
+            raise InvariantError("non-finite value in z_open")
     z_open.setflags(write=False)
     return z_open
 
@@ -438,7 +433,7 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
     """One labelled image: a snapshot, its personal mask and its polarity."""
     snapshot: FrozenSnapshot
@@ -447,6 +442,16 @@ class Sample:
     partner_z: np.ndarray | None = None  # z_open of the image scored beside this one
     mask_path: Path | None = None        # the file personal_mask was read from
     snapshot_path: Path | None = None    # the file snapshot was read from
+
+    def __post_init__(self) -> None:
+        if self.polarity not in ("positive", "negative"):
+            raise InvariantError(f"unknown polarity {self.polarity!r}")
+        mask = self.personal_mask
+        if self.polarity == "positive" and mask is None:
+            raise InvariantError("positive sample lacks a personal mask")
+        if mask is not None and mask.shape != self.snapshot.grid_shape:
+            raise InvariantError(
+                f"mask shape {mask.shape} != grid {self.snapshot.grid_shape}")
 
 
 def load_sample(entry: ManifestEntry) -> Sample:

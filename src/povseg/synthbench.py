@@ -85,7 +85,7 @@ BANK_REACH = math.sqrt(104.0)
 _STEM = re.compile(r"(train|test_positive|test_negative)_\d{3,}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     v: int = 16                 # vocabulary size incl. background
     d: int = 32
@@ -97,7 +97,7 @@ class SynthConfig:
     n_test_neg: int = 24
     seed: int = 20
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.v < INSTANCES_PER_CLASS + 2:
             raise InvariantError(
                 f"vocabulary size {self.v} too small: need background, "
@@ -283,7 +283,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     Snapshot and mask files of generate's own naming that the new manifest
     does not list, left by an earlier run into ``out_dir``, are removed.
     """
-    config.validate()
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
@@ -470,12 +469,11 @@ def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> Iterator[Sample]:
     """
     pos, neg = pair
     neg_z = _load_z_open(neg.snapshot)
-    sample = load_sample(pos)
-    sample.partner_z, pos_z = neg_z, sample.snapshot.z_open
+    sample = replace(load_sample(pos), partner_z=neg_z)
+    pos_z = sample.snapshot.z_open
     yield sample
     del sample  # scored: let it go before the negative is read
-    sample = load_sample(neg)
-    sample.partner_z = pos_z
+    sample = replace(load_sample(neg), partner_z=pos_z)
     yield sample
 
 

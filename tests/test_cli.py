@@ -223,14 +223,15 @@ def test_overflowing_forward_exits_two_without_a_report(tmp_path, capsys, comman
     main(["synth", "--out", str(data), *FAST_SYNTH])
     main(["personalize", "--data", str(data), "--out", str(state_path), "--iters", "1"])
     state = load_state(state_path)
-    state.t_per *= 1e308  # finite, so it loads, but S = tau T Z^T overflows
-    save_state(state, state_path)
+    # finite, so it loads, but S = tau T Z^T overflows
+    save_state(replace(state, t_per=state.t_per * 1e308), state_path)
     report = tmp_path / "r.tsv"
     code = main_without_warnings([command, "--data", str(data), "--state", str(state_path),
                                   "--report", str(report)])
     assert code == 2
+    first = load_manifest(data / "manifest.tsv").split("test")[0].snapshot
     err = capsys.readouterr().err
-    assert "povseg: numeric error: sample 0: non-finite value at stage 'forward'" in err
+    assert f"povseg: numeric error: {first}: non-finite value at stage 'forward'" in err
     assert not report.exists()
 
 
@@ -324,10 +325,9 @@ def test_feature_map_outside_grid_exits_one(tmp_path, capsys, monkeypatch, hf, w
     main(["synth", "--out", str(data), *FAST_SYNTH])
     path = load_manifest(data / "manifest.tsv").split("train")[0].snapshot
     snap = load_snapshot(path)
-    snap = replace(snap, features=np.zeros((hf, wf, snap.embed_dim)))
-    # save_snapshot validates, so write the file with validation bypassed
-    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
-    save_snapshot(snap, path)
+    # FrozenSnapshot refuses the map, so build and write it with its checks bypassed
+    monkeypatch.setattr(FrozenSnapshot, "__post_init__", lambda self: None)
+    save_snapshot(replace(snap, features=np.zeros((hf, wf, snap.embed_dim))), path)
     monkeypatch.undo()
     out = tmp_path / "s.povp"
     code = main(["personalize", "--data", str(data), "--out", str(out), *FAST_TRAIN])
@@ -470,6 +470,54 @@ def test_input_path_of_the_wrong_kind_exits_one(bench_dir, tmp_path, capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
 
 
+@pytest.mark.parametrize("kind", ["file", "missing"])
+@pytest.mark.parametrize("argv", [
+    ["personalize", "--out", "s.povp", *FAST_TRAIN],
+    ["eval", "--frozen-only", "--report", "r.tsv"],
+    ["ablate", "--out", "t.tsv"],
+    ["kshot", "--out", "t.tsv"],
+    ["concat-eval", "--state", "s.povp", "--report", "r.tsv"],
+], ids=lambda argv: argv[0])
+def test_data_that_is_no_directory_exits_one_naming_it(bench_dir, tmp_path, capsys,
+                                                       monkeypatch, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "concat-eval":  # the state is read first, so it must be valid
+        assert main(["personalize", "--data", str(bench_dir), "--out", "s.povp",
+                     "--iters", "1"]) == 0
+    typed = str(bench_dir / "manifest.tsv") if kind == "file" else "missing"
+    capsys.readouterr()
+    assert main([*argv, "--data", typed]) == 1
+    err = capsys.readouterr().err
+    reason = "Not a directory" if kind == "file" else "No such file or directory"
+    assert "povseg: validation error: " in err and f"{reason}: '{typed}'" in err
+
+
+def renamed_vocabulary(snap):
+    return dict(vocab_names=[*snap.vocab_names[:-1], "renamed"])
+
+
+@pytest.mark.parametrize("split, change, argv, message", [
+    ("train", lambda snap: dict(features=None), ["personalize", "--out", "s.povp", *FAST_TRAIN],
+     "has no feature map"),
+    ("train", renamed_vocabulary, ["personalize", "--out", "s.povp", *FAST_TRAIN],
+     "disagrees on (V, D, N) or vocabulary names"),
+    ("test", renamed_vocabulary, ["eval", "--frozen-only", "--report", "r.tsv"],
+     "vocabulary differs from sample 0"),
+], ids=["no_feature_map", "train_vocabulary", "test_vocabulary"])
+def test_per_sample_errors_name_the_snapshot_file(tmp_path, capsys, monkeypatch, split,
+                                                  change, argv, message):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    path = load_manifest(data / "manifest.tsv").split(split)[1].snapshot  # sample 1
+    snap = load_snapshot(path)
+    save_snapshot(replace(snap, **change(snap)), path)
+    capsys.readouterr()
+    assert main([*argv, "--data", str(data)]) == 1
+    assert f"povseg: validation error: {path} {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("command", ["eval", "concat-eval"])
 def test_state_from_another_vocabulary_names_the_snapshot(tmp_path, capsys, command):
     data, other, state_path = tmp_path / "data", tmp_path / "v17", tmp_path / "s.povp"
@@ -536,14 +584,14 @@ def test_empty_snapshot_exits_one(tmp_path, capsys, monkeypatch, dim):
     main(["personalize", "--data", str(data), "--out", str(state), "--iters", "1"])
     entry = load_manifest(data / "manifest.tsv").split("test")[0]
     snap = load_snapshot(entry.snapshot)
+    # FrozenSnapshot refuses an empty one, so build and write it with its checks bypassed
+    monkeypatch.setattr(FrozenSnapshot, "__post_init__", lambda self: None)
     if dim == "V":
         snap = replace(snap, t_open=snap.t_open[:0], vocab_names=[])
     else:
         m_open = snap.m_open[:0] if dim == "H" else snap.m_open[:, :0]
         snap = replace(snap, m_open=m_open)
         save_mask(np.zeros(m_open.shape[:2], dtype=np.uint8), entry.mask)
-    # save_snapshot validates, so write the empty file with validation bypassed
-    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
     save_snapshot(snap, entry.snapshot)
     monkeypatch.undo()
     for argv in (["eval", "--state", str(state)], ["eval", "--frozen-only"],

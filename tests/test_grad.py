@@ -60,7 +60,7 @@ def test_zero_weights_zero_gradients():
 
 def test_alpha_one_kills_text_gradient():
     snapshot, state, gt, weights = random_instance(0)
-    state.alpha = 1.0
+    state = replace(state, alpha=1.0)
     _, grads = backward(snapshot, state, gt, weights)
     np.testing.assert_array_equal(grads.t_per, np.zeros_like(state.t_per))
 
@@ -69,11 +69,9 @@ def test_text_gradient_scales_with_one_minus_alpha():
     # forcing f_per = t_per keeps the forward pass identical across alphas,
     # isolating the chain-rule factor (1 - alpha) on the text gradient
     snapshot, state, gt, weights = random_instance(3)
-    state.f_per = state.t_per.copy()
-    state.alpha = 0.0
+    state = replace(state, f_per=state.t_per.copy(), alpha=0.0)
     _, g0 = backward(snapshot, state, gt, weights)
-    state.alpha = 0.4
-    _, g4 = backward(snapshot, state, gt, weights)
+    _, g4 = backward(snapshot, replace(state, alpha=0.4), gt, weights)
     np.testing.assert_allclose(g4.t_per, 0.6 * g0.t_per, rtol=1e-12)
 
 
@@ -87,7 +85,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_matches_fd_without_negative_branch():
     snapshot, state, gt, weights = random_instance(4)
-    state.negative_enabled = False
+    state = replace(state, negative_enabled=False)
     _, analytic = backward(snapshot, state, gt, weights)
     numeric = finite_diff(snapshot, state, gt, weights, eps=1e-4)
     assert max(relative_errors(analytic, numeric).values()) <= 1e-5

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -65,15 +66,14 @@ def test_effective_embedding_endpoints(tiny_snapshot):
 
 
 def test_effective_embedding_validation(tiny_snapshot):
+    # A PersonalState checks these rules when it is built, so build_forward never sees one.
     d = tiny_snapshot.embed_dim
-    with pytest.raises(InvariantError):
-        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=0.5))
-    with pytest.raises(InvariantError):
-        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=1.5,
-                                                f_per=rng.normal(size=d)))
-    with pytest.raises(InvariantError):
-        build_forward(tiny_snapshot, make_state(tiny_snapshot, alpha=0.5,
-                                                f_per=rng.normal(size=d - 1)))
+    with pytest.raises(InvariantError, match="alpha must be 0 without a visual embedding"):
+        make_state(tiny_snapshot, alpha=0.5)
+    with pytest.raises(InvariantError, match=re.escape("alpha 1.5 outside [0, 1]")):
+        make_state(tiny_snapshot, alpha=1.5, f_per=rng.normal(size=d))
+    with pytest.raises(InvariantError, match="f_per dimension differs from t_per"):
+        make_state(tiny_snapshot, alpha=0.5, f_per=rng.normal(size=d - 1))
 
 
 def test_augment_text(tiny_snapshot):
@@ -248,7 +248,7 @@ def test_label_map_matches_scan_oracle():
 
 
 def test_label_map_scale_invariant():
-    m = rng.uniform(size=(3, 3, 4))
+    m = rng.uniform(size=(3, 3, 4)) * 0.1  # so that m * 7.3 is a valid bank too
     c = class_probs(rng.normal(size=(5, 4)))
     np.testing.assert_array_equal(predict(bank_snapshot(m), c),
                                   predict(bank_snapshot(m * 7.3), c))
@@ -446,9 +446,10 @@ def test_forward_bank_mismatch_rejected(tiny_snapshot):
         build_forward(tiny_snapshot, state, tiny_snapshot.z_open[:-1])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
 def test_forward_passes_refuse_non_finite_values(tiny_snapshot):
-    unbounded = replace(tiny_snapshot, logit_scale=np.inf)  # S = inf * T Z^T
+    # The largest finite scale: S = tau T Z^T overflows wherever |T Z^T| > 1.
+    unbounded = replace(tiny_snapshot, logit_scale=np.finfo(np.float64).max)
     nan_mask = make_state(tiny_snapshot, w_m=np.full(tiny_snapshot.num_proposals, np.nan))
     for run in (lambda: build_frozen_forward(unbounded),
                 lambda: build_forward(unbounded, make_state(unbounded)),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_neg_m_cases():
 
 def test_weights_validation():
     with pytest.raises(InvariantError):
-        LossWeights(dice=-1.0).validate()
+        LossWeights(dice=-1.0)
 
 
 def test_total_loss_projections():
@@ -168,9 +169,8 @@ def test_total_loss_continuous_in_parameters():
     direction /= np.linalg.norm(direction)
     slopes = []
     for delta in (1e-3, 1e-4, 1e-5):
-        state.t_per = state.t_per + delta * direction
-        moved = total_loss(build_forward(snapshot, state), gt, weights)[0].total
-        state.t_per = state.t_per - delta * direction
+        moved_state = replace(state, t_per=state.t_per + delta * direction)
+        moved = total_loss(build_forward(snapshot, moved_state), gt, weights)[0].total
         slopes.append(abs(moved - base) / delta)
     # secant slopes stay bounded as the step shrinks (local Lipschitz)
     assert max(slopes) < 1e3

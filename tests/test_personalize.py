@@ -80,7 +80,8 @@ def test_visual_embedding_constant_field():
     target = float(np.linalg.norm(snap.t_open, axis=1).mean())
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v) * target
-    sample.snapshot = replace(snap, features=np.broadcast_to(v, (3, 3, 4)).copy())
+    sample = replace(sample, snapshot=replace(
+        snap, features=np.broadcast_to(v, (3, 3, 4)).copy()))
     out = compute_visual_embedding([sample])
     np.testing.assert_allclose(out, v, rtol=1e-12)
 
@@ -89,9 +90,9 @@ def test_visual_embedding_two_sample_mean():
     samples = make_samples(count=2)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    for sample, vec in zip(samples, (u, v)):
-        sample.snapshot = replace(sample.snapshot,
-                                  features=np.broadcast_to(vec, (3, 3, 4)).copy())
+    samples = [replace(sample, snapshot=replace(
+        sample.snapshot, features=np.broadcast_to(vec, (3, 3, 4)).copy()))
+        for sample, vec in zip(samples, (u, v))]
     s1 = samples[0].snapshot
     out = compute_visual_embedding(samples)
     mean = (u + v) / 2.0
@@ -137,9 +138,9 @@ def test_iterations_validation():
     samples = make_samples()
     init = samples[0].snapshot.t_open.mean(axis=0)
     with pytest.raises(InvariantError, match="iterations"):
-        run_personalization(samples, TrainConfig(iterations=0), init)
+        TrainConfig(iterations=0)
     with pytest.raises(InvariantError, match="learning rate"):
-        run_personalization(samples, TrainConfig(learning_rate=0.0), init)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(InvariantError):
         run_personalization([], TrainConfig(), init)
 
@@ -163,7 +164,8 @@ def test_coverage_computed_once_per_snapshot(monkeypatch):
 
 def test_mixed_vocabularies_refused():
     samples = make_samples(count=2)
-    samples[1].snapshot = replace(samples[1].snapshot, vocab_names=["b", "a", "c"])
+    samples[1] = replace(samples[1], snapshot=replace(samples[1].snapshot,
+                                                      vocab_names=["b", "a", "c"]))
     with pytest.raises(InvariantError, match="sample 1 disagrees"):
         run_personalization(samples, TrainConfig(iterations=1),
                             samples[0].snapshot.t_open.mean(axis=0))
@@ -174,6 +176,10 @@ def test_mixed_vocabularies_refused():
 def test_training_sample_must_be_positive_with_mask(polarity, with_mask):
     samples = make_samples(count=2)
     mask = samples[1].personal_mask if with_mask else None
+    if polarity == "positive":  # such a sample cannot be built, so never reaches training
+        with pytest.raises(InvariantError, match="positive sample lacks a personal mask"):
+            Sample(samples[1].snapshot, mask, polarity)
+        return
     samples[1] = Sample(samples[1].snapshot, mask, polarity)
     with pytest.raises(InvariantError, match="sample 1 is not a positive with a mask"):
         run_personalization(samples, TrainConfig(iterations=1),
@@ -225,10 +231,9 @@ def test_frozen_inputs_unchanged_by_training():
 def test_no_injection_independent_of_features():
     config = TrainConfig(iterations=10, alpha=0.0)
     a = make_samples(seed=3)
-    b = make_samples(seed=3)
-    for sample in b:
-        sample.snapshot = replace(sample.snapshot,
-                                  features=rng.normal(size=sample.snapshot.features.shape))
+    b = [replace(sample, snapshot=replace(
+        sample.snapshot, features=rng.normal(size=sample.snapshot.features.shape)))
+        for sample in make_samples(seed=3)]
     sa, ta = run_personalization(a, config, a[0].snapshot.t_open.mean(axis=0))
     sb, tb = run_personalization(b, config, b[0].snapshot.t_open.mean(axis=0))
     assert ta == tb
@@ -255,12 +260,13 @@ def test_injection_disabled_equals_alpha_zero():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_non_finite_loss_reports_step():
     samples = make_samples()
-    t_open = samples[1].snapshot.t_open.copy()
-    t_open[0, 0] = np.inf  # poisons the forward pass at step 1
-    samples[1].snapshot = replace(samples[1].snapshot, t_open=t_open)
-    with pytest.raises(NonFiniteError, match="step 1"):
+    # The largest finite logit scale overflows S = tau T Z^T: the forward pass at step 1.
+    samples[1] = replace(samples[1], snapshot=replace(samples[1].snapshot,
+                                                      logit_scale=np.finfo(np.float64).max))
+    with pytest.raises(NonFiniteError, match="step 1") as excinfo:
         run_personalization(samples, TrainConfig(iterations=5),
                             samples[0].snapshot.t_open.mean(axis=0))
+    assert excinfo.value.stage == "forward"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -316,9 +322,7 @@ def test_state_round_trip(tmp_path):
 
 def test_state_round_trip_without_visual(tmp_path):
     _, state, _, _ = random_instance(0)
-    state.f_per = None
-    state.alpha = 0.0
-    state.negative_enabled = False
+    state = replace(state, f_per=None, alpha=0.0, negative_enabled=False)
     path = tmp_path / "s.povp"
     save_state(state, path)
     back = load_state(path)

@@ -17,11 +17,13 @@ from povseg.errors import (
     VersionMismatchError,
 )
 from povseg.grad import random_instance
-from povseg.personalize import _STATE_HEADER, load_state, save_state
+from povseg.losses import LossWeights
+from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
 from povseg.snapshot import (
     _FLAG_FEATURES,
     _HEADER,
     FrozenSnapshot,
+    Sample,
     _load_z_open,
     downsample_mask,
     load_manifest,
@@ -108,7 +110,7 @@ def test_bad_mask_values_name_the_first_fault(values, message):
     m_open = minimal_snapshot().m_open.copy()
     m_open.reshape(-1)[:len(values)] = values
     with pytest.raises(InvariantError, match=re.escape(message)):
-        replace(minimal_snapshot(), m_open=m_open).validate()
+        replace(minimal_snapshot(), m_open=m_open)
 
 
 def test_coverage_follows_a_replaced_bank():
@@ -120,6 +122,36 @@ def test_coverage_follows_a_replaced_bank():
         snap.m_open = other.m_open
     with pytest.raises(ValueError):
         snap.coverage[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build, field, value, message", [
+    (LossWeights, "neg_m", np.nan, "loss weight neg_m must be finite and nonnegative, got nan"),
+    (TrainConfig, "iterations", 0, "iterations must be >= 1, got 0"),
+    (SynthConfig, "n", 3, "need at least 4 proposals"),
+    (lambda: random_instance(0)[1], "alpha", 1.5, "alpha 1.5 outside [0, 1]"),
+    (minimal_snapshot, "logit_scale", 0.0, "logit scale must be positive, got 0.0"),
+    (lambda: Sample(minimal_snapshot(), None, "negative"), "polarity", "neutral",
+     "unknown polarity 'neutral'"),
+], ids=["LossWeights", "TrainConfig", "SynthConfig", "PersonalState", "FrozenSnapshot",
+        "Sample"])
+def test_checked_types_are_frozen_and_check_a_replace(build, field, value, message):
+    obj = build()
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, field, value)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        replace(obj, **{field: value})
+
+
+@pytest.mark.parametrize("polarity, mask, message", [
+    ("neutral", None, "unknown polarity 'neutral'"),
+    ("positive", None, "positive sample lacks a personal mask"),
+    ("positive", np.zeros((2, 3), np.uint8), "mask shape (2, 3) != grid (2, 2)"),
+    ("negative", np.zeros((1, 2), np.uint8), "mask shape (1, 2) != grid (2, 2)"),
+], ids=["unknown_polarity", "positive_without_mask", "positive_mask_shape",
+        "negative_mask_shape"])
+def test_sample_refuses_a_broken_rule(polarity, mask, message):
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        Sample(minimal_snapshot(), mask, polarity)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["in_memory", "loaded"])
@@ -146,10 +178,9 @@ def test_binary32_bank_saves_the_same_bytes(tmp_path):
     assert (tmp_path / "f8.povs").read_bytes() == (tmp_path / "f4.povs").read_bytes()
 
 
-def test_nonpositive_logit_scale_refused(tmp_path):
-    snap = replace(minimal_snapshot(), logit_scale=0.0)
-    with pytest.raises(InvariantError):
-        save_snapshot(snap, tmp_path / "bad.povs")
+def test_nonpositive_logit_scale_refused():
+    with pytest.raises(InvariantError, match="logit scale must be positive, got 0.0"):
+        replace(minimal_snapshot(), logit_scale=0.0)
 
 
 def test_bad_magic(tmp_path):
@@ -343,18 +374,15 @@ def test_bad_utf8_vocab_name_rejected(tmp_path):
 
 @pytest.mark.parametrize("ch", ["\t", "\r", "\n"])
 def test_vocab_name_with_break_refused(tmp_path, ch):
-    snap = replace(minimal_snapshot(), vocab_names=["a", f"b{ch}c"])
     with pytest.raises(InvariantError, match="vocab name 1"):
-        save_snapshot(snap, tmp_path / "refused.povs")
-    assert not (tmp_path / "refused.povs").exists()
+        replace(minimal_snapshot(), vocab_names=["a", f"b{ch}c"])
     # write the name by hand: save a same-length stand-in, then swap its bytes
     path = tmp_path / "s.povs"
-    snap = replace(snap, vocab_names=["a", "b_c"])
-    save_snapshot(snap, path)
+    save_snapshot(replace(minimal_snapshot(), vocab_names=["a", "b_c"]), path)
     data = path.read_bytes()
     assert data.endswith(b"b_c")
     path.write_bytes(data[:-3] + f"b{ch}c".encode())
-    # the same rule, in FrozenSnapshot.validate, refuses it on load
+    # the same rule, in FrozenSnapshot, refuses it on load
     with pytest.raises(InvariantError,
                        match=re.escape(f"{path}: vocab name 1 {f'b{ch}c'!r} contains")):
         load_snapshot(path)
@@ -362,21 +390,19 @@ def test_vocab_name_with_break_refused(tmp_path, ch):
 
 @pytest.mark.parametrize("hf, wf", [(0, 1), (1, 0), (3, 2), (2, 3)])
 def test_feature_map_outside_grid_refused(tmp_path, monkeypatch, hf, wf):
-    snap = replace(minimal_snapshot(), features=np.zeros((hf, wf, 2)))
     message = f"feature map {hf}x{wf} must lie within [1, 2] x [1, 2]"
     with pytest.raises(InvariantError, match=re.escape(message)):
-        save_snapshot(snap, tmp_path / "refused.povs")
-    assert not (tmp_path / "refused.povs").exists()
-    # write the file with validation bypassed, as a foreign writer could
+        replace(minimal_snapshot(), features=np.zeros((hf, wf, 2)))
+    # build and write the snapshot with its checks bypassed, as a foreign writer could
     path = tmp_path / "s.povs"
-    monkeypatch.setattr(FrozenSnapshot, "validate", lambda self: None)
-    save_snapshot(snap, path)
+    monkeypatch.setattr(FrozenSnapshot, "__post_init__", lambda self: None)
+    save_snapshot(replace(minimal_snapshot(), features=np.zeros((hf, wf, 2))), path)
     monkeypatch.undo()
     with pytest.raises(InvariantError, match=re.escape(f"{path}: {message}")):
         load_snapshot(path)
     # the bounds themselves are allowed
     for sides in ((1, 1), (2, 2)):
-        save_snapshot(replace(snap, features=np.zeros((*sides, 2))), path)
+        save_snapshot(replace(minimal_snapshot(), features=np.zeros((*sides, 2))), path)
         assert load_snapshot(path).features.shape == (*sides, 2)
 
 

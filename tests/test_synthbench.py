@@ -188,17 +188,17 @@ def test_degenerate_config_has_no_instance_information(tmp_path, monkeypatch):
     assert np.allclose(group_rows, group_rows[0], atol=1e-12)
 
 
-def test_infeasible_configs_rejected(tmp_path):
+def test_infeasible_configs_rejected():
     with pytest.raises(InvariantError):
-        generate(SynthConfig(n=3), tmp_path)
+        SynthConfig(n=3)
     with pytest.raises(InvariantError):
-        generate(SynthConfig(v=4), tmp_path)
+        SynthConfig(v=4)
     with pytest.raises(InvariantError):
-        generate(SynthConfig(d=8), tmp_path)
+        SynthConfig(d=8)
     with pytest.raises(InvariantError):
-        generate(SynthConfig(k_train=0), tmp_path)
+        SynthConfig(k_train=0)
     with pytest.raises(InvariantError):
-        generate(SynthConfig(hf=64), tmp_path)
+        SynthConfig(hf=64)
 
 
 @pytest.mark.parametrize("h, hf, message", [
