@@ -30,3 +30,7 @@ class NonFiniteError(ArithmeticError):
     def __init__(self, stage: str, message: str = ""):
         self.stage = stage
         super().__init__(message or f"non-finite value at stage '{stage}'")
+
+    def __reduce__(self):
+        """Pickle as ``(stage, message)``: a worker process sends it back this way."""
+        return type(self), (self.stage, str(self))

@@ -70,10 +70,12 @@ def dice_loss(prob: np.ndarray, gt: np.ndarray,
 def bce_loss(prob: np.ndarray, gt: np.ndarray,
              weight: float = 1.0) -> tuple[float, np.ndarray]:
     _check_shapes(prob, gt)
-    g = gt.astype(np.float64)
+    g = gt.astype(bool)
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = float(np.mean(-g * np.log(p) - (1.0 - g) * np.log(1.0 - p)))
-    return value, weight * (p == prob) * (-g / p + (1.0 - g) / (1.0 - p)) / g.size
+    # One log per pixel: for a 0/1 mask the other term of -g log p - (1 - g) log(1 - p)
+    # is an exact zero, and so is the other term of its derivative.
+    value = float(np.mean(-np.log(np.where(g, p, 1.0 - p))))
+    return value, weight * (p == prob) * np.where(g, -1.0 / p, 1.0 / (1.0 - p)) / g.size
 
 
 def cls_loss(prob: np.ndarray, gt: np.ndarray,

@@ -14,9 +14,8 @@ baseline simply never predicts the personal class.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import InvariantError, NonFiniteError
 from .head import PersonalState, build_forward, build_frozen_forward, decode
 from .snapshot import Manifest, Sample, load_sample
+from .workers import map_in_workers
 
 
 def accumulate(pred: np.ndarray, gt: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -98,67 +98,117 @@ class MetricsReport:
     n_negative: int
 
 
-def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
+def _confusion(sample: Sample, where: str, personal_class_name: str,
+               state: PersonalState | None) -> np.ndarray:
+    """One image's confusion matrix. Its frozen label map is decoded once: it
+    is the ground truth and, for the frozen baseline, the prediction."""
+    snap = sample.snapshot
+    k = snap.vocab_size
+    try:
+        frozen = decode(build_frozen_forward(snap))
+        pred = None if state is None else decode(
+            build_forward(snap, state, sample.partner_z))
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
+    except InvariantError as exc:  # e.g. a state trained on another V or D
+        raise InvariantError(f"{where}: {exc}") from exc
+    gt = (pseudo_label(frozen, sample.personal_mask, k)
+          if sample.polarity == "positive" else frozen)
+    if pred is None:
+        pred = frozen
+        if personal_class_name in snap.vocab_names:
+            proxy = snap.vocab_names.index(personal_class_name)
+            pred = np.where(frozen == proxy, k, frozen)
+    return accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
+
+
+def _score_item(samples: LazySamples, item: int, personal_class_name: str,
+                state: PersonalState | None) -> list[tuple]:
+    """``(where, vocab_names, positive, counts)`` of each sample of one item.
+
+    ``counts`` holds the nonzero cells of the image's confusion matrix, as
+    flat indices and values: an image shows few of the (V+1)^2 label pairs,
+    and a worker sends every image's counts back. A failure ends the list,
+    as the ``counts`` of the sample it hit, with ``vocab_names`` None when
+    that sample could not be read. Nothing is raised, so that the caller
+    checks each sample's vocabulary before its error, as a serial loop would.
+    """
+    scored = []
+    index = item * samples.per_item
+    # check_finite sees every forward and decode array; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for sample in samples.item(item):
+                where = sample.snapshot_path or f"sample {index}"
+                names = sample.snapshot.vocab_names
+                try:
+                    counts = _confusion(sample, where, personal_class_name, state)
+                except Exception as exc:  # raised again by the caller, in order
+                    scored.append((where, names, None, exc))
+                    break
+                cells = np.flatnonzero(counts)
+                scored.append((where, names, sample.polarity == "positive",
+                               (cells, counts.flat[cells])))
+                index += 1
+                del sample  # let go of this image before the next one is read
+        except Exception as exc:  # the next sample could not be read
+            scored.append((None, None, None, exc))
+    return scored
+
+
+def evaluate_samples(samples: LazySamples | Iterable[Sample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
 
-    Samples are read once, in order, and none is kept, so a ``LazySamples``
-    holds one image in memory at a time. Each sample's frozen label map is
-    decoded once: it is the ground truth and, for the frozen baseline, the
-    prediction. ``state=None`` evaluates the frozen baseline (with the
-    class-name proxy when the vocabulary contains ``personal_class_name``).
-    ``per_image`` averages scalar metrics over images instead of aggregating
-    counts. A sample whose forward pass is non-finite, or does not fit the
-    state, raises an error that names it, so no metric is reported from it.
+    The items of a ``LazySamples`` (a list's samples, one by one) are scored
+    by ``map_in_workers``, one forked worker per usable CPU. Each worker
+    reads and scores its own items and keeps none, so it holds one image in
+    memory at a time. Their confusion counts are integers and are summed in
+    sample order, so the report does not depend on the worker count.
+    ``state=None`` evaluates the frozen baseline (with the class-name proxy
+    when the vocabulary contains ``personal_class_name``). ``per_image``
+    averages scalar metrics over images instead of aggregating counts. A
+    sample whose forward pass is non-finite, or does not fit the state,
+    raises an error that names it, so no metric is reported from it; the
+    first failing sample in order is the one reported.
     """
+    if not isinstance(samples, LazySamples):
+        samples = LazySamples(list(samples), _alone)
     vocab_names = None
     scalars = []
     n_pos = n_neg = 0
-    # check_finite sees every forward and decode array; numpy's warnings would repeat it.
-    # No enumerate: its cached (index, sample) pair would keep the last image
-    # alive while the next item is read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sample in samples:
-            where = sample.snapshot_path or f"sample {n_pos + n_neg}"
-            snap = sample.snapshot
+    items = map_in_workers(
+        lambda item: _score_item(samples, item, personal_class_name, state),
+        samples.n_items)
+    for scored in items:
+        for where, names, positive, counts in scored:
+            if names is None:  # the sample could not be read
+                raise counts
             if vocab_names is None:
-                vocab_names = snap.vocab_names
-                k = snap.vocab_size
-                num_classes = k + 1
-                total = np.zeros((num_classes, num_classes), np.int64)
-            elif snap.vocab_names != vocab_names:
+                vocab_names = names
+                k = len(names)
+                total = np.zeros((k + 1, k + 1), np.int64)
+            elif names != vocab_names:
                 raise InvariantError(f"{where} vocabulary differs from sample 0")
-            try:
-                frozen = decode(build_frozen_forward(snap))
-                pred = None if state is None else decode(
-                    build_forward(snap, state, sample.partner_z))
-            except NonFiniteError as exc:
-                raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
-            except InvariantError as exc:  # e.g. a state trained on another V or D
-                raise InvariantError(f"{where}: {exc}") from exc
-            if sample.polarity == "positive":
-                gt = pseudo_label(frozen, sample.personal_mask, k)
+            if isinstance(counts, Exception):
+                raise counts
+            cells, values = counts
+            if positive:
                 n_pos += 1
             else:
-                gt = frozen
                 n_neg += 1
-            if pred is None:
-                pred = frozen
-                if personal_class_name in snap.vocab_names:
-                    proxy = snap.vocab_names.index(personal_class_name)
-                    pred = np.where(frozen == proxy, k, frozen)
-            image_counts = accumulate(pred, gt, np.zeros_like(total))
             if per_image:
+                image_counts = np.zeros_like(total)
+                image_counts.flat[cells] = values
                 scalars.append(_scalars(image_counts, k))
-            total += image_counts
-            del sample, snap  # let go of this image before the next item is read
+            total.flat[cells] += values
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
     names = list(vocab_names) + [f"<{personal_class_name}>"]
     ious = class_iou(total)
-    table = [(names[c], float(ious[c])) for c in range(num_classes)
+    table = [(names[c], float(ious[c])) for c in range(k + 1)
              if not np.isnan(ious[c])]
     iou, mean_iou, precision, recall = (np.mean(scalars, axis=0) if per_image
                                         else _scalars(total, k))
@@ -167,8 +217,12 @@ def evaluate_samples(samples: Iterable[Sample], personal_class_name: str,
                          class_table=table, n_positive=n_pos, n_negative=n_neg)
 
 
+def _alone(sample: Sample) -> tuple[Sample]:
+    return (sample,)
+
+
 class LazySamples:
-    """Samples read as they are iterated: ``load(item)`` yields ``per_item`` of them.
+    """Samples read item by item: ``load(item)`` yields ``per_item`` of them.
 
     Nothing is kept once a sample has been handed out.
     """
@@ -177,15 +231,20 @@ class LazySamples:
                  per_item: int = 1):
         self._items = items
         self._load = load
-        self._per_item = per_item
+        self.per_item = per_item
 
     def __len__(self) -> int:
         """Counts without reading. ``perfbench/tracer.py`` takes ``len`` of every
         ``samples`` argument: a generator passed to ``evaluate_samples`` would crash it."""
-        return self._per_item * len(self._items)
+        return self.per_item * len(self._items)
 
-    def __iter__(self) -> Iterator[Sample]:
-        return chain.from_iterable(map(self._load, self._items))
+    @property
+    def n_items(self) -> int:
+        return len(self._items)
+
+    def item(self, i: int) -> Iterable[Sample]:
+        """The samples of item ``i``, read as they are iterated."""
+        return self._load(self._items[i])
 
 
 def evaluate(manifest: Manifest, state: PersonalState | None = None,

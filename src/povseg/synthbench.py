@@ -53,6 +53,7 @@ from .snapshot import (
     save_mask,
     save_snapshot,
 )
+from .workers import map_in_workers
 
 LOGIT_SCALE = 10.0
 # Share of the instance offset carried by a class's text embedding. The
@@ -371,7 +372,11 @@ class AblationRow:
 
 
 def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
-    """Train and evaluate the five module combinations under one seed."""
+    """Train and evaluate the five module combinations under one seed.
+
+    The rows are computed by ``map_in_workers``, one forked worker per usable
+    CPU; a row's own evaluation then stays in its worker.
+    """
     samples = load_samples(manifest, "test")
     train = load_samples(manifest, "train")
 
@@ -382,17 +387,19 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
         ("prompt+inject", True, False, True),
         ("full", True, True, True),
     ]
-    rows = []
-    for label, prompt, neg, inject in toggles:
+
+    def row(i: int) -> AblationRow:
+        label, prompt, neg, inject = toggles[i]
         if not prompt:
             report = evaluate_samples(samples, manifest.personal_class_name, state=None)
         else:
             run_cfg = replace(config, negative_enabled=neg,
                               alpha=config.alpha if inject else 0.0)
             report = _train_and_score(manifest, run_cfg, train, samples)
-        rows.append(AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
-                                visual_inject=inject, report=report))
-    return rows
+        return AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
+                           visual_inject=inject, report=report)
+
+    return map_in_workers(row, len(toggles))
 
 
 def format_ablation_table(rows: list[AblationRow]) -> str:
@@ -416,7 +423,10 @@ class KShotRow:
 
 def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
               ) -> list[KShotRow]:
-    """Full-method runs at each K, on the first K train entries, plus the mean row."""
+    """Full-method runs at each K, on the first K train entries, plus the mean row.
+
+    The runs are computed by ``map_in_workers``, one forked worker per usable CPU.
+    """
     if not k_list or min(k_list) < 1:
         raise InvariantError(f"K values must be >= 1, got {k_list}")
     n_train = len(manifest.split("train"))
@@ -426,10 +436,11 @@ def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
     samples = load_samples(manifest, "test")
     train = load_samples(manifest, "train")
 
-    rows = []
-    for k in k_list:
-        report = _train_and_score(manifest, config, train[:k], samples)
-        rows.append(KShotRow(label=str(k), iou_per=report.iou_per, miou=report.miou))
+    def row(i: int) -> KShotRow:
+        report = _train_and_score(manifest, config, train[:k_list[i]], samples)
+        return KShotRow(label=str(k_list[i]), iou_per=report.iou_per, miou=report.miou)
+
+    rows = map_in_workers(row, len(k_list))
     rows.append(KShotRow(label="Avg.",
                          iou_per=sum(r.iou_per for r in rows) / len(rows),
                          miou=sum(r.miou for r in rows) / len(rows)))

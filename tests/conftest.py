@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -25,3 +28,32 @@ def bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     generate(SynthConfig(), out)
     return out
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(n)`` makes povseg see n usable CPUs, and so fork n - 1 workers.
+
+    ``usable_cpus(1)`` keeps every task in the test's own process, where the
+    test's spies see each call.
+    """
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_count
+
+
+@pytest.fixture
+def worker_guard():
+    """Fail a test that waits on a worker process for over a minute, or that
+    leaves a forked process unreaped."""
+    def expire(signum, frame):
+        raise TimeoutError("the test took over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # no child process is left to reap
+        os.waitpid(-1, os.WNOHANG)

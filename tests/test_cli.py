@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from output_tree import SRC
 from output_tree import build as build_output_tree
 
+from povseg import metrics, synthbench
 from povseg.cli import _train_config, build_parser, main
 from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
 from povseg.snapshot import _HEADER as _SNAPSHOT_HEADER
@@ -644,6 +646,69 @@ def test_malformed_concat_negative_exits_one_before_the_report(tmp_path, capsys,
     assert f"{negative}: " in err
     if fault == "z_open_nan":
         assert f"{negative}: non-finite value in z_open" in err
+    assert not report.exists()
+
+
+def truncated(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def overflowing(path):
+    # finite, so the file loads, but the frozen S = tau T Z^T overflows
+    snap = load_snapshot(path)
+    save_snapshot(replace(snap, z_open=snap.z_open * 1e3,
+                          logit_scale=np.finfo(np.float64).max), path)
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", [(1, 2), (0, 3), (2, 3)])
+@pytest.mark.parametrize("fault, code, message", [
+    (truncated, 1, "povseg: validation error: {}"),
+    (overflowing, 2, "povseg: numeric error: {}: non-finite value at stage 'forward'"),
+], ids=["malformed", "non_finite"])
+def test_first_of_two_bad_test_images_is_reported(tmp_path, capsys, usable_cpus, cpus, bad,
+                                                  fault, code, message):
+    """Whichever worker scores them, the first bad image in manifest order is named."""
+    usable_cpus(cpus)
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    paths = [e.snapshot for e in load_manifest(data / "manifest.tsv").split("test")]
+    for i in bad:
+        fault(paths[i])
+    capsys.readouterr()
+    report = tmp_path / "r.tsv"
+    assert main_without_warnings(["eval", "--frozen-only", "--data", str(data),
+                                  "--report", str(report)]) == code
+    err = capsys.readouterr().err
+    assert message.format(paths[bad[0]]) in err and str(paths[bad[1]]) not in err
+    assert "Traceback" not in err and not report.exists()
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("command", ["eval", "concat-eval"])
+def test_worker_that_dies_exits_two(tmp_path, capsys, monkeypatch, usable_cpus, command):
+    usable_cpus(2)
+    data, state = tmp_path / "data", tmp_path / "s.povp"
+    main(["synth", "--out", str(data), *FAST_SYNTH])
+    main(["personalize", "--data", str(data), "--out", str(state), "--iters", "1"])
+    second = load_manifest(data / "manifest.tsv").split("test")[1]
+    real = metrics.load_sample
+
+    def dying(entry):
+        if entry == second:  # scored by the forked worker, in both commands
+            os._exit(3)
+        return real(entry)
+
+    monkeypatch.setattr(metrics, "load_sample", dying)
+    monkeypatch.setattr(synthbench, "load_sample", dying)
+    capsys.readouterr()
+    report = tmp_path / "r.tsv"
+    assert main([command, "--data", str(data), "--state", str(state),
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"povseg: runtime error: worker process \d+ exited with status 3 "
+                        r"before sending its results\n", err)
     assert not report.exists()
 
 

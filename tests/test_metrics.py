@@ -228,7 +228,8 @@ def test_mixed_vocabularies_refused():
 
 
 @pytest.mark.parametrize("with_state", [False, True])
-def test_one_frozen_decode_per_sample(monkeypatch, with_state):
+def test_one_frozen_decode_per_sample(monkeypatch, usable_cpus, with_state):
+    usable_cpus(1)
     calls = []
     personal = []
 
@@ -258,7 +259,8 @@ def test_one_frozen_decode_per_sample(monkeypatch, with_state):
         assert "coverage" not in vars(cache) and "q_per" not in vars(cache)
 
 
-def test_tiles_computed_once_per_snapshot(monkeypatch):
+def test_tiles_computed_once_per_snapshot(monkeypatch, usable_cpus):
+    usable_cpus(1)
     counted = []
     plain = FrozenSnapshot.tiles.func
 
@@ -280,7 +282,9 @@ def test_tiles_computed_once_per_snapshot(monkeypatch):
 
 
 @pytest.mark.parametrize("concatenated", [False, True])
-def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, concatenated):
+def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cpus,
+                                                concatenated):
+    usable_cpus(1)  # each worker runs this loop over its own items
     refs = []
     most = 0
 

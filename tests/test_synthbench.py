@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from povseg.errors import InvariantError
+from povseg.errors import InvariantError, NonFiniteError
 from povseg.head import build_forward, build_frozen_forward, decode
 from povseg.metrics import accumulate, evaluate_samples
 from povseg.personalize import TrainConfig
@@ -283,8 +283,9 @@ def test_concat_eval_runs_with_trained_state(bench_dir):
 
 def test_concat_partner_z_is_the_partners_loaded_z_open(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
+    pairs = concat_pairs(manifest)
     seen = [(s.polarity, s.snapshot.z_open.tobytes(), s.partner_z.tobytes())
-            for s in concat_pairs(manifest)]
+            for i in range(pairs.n_items) for s in pairs.item(i)]
     assert len(seen) == len(manifest.split("test"))
     for (pos, pos_z, pos_partner), (neg, neg_z, neg_partner) in zip(seen[::2], seen[1::2]):
         assert (pos, neg) == ("positive", "negative")
@@ -313,8 +314,10 @@ def scored(monkeypatch, run):
 
 
 @pytest.mark.parametrize("variant", ["negative", "no-negative", "frozen"])
-def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, variant):
+def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, usable_cpus,
+                                        variant):
     """Scoring a pair as its two images equals scoring the joined image."""
+    usable_cpus(1)  # the accumulate spy sees only this process's calls
     manifest = load_manifest(bench_dir / "manifest.tsv")
     state = {"negative": bench_state, "frozen": None,
              "no-negative": replace(bench_state, negative_enabled=False)}[variant]
@@ -384,6 +387,28 @@ def test_kshot_rows_and_average(bench_dir):
     assert rows[2].miou == (rows[0].miou + rows[1].miou) / 2
     table = format_kshot_table(rows)
     assert table.splitlines()[0] == "k\tiou_per\tmiou"
+
+
+@pytest.mark.usefixtures("worker_guard")
+def test_ablation_and_kshot_rows_do_not_depend_on_the_worker_count(bench_dir, usable_cpus):
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    config = TrainConfig(iterations=10)
+    runs = []
+    for cpus in (1, 2, 3):
+        usable_cpus(cpus)
+        runs.append((run_ablation(manifest, config), run_kshot(manifest, [1, 3, 2], config)))
+    assert runs[0] == runs[1] == runs[2]
+    assert [row.label for row in runs[0][1]] == ["1", "3", "2", "Avg."]
+
+
+@pytest.mark.usefixtures("worker_guard")
+def test_training_error_in_a_worker_row_is_raised(bench_dir, usable_cpus):
+    usable_cpus(3)  # this process computes the frozen row; forked workers train the others
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    # an update of 1e308 overflows at the first step of every trained row
+    with pytest.raises(NonFiniteError, match="^step 0: ") as caught:
+        run_ablation(manifest, TrainConfig(iterations=1, learning_rate=1e308, alpha=0.0))
+    assert caught.value.stage == "update"
 
 
 def test_kshot_k_exceeding_train_set(bench_dir):
