@@ -19,12 +19,11 @@ import numpy as np
 from .errors import FormatError, InvariantError, NonFiniteError
 from .grad import gradcheck
 from .losses import LossWeights
-from .metrics import MetricsReport, evaluate, write_report
+from .metrics import MetricsReport, concat_evaluate, evaluate, write_report
 from .personalize import TrainConfig, load_state, save_state
 from .snapshot import Manifest, load_manifest, load_samples
 from .synthbench import (
     SynthConfig,
-    concat_evaluate,
     format_ablation_table,
     format_kshot_table,
     generate,

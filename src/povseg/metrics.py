@@ -1,4 +1,4 @@
-"""Evaluation: confusion counts, per-class IoU, and the test-set protocol.
+"""Evaluation: confusion counts, per-class IoU, and the test-set protocols.
 
 Ground truth for a test image is the frozen model's own label map
 (pseudo-labels), with pixels of the personal mask overridden to the
@@ -14,15 +14,15 @@ baseline simply never predicts the personal class.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError, NonFiniteError
 from .head import PersonalState, build_forward, build_frozen_forward, decode
-from .snapshot import Manifest, Sample, load_sample
+from .snapshot import Manifest, ManifestEntry, Sample, _load_z_open, load_sample
 from .workers import map_in_workers
 
 
@@ -80,8 +80,6 @@ def _scalars(counts: np.ndarray, k: int) -> tuple[float, float, float, float]:
 
 def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.ndarray:
     """The frozen model's label map, with the personal region overridden to ``k``."""
-    if personal_mask.shape != labels.shape:
-        raise InvariantError("personal mask shape differs from label grid")
     labels = labels.copy()
     labels[personal_mask.astype(bool)] = k
     return labels
@@ -122,87 +120,76 @@ def _confusion(sample: Sample, where: str, personal_class_name: str,
     return accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
 
 
-def _score_item(samples: LazySamples, item: int, personal_class_name: str,
-                state: PersonalState | None) -> list[tuple]:
-    """``(where, vocab_names, positive, counts)`` of each sample of one item.
+def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
+           state: PersonalState | None) -> tuple:
+    """``(where, vocab_names, positive, counts)`` of sample ``i``.
 
     ``counts`` holds the nonzero cells of the image's confusion matrix, as
     flat indices and values: an image shows few of the (V+1)^2 label pairs,
-    and a worker sends every image's counts back. A failure ends the list,
-    as the ``counts`` of the sample it hit, with ``vocab_names`` None when
-    that sample could not be read. Nothing is raised, so that the caller
-    checks each sample's vocabulary before its error, as a serial loop would.
+    and a worker sends every image's counts back. A failure is returned as
+    ``counts``, with ``vocab_names`` None when the sample could not be read.
+    Nothing is raised, so that the caller checks each sample's vocabulary
+    before its error, as a serial loop would.
     """
-    scored = []
-    index = item * samples.per_item
+    try:
+        sample = samples[i]
+    except Exception as exc:  # raised again by the caller, in order
+        return None, None, None, exc
+    where = sample.snapshot_path or f"sample {i}"
+    names = sample.snapshot.vocab_names
     # check_finite sees every forward and decode array; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for sample in samples.item(item):
-                where = sample.snapshot_path or f"sample {index}"
-                names = sample.snapshot.vocab_names
-                try:
-                    counts = _confusion(sample, where, personal_class_name, state)
-                except Exception as exc:  # raised again by the caller, in order
-                    scored.append((where, names, None, exc))
-                    break
-                cells = np.flatnonzero(counts)
-                scored.append((where, names, sample.polarity == "positive",
-                               (cells, counts.flat[cells])))
-                index += 1
-                del sample  # let go of this image before the next one is read
-        except Exception as exc:  # the next sample could not be read
-            scored.append((None, None, None, exc))
-    return scored
+            counts = _confusion(sample, where, personal_class_name, state)
+        except Exception as exc:
+            return where, names, None, exc
+    cells = np.flatnonzero(counts)
+    return where, names, sample.polarity == "positive", (cells, counts.flat[cells])
 
 
-def evaluate_samples(samples: LazySamples | Iterable[Sample], personal_class_name: str,
+def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
                      state: PersonalState | None = None,
                      per_image: bool = False) -> MetricsReport:
     """Score decoded labels against combined pseudo-label ground truth.
 
-    The items of a ``LazySamples`` (a list's samples, one by one) are scored
-    by ``map_in_workers``, one forked worker per usable CPU. Each worker
-    reads and scores its own items and keeps none, so it holds one image in
-    memory at a time. Their confusion counts are integers and are summed in
-    sample order, so the report does not depend on the worker count.
-    ``state=None`` evaluates the frozen baseline (with the class-name proxy
-    when the vocabulary contains ``personal_class_name``). ``per_image``
-    averages scalar metrics over images instead of aggregating counts. A
-    sample whose forward pass is non-finite, or does not fit the state,
-    raises an error that names it, so no metric is reported from it; the
-    first failing sample in order is the one reported.
+    The samples are scored by ``map_in_workers``, one forked worker per
+    usable CPU. Each worker indexes and scores its own samples and keeps
+    none, so over a ``LazySamples`` it holds one image in memory at a time.
+    Their confusion counts are integers and are summed in sample order, so
+    the report does not depend on the worker count. ``state=None`` evaluates
+    the frozen baseline (with the class-name proxy when the vocabulary
+    contains ``personal_class_name``). ``per_image`` averages scalar metrics
+    over images instead of aggregating counts. A sample whose forward pass
+    is non-finite, or does not fit the state, raises an error that names it,
+    so no metric is reported from it; the first failing sample in order is
+    the one reported.
     """
-    if not isinstance(samples, LazySamples):
-        samples = LazySamples(list(samples), _alone)
     vocab_names = None
     scalars = []
     n_pos = n_neg = 0
-    items = map_in_workers(
-        lambda item: _score_item(samples, item, personal_class_name, state),
-        samples.n_items)
-    for scored in items:
-        for where, names, positive, counts in scored:
-            if names is None:  # the sample could not be read
-                raise counts
-            if vocab_names is None:
-                vocab_names = names
-                k = len(names)
-                total = np.zeros((k + 1, k + 1), np.int64)
-            elif names != vocab_names:
-                raise InvariantError(f"{where} vocabulary differs from sample 0")
-            if isinstance(counts, Exception):
-                raise counts
-            cells, values = counts
-            if positive:
-                n_pos += 1
-            else:
-                n_neg += 1
-            if per_image:
-                image_counts = np.zeros_like(total)
-                image_counts.flat[cells] = values
-                scalars.append(_scalars(image_counts, k))
-            total.flat[cells] += values
+    scored = map_in_workers(
+        lambda i: _score(samples, i, personal_class_name, state), len(samples))
+    for where, names, positive, counts in scored:
+        if names is None:  # the sample could not be read
+            raise counts
+        if vocab_names is None:
+            vocab_names = names
+            k = len(names)
+            total = np.zeros((k + 1, k + 1), np.int64)
+        elif names != vocab_names:
+            raise InvariantError(f"{where} vocabulary differs from sample 0")
+        if isinstance(counts, Exception):
+            raise counts
+        cells, values = counts
+        if positive:
+            n_pos += 1
+        else:
+            n_neg += 1
+        if per_image:
+            image_counts = np.zeros_like(total)
+            image_counts.flat[cells] = values
+            scalars.append(_scalars(image_counts, k))
+        total.flat[cells] += values
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
@@ -217,42 +204,64 @@ def evaluate_samples(samples: LazySamples | Iterable[Sample], personal_class_nam
                          class_table=table, n_positive=n_pos, n_negative=n_neg)
 
 
-def _alone(sample: Sample) -> tuple[Sample]:
-    return (sample,)
-
-
-class LazySamples:
-    """Samples read item by item: ``load(item)`` yields ``per_item`` of them.
+class LazySamples(Sequence):
+    """Samples read when indexed: ``samples[i]`` is ``load(entries[i])``.
 
     Nothing is kept once a sample has been handed out.
     """
 
-    def __init__(self, items: list, load: Callable[..., Iterable[Sample]],
-                 per_item: int = 1):
-        self._items = items
+    def __init__(self, entries: list, load: Callable[..., Sample]):
+        self._entries = entries
         self._load = load
-        self.per_item = per_item
 
     def __len__(self) -> int:
-        """Counts without reading. ``perfbench/tracer.py`` takes ``len`` of every
-        ``samples`` argument: a generator passed to ``evaluate_samples`` would crash it."""
-        return self.per_item * len(self._items)
+        return len(self._entries)
 
-    @property
-    def n_items(self) -> int:
-        return len(self._items)
-
-    def item(self, i: int) -> Iterable[Sample]:
-        """The samples of item ``i``, read as they are iterated."""
-        return self._load(self._items[i])
+    def __getitem__(self, i: int) -> Sample:
+        return self._load(self._entries[i])
 
 
 def evaluate(manifest: Manifest, state: PersonalState | None = None,
              per_image: bool = False) -> MetricsReport:
     """Score the test split, reading one image at a time."""
-    samples = LazySamples(manifest.split("test"), lambda entry: (load_sample(entry),))
-    return evaluate_samples(samples, manifest.personal_class_name,
-                            state=state, per_image=per_image)
+    return evaluate_samples(LazySamples(manifest.split("test"), load_sample),
+                            manifest.personal_class_name, state=state, per_image=per_image)
+
+
+def concat_pairs(manifest: Manifest) -> LazySamples:
+    """Pair test positives with test negatives in manifest order.
+
+    A pair is scored as its two images, the positive then the negative, each
+    decoded against its own proposals plus the negative column the pair
+    shares (``partner_z``); each is read only when it is scored. Entries
+    left without a partner are read here once, so that a malformed file
+    among them is still refused.
+    """
+    entries = manifest.split("test")
+    positives = [e for e in entries if e.polarity == "positive"]
+    negatives = [e for e in entries if e.polarity == "negative"]
+    if not positives or not negatives:
+        raise InvariantError("concat evaluation needs both polarities in the test split")
+    paired = min(len(positives), len(negatives))
+    for entry in positives[paired:] + negatives[paired:]:
+        load_sample(entry)
+    return LazySamples([order for pair in zip(positives, negatives)
+                        for order in (pair, pair[::-1])], _load_with_partner)
+
+
+def _load_with_partner(pair: tuple[ManifestEntry, ManifestEntry]) -> Sample:
+    """The first entry's sample, with the second's ``z_open`` as ``partner_z``.
+
+    The partner's ``z_open`` is read on its own, so one image is held at a time.
+    """
+    entry, partner = pair
+    partner_z = _load_z_open(partner.snapshot)
+    return replace(load_sample(entry), partner_z=partner_z)
+
+
+def concat_evaluate(manifest: Manifest, state: PersonalState) -> MetricsReport:
+    return evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
+                            state=state)
 
 
 def format_report(report: MetricsReport) -> str:

@@ -66,11 +66,6 @@ class FrozenSnapshot:
     features: np.ndarray | None = None   # (Hf, Wf, D), binary32 when loaded
 
     def __post_init__(self) -> None:
-        # Read-only however the snapshot was built, so that no in-place write
-        # can leave ``coverage`` stale or change a snapshot an evaluator shares.
-        for arr in (self.t_open, self.z_open, self.m_open, self.features):
-            if arr is not None:
-                arr.setflags(write=False)
         if self.t_open.ndim != 2 or self.z_open.ndim != 2 or self.m_open.ndim != 3:
             raise InvariantError("t_open must be 2-D, z_open 2-D, m_open 3-D")
         v, d = self.t_open.shape
@@ -112,6 +107,12 @@ class FrozenSnapshot:
                     f"feature map {hf}x{wf} must lie within [1, {h}] x [1, {w}]")
             if not np.isfinite(self.features).all():
                 raise InvariantError("non-finite value in features")
+        # Read-only however the snapshot was built, so that no in-place write
+        # can leave ``coverage`` stale or change a snapshot an evaluator shares;
+        # set only once the checks pass, so a refused build leaves them writable.
+        for arr in (self.t_open, self.z_open, self.m_open, self.features):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def vocab_size(self) -> int:

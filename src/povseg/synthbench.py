@@ -10,10 +10,17 @@ embedding genuinely adds information. Positive images contain the personal
 instance, negative images a same-group distractor instance, and every image
 adds one unrelated object plus clutter proposals.
 
-This construction makes the core failure mode arise by design: tuning only
-the text prompt inflates the personal logit until it outgrows the
-neighboring fine-class entries, producing false positives on distractors
-that the negative mask branch then has to suppress.
+The construction aims at the paper's failure mode: tuning only the text
+prompt inflates the personal logit against the neighboring fine-class
+entries. At the default schedule (lr 5e-4, 200 iterations) that does not
+reach the distractors. At seeds 20 and 21, none of the four trained
+ablation rows predicts one personal pixel on any of the 24 negatives. The
+rows differ in the personal pixels they predict outside the mask on
+positives: 196, 185, 167 and 147 at seed 20 (``prompt``, ``prompt+neg``,
+``prompt+inject``, ``full``) and 167, 162, 144 and 138 at seed 21, 93% or
+more of them within 2 px of the mask. So the ablation's precision gain is
+the proposals' wide fringe being trimmed, not false positives on
+distractors being suppressed.
 
 Every Gaussian blob, ``amp * exp(q)`` with ``amp <= 1`` and
 ``q = -((y - cy) / ry)^2 - ((x - cx) / rx)^2``, is computed on the box
@@ -32,7 +39,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,15 +46,12 @@ import numpy as np
 
 from .errors import InvariantError
 from .head import PersonalState
-from .metrics import LazySamples, MetricsReport, evaluate_samples
+from .metrics import MetricsReport, evaluate_samples
 from .personalize import TrainConfig, run_personalization
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
-    ManifestEntry,
     Sample,
-    _load_z_open,
-    load_sample,
     load_samples,
     save_mask,
     save_snapshot,
@@ -451,43 +454,3 @@ def format_kshot_table(rows: list[KShotRow]) -> str:
     lines = ["k\tiou_per\tmiou"]
     lines += [f"{r.label}\t{r.iou_per:.4f}\t{r.miou:.4f}" for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def concat_pairs(manifest: Manifest) -> LazySamples:
-    """Pair test positives with test negatives in manifest order.
-
-    A pair is scored as its two images, each decoded against its own
-    proposals plus the negative column the pair shares; its images are read
-    only when it is scored, one at a time. Entries left without a partner are
-    read here once, so that a malformed file among them is still refused.
-    """
-    entries = manifest.split("test")
-    positives = [e for e in entries if e.polarity == "positive"]
-    negatives = [e for e in entries if e.polarity == "negative"]
-    if not positives or not negatives:
-        raise InvariantError("concat evaluation needs both polarities in the test split")
-    paired = min(len(positives), len(negatives))
-    for entry in positives[paired:] + negatives[paired:]:
-        load_sample(entry)
-    return LazySamples(list(zip(positives, negatives)), _load_pair, per_item=2)
-
-
-def _load_pair(pair: tuple[ManifestEntry, ManifestEntry]) -> Iterator[Sample]:
-    """The positive, then the negative, each with its partner's ``z_open``.
-
-    Only the negative's ``z_open`` is read ahead, and only the positive's is
-    kept while the negative loads, so one image is held at a time.
-    """
-    pos, neg = pair
-    neg_z = _load_z_open(neg.snapshot)
-    sample = replace(load_sample(pos), partner_z=neg_z)
-    pos_z = sample.snapshot.z_open
-    yield sample
-    del sample  # scored: let it go before the negative is read
-    sample = replace(load_sample(neg), partner_z=pos_z)
-    yield sample
-
-
-def concat_evaluate(manifest: Manifest, state: PersonalState) -> MetricsReport:
-    return evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
-                            state=state)

@@ -10,6 +10,7 @@ from povseg.head import PersonalState, build_forward, build_frozen_forward, deco
 from povseg.metrics import (
     accumulate,
     class_iou,
+    concat_evaluate,
     evaluate,
     evaluate_samples,
     format_report,
@@ -20,7 +21,7 @@ from povseg.metrics import (
     write_report,
 )
 from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
-from povseg.synthbench import SynthConfig, concat_evaluate
+from povseg.synthbench import SynthConfig
 
 rng = np.random.default_rng(23)
 
@@ -284,7 +285,7 @@ def test_tiles_computed_once_per_snapshot(monkeypatch, usable_cpus):
 @pytest.mark.parametrize("concatenated", [False, True])
 def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cpus,
                                                 concatenated):
-    usable_cpus(1)  # each worker runs this loop over its own items
+    usable_cpus(1)  # each worker runs this loop over its own samples
     refs = []
     most = 0
 
@@ -296,7 +297,6 @@ def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cp
         return sample
 
     monkeypatch.setattr("povseg.metrics.load_sample", tracking)
-    monkeypatch.setattr("povseg.synthbench.load_sample", tracking)
     manifest = load_manifest(bench_dir / "manifest.tsv")
     if concatenated:
         cfg = SynthConfig()

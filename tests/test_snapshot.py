@@ -171,6 +171,15 @@ def test_snapshot_arrays_are_read_only(tmp_path, tiny_snapshot, loaded):
     np.testing.assert_array_equal(snap.coverage, snap.m_open.sum(axis=2))
 
 
+def test_refused_snapshot_leaves_the_arrays_writable():
+    snap = random_instance(0)[0]
+    m = snap.m_open.copy()
+    m[0, 0, 0] = 1.5
+    with pytest.raises(InvariantError, match=re.escape("m_open entries must lie in [0, 1]")):
+        replace(snap, m_open=m)
+    assert m.flags.writeable
+
+
 def test_binary32_bank_saves_the_same_bytes(tmp_path):
     snap = random_instance(0)[0]  # uniform float64 entries, not float32-exact
     save_snapshot(snap, tmp_path / "f8.povs")

@@ -7,7 +7,7 @@ import pytest
 
 from povseg.errors import InvariantError, NonFiniteError
 from povseg.head import build_forward, build_frozen_forward, decode
-from povseg.metrics import accumulate, evaluate_samples
+from povseg.metrics import accumulate, concat_evaluate, concat_pairs, evaluate_samples
 from povseg.personalize import TrainConfig
 from povseg.snapshot import Sample, load_manifest, load_samples, load_snapshot
 from povseg.synthbench import (
@@ -16,8 +16,6 @@ from povseg.synthbench import (
     SynthConfig,
     _blob,
     _paint,
-    concat_evaluate,
-    concat_pairs,
     format_ablation_table,
     format_kshot_table,
     generate,
@@ -285,7 +283,7 @@ def test_concat_partner_z_is_the_partners_loaded_z_open(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     pairs = concat_pairs(manifest)
     seen = [(s.polarity, s.snapshot.z_open.tobytes(), s.partner_z.tobytes())
-            for i in range(pairs.n_items) for s in pairs.item(i)]
+            for s in pairs]
     assert len(seen) == len(manifest.split("test"))
     for (pos, pos_z, pos_partner), (neg, neg_z, neg_partner) in zip(seen[::2], seen[1::2]):
         assert (pos, neg) == ("positive", "negative")

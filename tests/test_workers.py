@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError, NonFiniteError
-from povseg.metrics import evaluate_samples
-from povseg.snapshot import Sample
+from povseg.metrics import concat_pairs, evaluate_samples
+from povseg.personalize import TrainConfig
+from povseg.snapshot import Sample, load_manifest, load_samples
+from povseg.synthbench import train_on_manifest
 from povseg.workers import map_in_workers, usable_cpus
 
 from test_metrics import crafted_snapshot
@@ -140,7 +142,7 @@ def test_evaluation_raises_the_first_failing_sample(usable_cpus, cpus):
 
 
 @pytest.mark.parametrize("per_image", [False, True])
-def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, per_image):
+def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir, per_image):
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     wider = np.array([[1, 1], [1, 0]], dtype=np.uint8)
     samples = [Sample(crafted_snapshot(), mask, "positive"),
@@ -148,9 +150,18 @@ def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, per_image):
                Sample(crafted_snapshot(), wider, "positive"),
                Sample(crafted_snapshot(), mask, "positive"),
                Sample(crafted_snapshot(), None, "negative")]
-    reports = []
-    for cpus in (1, 2, 3):
-        usable_cpus(cpus)
-        reports.append(evaluate_samples(samples, "zero", per_image=per_image))
-    assert reports[0] == reports[1] == reports[2]
-    assert (reports[0].n_positive, reports[0].n_negative) == (3, 2)
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    state, _ = train_on_manifest(manifest, TrainConfig(iterations=5),
+                                 load_samples(manifest, "train"))
+    n_pairs = len(manifest.split("test")) // 2
+    for run, counts in (
+            (lambda: evaluate_samples(samples, "zero", per_image=per_image), (3, 2)),
+            # concat_evaluate's pairs, each a positive and a negative
+            (lambda: evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
+                                      state=state, per_image=per_image), (n_pairs, n_pairs))):
+        reports = []
+        for cpus in (1, 2, 3):
+            usable_cpus(cpus)
+            reports.append(run())
+        assert reports[0] == reports[1] == reports[2]
+        assert (reports[0].n_positive, reports[0].n_negative) == counts
