@@ -47,7 +47,9 @@ def _composition_row(cache: ForwardCache, scale: np.ndarray) -> np.ndarray:
     Columns n < N sum over the snapshot's m_open and column j over m_neg, so
     the (N+1)-channel bank M is never built. The sums over pixels use einsum,
     not tensordot: OpenBLAS splits a long tensordot sum across threads, so its
-    bits would depend on the thread count, and einsum does not call BLAS.
+    bits would depend on the thread count, and einsum does not call BLAS. It
+    casts a binary32 bank through its buffer, in the same pixel order, so the
+    bank is never promoted whole.
     """
     row = np.einsum("ij,ijn->n", scale, cache.snapshot.m_open)
     if cache.j is None:

@@ -16,6 +16,13 @@ channels, in channel order, and an exact-zero term leaves that chain
 unchanged. This was verified on OpenBLAS only. It is also why no block is
 one pixel: numpy sends a one-row product to gemv, which sums in another order.
 
+A loaded mask bank is binary32 (see ``snapshot``), and every product with it
+is computed in float64 without a float64 copy of the whole bank. ``predict``
+promotes each tile's slice. ``negative_mask`` and ``q_per`` multiply
+BANK_ROWS pixel rows at a time through ``_bank_product``, which numpy
+computes one pixel row per gemv either way, so the bits equal those of the
+whole bank's product and do not depend on the bank's type.
+
 All functions are pure; ``build_forward`` is the one personalized pass, for
 training and decoding alike, and a ForwardCache belongs to a single evaluation.
 Both forward passes refuse a non-finite ``S``, ``C`` or ``m_neg`` with
@@ -35,6 +42,11 @@ from .snapshot import FrozenSnapshot
 
 # Per-pixel mass below this uses the uniform-class fallback.
 COVERAGE_EPS = 1e-12
+# Pixel rows per promoted block of the bank. Eight rows of a backbone bank
+# (128 pixels x 100 channels in float64, 0.8 MB) stay in a core's L2 cache:
+# on a Xeon with 2 MiB of L2 per core, blocks of 16 rows made backbone
+# training about 3% slower end to end.
+BANK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class ForwardCache:
     @cached_property
     def q_per(self) -> np.ndarray:  # (H, W) personal channel Q[..., k]
         row = self.c[self.k]
-        mass = self.snapshot.m_open @ row[:self.snapshot.num_proposals]
+        mass = _bank_product(self.snapshot.m_open, row[:self.snapshot.num_proposals])
         if self.m_neg is not None:
             mass += self.m_neg * row[self.j]
         covered = self.coverage > COVERAGE_EPS
@@ -104,9 +116,18 @@ def check_finite(stage: str, *arrays) -> None:
 # The stage functions below trust their shapes: build_forward checks the state
 # against the snapshot once, for both training and decoding.
 
+def _bank_product(m_open: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``m_open @ vec`` in float64, promoting BANK_ROWS pixel rows of the bank at a time."""
+    out = np.empty(m_open.shape[:2])
+    for start in range(0, m_open.shape[0], BANK_ROWS):
+        rows = slice(start, start + BANK_ROWS)
+        np.matmul(m_open[rows].astype(np.float64, copy=False), vec, out=out[rows])
+    return out
+
+
 def negative_mask(m_open: np.ndarray, w_m: np.ndarray, b_m: float) -> np.ndarray:
     """Sigmoid of a 1x1 combination over proposal channels."""
-    return sigmoid(m_open @ w_m + b_m)
+    return sigmoid(_bank_product(m_open, w_m) + b_m)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ with entries in [0, 1], a logit scale, the vocabulary names, and optionally
 an image feature map ``f`` (Hf x Wf x D) for visual-embedding extraction.
 
 On disk everything floating is IEEE-754 binary32 (POVS format, little
-endian). A loaded snapshot's ``t_open``, ``z_open`` and ``m_open`` are
-promoted to float64 in memory, the type decoding and training compute in.
-Its feature map stays binary32: only training's masked pooling reads it,
-and that promotes the rows it gathers. ``synth`` builds its mask bank in
-binary32 too. Every snapshot's arrays are read-only, however the snapshot
-was built.
+endian). A loaded snapshot's ``t_open`` and ``z_open`` are promoted to
+float64 in memory, the type decoding and training compute in. Its mask bank
+and feature map, nearly all of its bytes, keep the file's binary32, as
+``synth`` builds them. Promoting binary32 to float64 is exact, so each
+consumer promotes only the pixel rows or gathered rows it reads, and sums
+them in the same order as it would a float64 bank: its bits do not depend
+on the bank's type. Every snapshot's arrays are read-only, however the
+snapshot was built.
 
 This module also holds the one reader and the one writer of both binary
 formats, the snapshot here and the personal state (POVP) in ``personalize``.
@@ -60,7 +62,7 @@ READ_CHUNK = 1 << 17
 class FrozenSnapshot:
     t_open: np.ndarray            # (V, D)
     z_open: np.ndarray            # (N, D)
-    m_open: np.ndarray            # (H, W, N), entries in [0, 1]
+    m_open: np.ndarray            # (H, W, N), entries in [0, 1], binary32 when loaded
     vocab_names: list[str]
     logit_scale: float = 1.0
     features: np.ndarray | None = None   # (Hf, Wf, D), binary32 when loaded
@@ -134,7 +136,7 @@ class FrozenSnapshot:
     # training step on this snapshot reads the same per-pixel proposal mass.
     @cached_property
     def coverage(self) -> np.ndarray:  # (H, W) sum_n m_open(p, n)
-        out = self.m_open.sum(axis=2)
+        out = self.m_open.sum(axis=2, dtype=np.float64)  # promoted through numpy's buffer
         out.setflags(write=False)
         return out
 
@@ -203,10 +205,11 @@ class _Reader:
     and puts the path in front of any ``FormatError`` or ``InvariantError``
     raised inside it, those of the object the loader builds there included.
     ``header`` checks the magic and version that lead the header ``struct``
-    and returns its other fields. A payload kept at its file type (``raw``)
-    is read straight into its array. A binary32 payload promoted to float64
-    (``promoted``) is cast through the reader's one buffer of ``READ_CHUNK``
-    elements, so no copy of the file's bytes, whole or per payload, is held.
+    and returns its other fields. A payload kept at its file type (``raw``),
+    such as a snapshot's mask bank and feature map, is read straight into its
+    array. A binary32 payload promoted to float64 (``promoted``) is cast
+    through the reader's one buffer of ``READ_CHUNK`` elements, so no copy of
+    the file's bytes, whole or per payload, is held.
     """
 
     def __init__(self, path: Path):
@@ -215,7 +218,7 @@ class _Reader:
         self.size = os.fstat(self.fh.fileno()).st_size
         self.off = 0
         # One staging buffer per file: a buffer per payload would leave holes
-        # in the heap that the next image's float64 bank no longer fits.
+        # in the heap that the next image's mask bank no longer fits.
         self.buf = np.empty(READ_CHUNK, "<f4")
 
     def __enter__(self) -> _Reader:
@@ -296,7 +299,7 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
 
         t_open = rd.promoted(v * d).reshape(v, d)
         z_open = rd.promoted(n * d).reshape(n, d)
-        m_open = rd.promoted(h * w * n).reshape(h, w, n)
+        m_open = rd.raw(h * w * n, "<f4").reshape(h, w, n)
         features = rd.raw(hf * wf * d, "<f4").reshape(hf, wf, d) if has_f else None
 
         (count,) = struct.unpack("<I", rd.take(4))

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -10,6 +11,7 @@ from output_tree import child_env
 import povseg.grad as grad_mod
 from povseg.errors import NonFiniteError
 from povseg.grad import (
+    GRADCHECK_TOL,
     TRAINED,
     backward,
     finite_diff,
@@ -111,6 +113,57 @@ def test_backward_bytes_independent_of_blas_threads():
                             capture_output=True, text=True, check=True).stdout
              for threads in (1, 2)}
     assert len(hexes) == 1
+
+
+# Each bank shape is (N, grid side): N = 257 passes numpy's pairwise-sum block
+# of 128 in the coverage sum, and W * N of the larger grids passes the size at
+# which OpenBLAS splits a gemv across two threads.
+_DTYPE_BYTES = """
+import json
+from dataclasses import replace
+import numpy as np
+from povseg.grad import backward, random_instance
+from povseg.head import build_forward, build_frozen_forward, decode
+
+def outputs(snapshot, state, gt, weights):
+    cache = build_forward(snapshot, state)
+    _, g = backward(snapshot, state, gt, weights)
+    return {"coverage": snapshot.coverage, "S": cache.s, "C": cache.c,
+            "m_neg": cache.m_neg, "q_per": cache.q_per, "labels": decode(cache),
+            "frozen_labels": decode(build_frozen_forward(snapshot)),
+            **{"grad_" + name: value for name, value in vars(g).items()}}
+
+differing = {}
+for n, side in ((6, 16), (100, 128), (257, 40)):
+    snapshot, state, gt, weights = random_instance(0, n=n, h=side, w=side)
+    bank = snapshot.m_open.astype(np.float32)
+    f4 = outputs(replace(snapshot, m_open=bank), state, gt, weights)
+    f8 = outputs(replace(snapshot, m_open=bank.astype(np.float64)), state, gt, weights)
+    differing[n] = [name for name in f4
+                    if np.asarray(f4[name]).tobytes() != np.asarray(f8[name]).tobytes()]
+print(json.dumps(differing))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_binary32_bank_gives_the_bytes_of_its_promotion(threads):
+    """A loaded binary32 bank and its float64 promotion decode and train alike.
+
+    Coverage, S, C, m_neg, q_per, both label maps and every gradient must
+    have equal bytes, at one and at two OpenBLAS threads.
+    """
+    done = subprocess.run([sys.executable, "-c", _DTYPE_BYTES], env=child_env(threads),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"6": [], "100": [], "257": []}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backward_matches_finite_differences_on_a_binary32_bank(seed):
+    snapshot, state, gt, weights = random_instance(seed)
+    snapshot = replace(snapshot, m_open=snapshot.m_open.astype(np.float32))
+    _, analytic = backward(snapshot, state, gt, weights)
+    numeric = finite_diff(snapshot, state, gt, weights)
+    assert max(relative_errors(analytic, numeric).values()) <= GRADCHECK_TOL
 
 
 def _full_bank_step(cache, gt, weights):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError, NonFiniteError
-from povseg.grad import random_instance
+from povseg.grad import backward, random_instance
 from povseg.head import (
     COVERAGE_EPS,
     PersonalState,
@@ -357,6 +357,24 @@ def test_personal_decode_never_builds_the_full_bank():
     finally:
         tracemalloc.stop()
     assert peak < bank_bytes, f"decode peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("step", ["backward", "decode"])
+def test_binary32_bank_is_never_promoted_whole(step):
+    """A training step or a personal decode on a backbone-shaped binary32 bank
+    allocates less than the bank itself, let alone its float64 promotion."""
+    snapshot, state, gt, weights = random_instance(0, v=150, d=512, n=100, h=128, w=128)
+    snapshot = replace(snapshot, m_open=snapshot.m_open.astype(np.float32))
+    tracemalloc.start()
+    try:
+        if step == "backward":
+            backward(snapshot, state, gt, weights)
+        else:
+            decode(build_forward(snapshot, state))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < snapshot.m_open.nbytes, f"{step} peaked at {peak} bytes"
 
 
 def test_forward_frozen_subblock_preserved(tiny_snapshot):

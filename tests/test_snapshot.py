@@ -160,15 +160,16 @@ def test_snapshot_arrays_are_read_only(tmp_path, tiny_snapshot, loaded):
     if loaded:
         save_snapshot(snap, tmp_path / "s.povs")
         snap = load_snapshot(tmp_path / "s.povs")
-        # features keep the file's binary32; the arrays decoding reads are promoted
-        assert snap.features.dtype == np.float32
-        assert {a.dtype for a in (snap.t_open, snap.z_open, snap.m_open)} == {np.dtype(np.float64)}
+        # the mask bank and features keep the file's binary32; the embeddings are promoted
+        assert {a.dtype for a in (snap.m_open, snap.features)} == {np.dtype(np.float32)}
+        assert {a.dtype for a in (snap.t_open, snap.z_open)} == {np.dtype(np.float64)}
     coverage = snap.coverage.copy()
     for name in ("t_open", "z_open", "m_open", "features"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(snap, name)[0] = 0.0
     np.testing.assert_array_equal(snap.coverage, coverage)
-    np.testing.assert_array_equal(snap.coverage, snap.m_open.sum(axis=2))
+    assert snap.coverage.dtype == np.float64
+    assert snap.coverage.tobytes() == snap.m_open.sum(axis=2, dtype=np.float64).tobytes()
 
 
 def test_refused_snapshot_leaves_the_arrays_writable():
