@@ -186,7 +186,7 @@ class GradcheckReport:
                 f"max_rel_err={self.max_error:.3e} tol={GRADCHECK_TOL:.1e}  [{detail}]")
 
 
-def gradcheck(seed: int = 0) -> GradcheckReport:
+def gradcheck(seed: int) -> GradcheckReport:
     """Analytic vs central-difference gradients on a seeded ``random_instance``."""
     if seed < 0:
         raise InvariantError(f"gradcheck seed must be >= 0, got {seed}")

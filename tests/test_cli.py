@@ -12,10 +12,11 @@ from output_tree import SRC
 from output_tree import build as build_output_tree
 
 from povseg import metrics
-from povseg.cli import _train_config, build_parser, main
+from povseg.cli import _config, build_parser, main
 from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
 from povseg.snapshot import _HEADER as _SNAPSHOT_HEADER
 from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_mask, save_snapshot
+from povseg.synthbench import SynthConfig
 
 FAST_SYNTH = ["--k-train", "2", "--test-pos", "2", "--test-neg", "2"]
 FAST_TRAIN = ["--iters", "10"]
@@ -50,9 +51,13 @@ def test_personalize_rejects_zero_iters(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--lr", "nan", "learning rate must be finite and positive, got nan"),
     ("--alpha", "2", "alpha 2.0 outside [0, 1]"),
-    ("--lambda-bce", "-1", "loss weight bce must be finite and nonnegative, got -1.0"),
+    # The loss weights are TrainConfig.weights in Python, not flags; their
+    # checks are test_losses.py::test_weights_validation.
+    ("--lambda-bce", "-1", "unrecognized arguments: --lambda-bce -1"),
+    ("--lambda-negm", "nan", "unrecognized arguments: --lambda-negm nan"),
+    ("--lambda-dice", "inf", "unrecognized arguments: --lambda-dice inf"),
     ("--iters", "0", "iterations must be >= 1, got 0"),
-], ids=["lr", "alpha", "lambda_bce", "iters"])
+], ids=["lr", "alpha", "lambda_bce", "lambda_negm", "lambda_dice", "iters"])
 def test_personalize_checks_its_config_before_reading_data(
         tmp_path, capsys, monkeypatch, flag, value, message):
     def refuse(args):
@@ -738,9 +743,7 @@ def test_bad_utf8_manifest_exits_one(tmp_path, capsys):
     assert "povseg: validation error" in err and str(manifest) in err
 
 
-@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
-                                        ("--lambda-negm", "nan"),
-                                        ("--lambda-dice", "inf")])
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf")])
 def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), *FAST_SYNTH])
@@ -763,6 +766,78 @@ def test_bad_gradcheck_flag_exits_one(capsys, flag, value):
     assert named in capsys.readouterr().err
 
 
+REQUIRED = {"synth": ["--out", "d"], "personalize": ["--data", "d", "--out", "s.povp"]}
+
+
 def test_personalize_defaults_are_train_config():
-    args = build_parser().parse_args(["personalize", "--data", "d", "--out", "s.povp"])
-    assert _train_config(args) == TrainConfig()
+    parser = build_parser()
+    assert _config(SynthConfig, parser.parse_args(["synth", *REQUIRED["synth"]])) \
+        == SynthConfig()
+    args = parser.parse_args(["personalize", *REQUIRED["personalize"]])
+    assert _config(TrainConfig, args) == TrainConfig()
+
+
+CONFIG_FLAGS = [
+    ("synth", "--seed", "7", "seed"), ("synth", "--vocab", "20", "v"),
+    ("synth", "--dim", "40", "d"), ("synth", "--proposals", "9", "n"),
+    ("synth", "--grid", "20", "h"), ("synth", "--feature-grid", "8", "hf"),
+    ("synth", "--k-train", "2", "k_train"), ("synth", "--test-pos", "3", "n_test_pos"),
+    ("synth", "--test-neg", "4", "n_test_neg"),
+    ("personalize", "--lr", "0.25", "learning_rate"),
+    ("personalize", "--iters", "7", "iterations"), ("personalize", "--alpha", "0.5", "alpha"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, field", CONFIG_FLAGS,
+                         ids=[flag for _, flag, _, _ in CONFIG_FLAGS])
+def test_each_config_flag_sets_its_own_field(command, flag, value, field):
+    cls = SynthConfig if command == "synth" else TrainConfig
+    args = build_parser().parse_args([command, *REQUIRED[command], flag, value])
+    expected = replace(cls(), **{field: type(getattr(cls(), field))(value)})
+    assert _config(cls, args) == expected
+
+
+# Runs one command in a fresh interpreter and prints the povseg modules it loaded.
+IMPORT_PROBE = """
+import sys
+from povseg.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("povseg"))))
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small dataset and a state trained on it, for commands that only read."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["synth", "--out", str(root / "data"), *FAST_SYNTH]) == 0
+    assert main(["personalize", "--data", str(root / "data"),
+                 "--out", str(root / "s.povp"), *FAST_TRAIN]) == 0
+    return root
+
+
+def loaded_modules(cwd, code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return {name.removeprefix("povseg.")
+            for name in run.stdout.splitlines()[-1].split()}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["eval", "--data", "data", "--state", "s.povp", "--report", "r.tsv"], {"synthbench"}),
+    (["eval", "--data", "data", "--frozen-only", "--report", "r.tsv"], {"synthbench"}),
+    (["concat-eval", "--data", "data", "--state", "s.povp", "--report", "r.tsv"],
+     {"synthbench"}),
+    (["gradcheck"], {"metrics", "workers", "personalize", "synthbench"}),
+], ids=["eval_state", "eval_frozen", "concat_eval", "gradcheck"])
+def test_each_command_imports_only_what_it_runs(trained, argv, unloaded):
+    loaded = loaded_modules(trained, IMPORT_PROBE, *argv)
+    assert "cli" in loaded and not loaded & unloaded, sorted(loaded)
+
+
+def test_bare_package_import_loads_no_submodule(tmp_path):
+    code = "import sys, povseg; print(' '.join(m for m in sys.modules if m.startswith('povseg')))"
+    assert loaded_modules(tmp_path, code) == {"povseg"}

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,9 +132,12 @@ def test_neg_m_cases():
     assert neg_m_loss(gt.astype(float), gt)[0] >= math.log(1.0 / 1e-7) - 1e-6
 
 
-def test_weights_validation():
-    with pytest.raises(InvariantError):
-        LossWeights(dice=-1.0)
+@pytest.mark.parametrize("term, value", [
+    ("dice", -1.0), ("bce", -1.0), ("neg_m", float("nan")), ("dice", float("inf"))])
+def test_weights_validation(term, value):
+    message = f"loss weight {term} must be finite and nonnegative, got {value}"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        LossWeights(**{term: value})
 
 
 def test_total_loss_projections():
