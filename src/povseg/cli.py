@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 validation error (bad flags or invalid inputs),
 byte-identical output files.
 
 Each ``_cmd_*`` function imports the modules its subcommand runs, so a
-process loads only those: ``eval`` and ``concat-eval`` never load the
-benchmark generator, and ``gradcheck`` loads no evaluation or training code.
+process loads only those: only ``synth``, ``ablate`` and ``kshot`` load the
+benchmark harness ``synthbench``, ``personalize`` loads no evaluation code,
+and ``gradcheck`` loads no evaluation or training code.
 Only ``errors`` and ``snapshot``, which ``main`` and ``--data`` need, are
 imported here. A config is built from the flags the user gave alone, so each
 default is written once, in its dataclass.
@@ -89,11 +90,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_personalize(args) -> int:
-    # synthbench before personalize: in the other order a backbone personalize
-    # run peaked about 0.2 MiB higher, from where the compiled modules landed
-    # in the heap.
-    from .synthbench import train_on_manifest
-    from .personalize import TrainConfig, save_state
+    from .personalize import TrainConfig, run_personalization, save_state
 
     config = _config(TrainConfig, args)
     _check_out_file(args.out)  # before with_suffix, which refuses "." and "/"
@@ -101,7 +98,8 @@ def _cmd_personalize(args) -> int:
     _check_out_file(trace_path)
     _print_config("personalize", {"data": args.data, "out": args.out, **asdict(config)})
     manifest = _manifest(args)
-    state, trace = train_on_manifest(manifest, config, load_samples(manifest, "train"))
+    state, trace = run_personalization(load_samples(manifest, "train"), config,
+                                       manifest.personal_class_name)
     save_state(state, args.out)
     trace_path.write_text("".join(f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))
     print(f"wrote {args.out} and {trace_path} (final loss {trace[-1]:.6f})")

@@ -45,14 +45,16 @@ class TrainConfig:
             raise InvariantError(f"alpha {self.alpha} outside [0, 1]")
 
 
-def init_state(snapshot: FrozenSnapshot, init_vector: np.ndarray,
+def init_state(snapshot: FrozenSnapshot, personal_class_name: str,
                config: TrainConfig) -> PersonalState:
-    """Fresh state: personal embedding from the given vector, zeros elsewhere."""
-    if init_vector.shape != (snapshot.embed_dim,):
+    """Fresh state: personal embedding from the class's text row, zeros elsewhere."""
+    if personal_class_name not in snapshot.vocab_names:
         raise InvariantError(
-            f"init vector shape {init_vector.shape} != ({snapshot.embed_dim},)")
+            f"personal class {personal_class_name!r} not in the snapshot vocabulary; "
+            "cannot initialize the personal embedding")
     n = snapshot.num_proposals
-    return PersonalState(t_per=init_vector.astype(np.float64).copy(),
+    row = snapshot.t_open[snapshot.vocab_names.index(personal_class_name)]
+    return PersonalState(t_per=row.astype(np.float64),
                          w_z=np.zeros(n), w_m=np.zeros(n), b_m=0.0,
                          k=snapshot.vocab_size, alpha=0.0, f_per=None,
                          negative_enabled=config.negative_enabled)
@@ -89,16 +91,18 @@ def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
 
 
 def run_personalization(samples: list[Sample], config: TrainConfig,
-                        init_vector: np.ndarray) -> tuple[PersonalState, list[float]]:
+                        personal_class_name: str) -> tuple[PersonalState, list[float]]:
     """Gradient-descend the personal parameters over K positive training samples.
 
-    ``init_vector`` is the personal embedding's starting point. ``f_per`` is
-    computed, and injected, only when ``config.alpha > 0``. Returns the final
-    state and the per-step total-loss trace.
+    The personal embedding starts from the text row of ``personal_class_name``
+    in the first sample's vocabulary. ``f_per`` is computed, and injected, only
+    when ``config.alpha > 0``. Returns the final state and the per-step
+    total-loss trace.
     """
     if not samples:
         raise InvariantError("empty training sample set")
     first = samples[0].snapshot
+    state = init_state(first, personal_class_name, config)
     for idx, sample in enumerate(samples):
         snap = sample.snapshot
         if sample.polarity != "positive":
@@ -108,7 +112,6 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
             where = sample.snapshot_path or f"sample {idx}"
             raise InvariantError(f"{where} disagrees on (V, D, N) or vocabulary names")
 
-    state = init_state(first, init_vector, config)
     if config.alpha > 0:
         state = replace(state, f_per=compute_visual_embedding(samples), alpha=config.alpha)
 

@@ -199,7 +199,7 @@ def _write(path: str | Path, header: bytes, arrays: tuple[np.ndarray | None, ...
 
 
 class _Reader:
-    """A POVS or POVP file, read front to back from its open handle.
+    """A POVS or POVP file, or a mask, read front to back from its open handle.
 
     Use it in a ``with`` block, which closes the file however the read ends
     and puts the path in front of any ``FormatError`` or ``InvariantError``
@@ -336,16 +336,16 @@ def save_mask(mask: np.ndarray, path: str | Path) -> None:
 def load_mask(path: str | Path, h: int, w: int) -> np.ndarray:
     """Read a raw binary mask and check it against the expected grid."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) != h * w:
-        raise FormatError(f"{path}: {len(raw)} bytes, expected {h * w} for {h}x{w}")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+    with _Reader(path) as rd:  # the size first: a huge file is refused unread
+        if rd.size != h * w:
+            raise FormatError(f"{rd.size} bytes, expected {h * w} for {h}x{w}")
+        arr = rd.raw(h * w, "u1").reshape(h, w)
     bad = (arr > 1)
     if bad.any():
         raise FormatError(
             f"{path}: mask byte {int(arr[bad][0])} at flat index "
             f"{int(np.flatnonzero(bad)[0])} is not 0/1")
-    return arr.copy()
+    return arr
 
 
 def downsample_mask(mask: np.ndarray, hf: int, wf: int) -> np.ndarray:

@@ -340,22 +340,15 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def _init_vector(manifest: Manifest, snapshot: FrozenSnapshot) -> np.ndarray:
-    name = manifest.personal_class_name
-    if name not in snapshot.vocab_names:
-        raise InvariantError(
-            f"personal class {name!r} not in the snapshot vocabulary; "
-            "cannot initialize the personal embedding")
-    return snapshot.t_open[snapshot.vocab_names.index(name)].copy()
-
-
 def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sample]
                       ) -> tuple[PersonalState, list[float]]:
-    """Personalize on ``samples``: the train split, or a prefix of it."""
-    if not samples:  # before samples[0] below; run_personalization says the same
-        raise InvariantError("empty training sample set")
-    init = _init_vector(manifest, samples[0].snapshot)
-    return run_personalization(samples, config, init)
+    """Personalize on ``samples``, the train split or a prefix of it.
+
+    ``personalize`` calls ``run_personalization`` itself. This one call is
+    kept for ``ablate`` and ``kshot`` only because the benchmark times their
+    training under the per-layer name ``synthbench.train_on_manifest.ms``.
+    """
+    return run_personalization(samples, config, manifest.personal_class_name)
 
 
 def _train_and_score(manifest: Manifest, config: TrainConfig, train: list[Sample],

@@ -277,11 +277,9 @@ def test_criterion_7_determinism_and_formats(tmp_path, tiny_snapshot):
 def test_criterion_8_injection_neutrality(bench_dir):
     """alpha = 0 trains without f_per, and f_per at weight 0 changes no bit."""
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    from povseg.synthbench import _init_vector
     samples = load_samples(manifest, "train")
-    init = _init_vector(manifest, samples[0].snapshot)
-
-    state, _ = run_personalization(samples, TrainConfig(alpha=0.0), init_vector=init)
+    state, _ = run_personalization(samples, TrainConfig(alpha=0.0),
+                                   manifest.personal_class_name)
     assert state.f_per is None, "alpha = 0 must train without a visual embedding"
     with_f = replace(state, f_per=compute_visual_embedding(samples))
     weights = LossWeights()

@@ -743,6 +743,22 @@ def test_bad_utf8_manifest_exits_one(tmp_path, capsys):
     assert "povseg: validation error" in err and str(manifest) in err
 
 
+@pytest.mark.parametrize("command", ["personalize", "ablate"])
+def test_personal_class_missing_from_vocabulary_exits_one(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), *FAST_SYNTH]) == 0
+    manifest = data / "manifest.tsv"
+    manifest.write_text("".join(line.rsplit("\t", 1)[0] + "\tmissing\n"
+                                for line in manifest.read_text().splitlines()))
+    out = tmp_path / "out"
+    code = main([command, "--data", str(data), "--out", str(out), *(
+        FAST_TRAIN if command == "personalize" else [])])
+    assert code == 1
+    assert ("povseg: validation error: personal class 'missing' not in the snapshot "
+            "vocabulary; cannot initialize the personal embedding") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf")])
 def test_non_finite_training_flag_exits_one(tmp_path, capsys, flag, value):
     data = tmp_path / "data"
@@ -832,7 +848,9 @@ def loaded_modules(cwd, code, *argv):
     (["concat-eval", "--data", "data", "--state", "s.povp", "--report", "r.tsv"],
      {"synthbench"}),
     (["gradcheck"], {"metrics", "workers", "personalize", "synthbench"}),
-], ids=["eval_state", "eval_frozen", "concat_eval", "gradcheck"])
+    (["personalize", "--data", "data", "--out", "p.povp", *FAST_TRAIN],
+     {"synthbench", "metrics", "workers"}),
+], ids=["eval_state", "eval_frozen", "concat_eval", "gradcheck", "personalize"])
 def test_each_command_imports_only_what_it_runs(trained, argv, unloaded):
     loaded = loaded_modules(trained, IMPORT_PROBE, *argv)
     assert "cli" in loaded and not loaded & unloaded, sorted(loaded)

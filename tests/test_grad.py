@@ -39,9 +39,9 @@ def test_trained_and_term_lists_are_dataclass_fields():
     features = np.random.default_rng(0).normal(size=(4, 4, snapshot.embed_dim))
     samples = [Sample(replace(snapshot, features=features), gt, "positive")]
     config = TrainConfig(iterations=1)
-    init = snapshot.t_open.mean(axis=0)
-    one, _ = run_personalization(samples, config, init)
-    two, _ = run_personalization(samples, replace(config, iterations=2), init)
+    name = snapshot.vocab_names[1]
+    one, _ = run_personalization(samples, config, name)
+    two, _ = run_personalization(samples, replace(config, iterations=2), name)
     assert one.f_per is not None and one.alpha == config.alpha  # set at init
     changed = {f.name for f in fields(PersonalState)
                if not np.array_equal(getattr(one, f.name), getattr(two, f.name))}

@@ -53,10 +53,9 @@ def make_samples(seed=0, count=3, with_features=True):
 
 def test_init_state_contents():
     snap = make_samples(count=1)[0].snapshot
-    vec = rng.normal(size=4)
-    state = init_state(snap, vec, TrainConfig())
-    np.testing.assert_array_equal(state.t_per, vec)
-    assert state.t_per is not vec
+    state = init_state(snap, "b", TrainConfig())
+    np.testing.assert_array_equal(state.t_per, snap.t_open[1])
+    assert not np.shares_memory(state.t_per, snap.t_open)
     assert not state.w_z.any() and not state.w_m.any() and state.b_m == 0.0
     assert state.f_per is None and state.alpha == 0.0
     assert state.k == 3
@@ -64,14 +63,18 @@ def test_init_state_contents():
 
 def test_init_from_vocab_row():
     snap = make_samples(count=1)[0].snapshot
-    state = init_state(snap, snap.t_open[1].copy(), TrainConfig())
-    np.testing.assert_array_equal(state.t_per, snap.t_open[1])
+    for row, name in enumerate(snap.vocab_names):
+        state = init_state(snap, name, TrainConfig())
+        np.testing.assert_array_equal(state.t_per, snap.t_open[row])
+        assert not np.shares_memory(state.t_per, snap.t_open)
 
 
-def test_init_dimension_mismatch():
+def test_init_class_not_in_vocabulary():
     snap = make_samples(count=1)[0].snapshot
-    with pytest.raises(InvariantError):
-        init_state(snap, rng.normal(size=5), TrainConfig())
+    with pytest.raises(InvariantError, match=re.escape(
+            "personal class 'missing' not in the snapshot vocabulary; "
+            "cannot initialize the personal embedding")):
+        init_state(snap, "missing", TrainConfig())
 
 
 def test_visual_embedding_constant_field():
@@ -135,14 +138,12 @@ def test_visual_embedding_errors():
 
 
 def test_iterations_validation():
-    samples = make_samples()
-    init = samples[0].snapshot.t_open.mean(axis=0)
     with pytest.raises(InvariantError, match="iterations"):
         TrainConfig(iterations=0)
     with pytest.raises(InvariantError, match="learning rate"):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(InvariantError):
-        run_personalization([], TrainConfig(), init)
+        run_personalization([], TrainConfig(), "b")
 
 
 def test_coverage_computed_once_per_snapshot(monkeypatch):
@@ -157,8 +158,7 @@ def test_coverage_computed_once_per_snapshot(monkeypatch):
     prop.__set_name__(FrozenSnapshot, "coverage")
     monkeypatch.setattr(FrozenSnapshot, "coverage", prop)
     samples = make_samples(count=2)
-    run_personalization(samples, TrainConfig(iterations=7),
-                        samples[0].snapshot.t_open.mean(axis=0))
+    run_personalization(samples, TrainConfig(iterations=7), "b")
     assert [id(s) for s in counted] == [id(sample.snapshot) for sample in samples]
 
 
@@ -167,8 +167,7 @@ def test_mixed_vocabularies_refused():
     samples[1] = replace(samples[1], snapshot=replace(samples[1].snapshot,
                                                       vocab_names=["b", "a", "c"]))
     with pytest.raises(InvariantError, match="sample 1 disagrees"):
-        run_personalization(samples, TrainConfig(iterations=1),
-                            samples[0].snapshot.t_open.mean(axis=0))
+        run_personalization(samples, TrainConfig(iterations=1), "b")
 
 
 @pytest.mark.parametrize("polarity, with_mask", [("negative", True), ("negative", False),
@@ -182,22 +181,20 @@ def test_training_sample_must_be_positive_with_mask(polarity, with_mask):
         return
     samples[1] = Sample(samples[1].snapshot, mask, polarity)
     with pytest.raises(InvariantError, match="sample 1 is not a positive with a mask"):
-        run_personalization(samples, TrainConfig(iterations=1),
-                            samples[0].snapshot.t_open.mean(axis=0))
+        run_personalization(samples, TrainConfig(iterations=1), "b")
 
 
 def test_single_step_is_one_gradient_update():
     samples = make_samples()
     config = TrainConfig(iterations=1, alpha=0.0)
-    init_vec = samples[0].snapshot.t_open.mean(axis=0)
-    state, trace = run_personalization(samples, config, init_vector=init_vec)
+    state, trace = run_personalization(samples, config, "b")
     assert len(trace) == 1
 
     first = samples[0]
-    fresh = init_state(first.snapshot, init_vec, config)
+    fresh = init_state(first.snapshot, "b", config)
     _, grads = backward(first.snapshot, fresh, first.personal_mask, config.weights)
     lr = config.learning_rate
-    np.testing.assert_array_equal(state.t_per, init_vec - lr * grads.t_per)
+    np.testing.assert_array_equal(state.t_per, first.snapshot.t_open[1] - lr * grads.t_per)
     np.testing.assert_array_equal(state.w_z, -lr * grads.w_z)
     np.testing.assert_array_equal(state.w_m, -lr * grads.w_m)
     assert state.b_m == -lr * grads.b_m
@@ -206,9 +203,8 @@ def test_single_step_is_one_gradient_update():
 def test_determinism_bitwise():
     samples = make_samples()
     config = TrainConfig(iterations=20)
-    init = samples[0].snapshot.t_open.mean(axis=0)
-    s1, t1 = run_personalization(samples, config, init)
-    s2, t2 = run_personalization(samples, config, init)
+    s1, t1 = run_personalization(samples, config, "b")
+    s2, t2 = run_personalization(samples, config, "b")
     np.testing.assert_array_equal(s1.t_per, s2.t_per)
     np.testing.assert_array_equal(s1.w_z, s2.w_z)
     np.testing.assert_array_equal(s1.w_m, s2.w_m)
@@ -219,8 +215,7 @@ def test_frozen_inputs_unchanged_by_training():
     samples = make_samples()
     copies = [(s.t_open.copy(), s.z_open.copy(), s.m_open.copy(), s.features.copy())
               for s in (sample.snapshot for sample in samples)]
-    run_personalization(samples, TrainConfig(iterations=15),
-                        samples[0].snapshot.t_open.mean(axis=0))
+    run_personalization(samples, TrainConfig(iterations=15), "b")
     for snap, (t, z, m, f) in zip((sample.snapshot for sample in samples), copies):
         np.testing.assert_array_equal(snap.t_open, t)
         np.testing.assert_array_equal(snap.z_open, z)
@@ -234,16 +229,15 @@ def test_no_injection_independent_of_features():
     b = [replace(sample, snapshot=replace(
         sample.snapshot, features=rng.normal(size=sample.snapshot.features.shape)))
         for sample in make_samples(seed=3)]
-    sa, ta = run_personalization(a, config, a[0].snapshot.t_open.mean(axis=0))
-    sb, tb = run_personalization(b, config, b[0].snapshot.t_open.mean(axis=0))
+    sa, ta = run_personalization(a, config, "b")
+    sb, tb = run_personalization(b, config, "b")
     assert ta == tb
     np.testing.assert_array_equal(sa.t_per, sb.t_per)
 
 
 def test_injection_disabled_equals_alpha_zero():
     a = make_samples(seed=4)
-    init = a[0].snapshot.t_open.mean(axis=0)
-    off, _ = run_personalization(a, TrainConfig(iterations=12, alpha=0.0), init)
+    off, _ = run_personalization(a, TrainConfig(iterations=12, alpha=0.0), "b")
     assert off.f_per is None and off.alpha == 0.0
     # f_per at interpolation weight 0 is neutral, bit for bit
     with_f = replace(off, f_per=compute_visual_embedding(a))
@@ -264,8 +258,7 @@ def test_non_finite_loss_reports_step():
     samples[1] = replace(samples[1], snapshot=replace(samples[1].snapshot,
                                                       logit_scale=np.finfo(np.float64).max))
     with pytest.raises(NonFiniteError, match="step 1") as excinfo:
-        run_personalization(samples, TrainConfig(iterations=5),
-                            samples[0].snapshot.t_open.mean(axis=0))
+        run_personalization(samples, TrainConfig(iterations=5), "b")
     assert excinfo.value.stage == "forward"
 
 
@@ -274,16 +267,15 @@ def test_overflowing_last_update_reports_step():
     samples = make_samples()
     config = TrainConfig(iterations=1, learning_rate=1e308, alpha=0.0)
     with pytest.raises(NonFiniteError, match="step 0") as excinfo:
-        run_personalization(samples, config, samples[0].snapshot.t_open.mean(axis=0))
+        run_personalization(samples, config, "b")
     assert excinfo.value.stage == "update"
 
 
 def test_alpha_zero_trains_without_a_feature_map():
     samples = make_samples(with_features=False)
-    init = samples[0].snapshot.t_open.mean(axis=0)
     with pytest.raises(InvariantError, match="no feature map"):
-        run_personalization(samples, TrainConfig(iterations=2), init)
-    state, trace = run_personalization(samples, TrainConfig(iterations=2, alpha=0.0), init)
+        run_personalization(samples, TrainConfig(iterations=2), "b")
+    state, trace = run_personalization(samples, TrainConfig(iterations=2, alpha=0.0), "b")
     assert state.f_per is None and len(trace) == 2
 
 
@@ -299,8 +291,7 @@ def test_defaults_match_reported_settings():
 def test_descent_on_bundled_benchmark(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     samples = load_samples(manifest, "train")
-    state, trace = run_personalization(samples, TrainConfig(),
-                                       samples[0].snapshot.t_open.mean(axis=0))
+    state, trace = run_personalization(samples, TrainConfig(), manifest.personal_class_name)
     assert np.isfinite(trace).all()
     assert np.mean(trace[-10:]) < np.mean(trace[:10])
 

@@ -443,6 +443,31 @@ def test_mask_wrong_size(tmp_path):
         load_mask(path, 3, 4)
 
 
+def test_huge_mask_file_refused_unread(tmp_path):
+    path = tmp_path / "m.mask"
+    with path.open("wb") as fh:  # sparse: 64 MiB long, no block written
+        fh.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: {64 << 20} bytes, expected 12 for 3x4")):
+            load_mask(path, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mask_file_shrinking_while_read(tmp_path, monkeypatch):
+    path = tmp_path / "m.mask"
+    path.write_bytes(bytes(5))
+    # fstat says 12 bytes (field 6 is st_size), as for a file cut to 5 once opened.
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (12,) + (0,) * 3))
+    with pytest.raises(TruncatedPayloadError, match=re.escape(
+            f"{path}: file ended before offset 12")):
+        load_mask(path, 3, 4)
+
+
 def test_mask_bad_byte(tmp_path):
     path = tmp_path / "m.mask"
     path.write_bytes(bytes([0, 1, 2, 0]))

@@ -445,9 +445,8 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     entry = manifest.split("train")[0]
     snap = load_snapshot(entry.snapshot)
     mask = load_mask(entry.mask, *snap.grid_shape)
-    init = snap.t_open[snap.vocab_names.index(manifest.personal_class_name)].copy()
     direct, _ = run_personalization([Sample(snap, mask, "positive")], config,
-                                    init_vector=init)
+                                    manifest.personal_class_name)
     np.testing.assert_array_equal(state_k1.t_per, direct.t_per)
     np.testing.assert_array_equal(state_k1.w_m, direct.w_m)
 
