@@ -6,8 +6,9 @@ byte-identical output files.
 
 Each ``_cmd_*`` function imports the modules its subcommand runs, so a
 process loads only those: only ``synth``, ``ablate`` and ``kshot`` load the
-benchmark harness ``synthbench``, ``personalize`` loads no evaluation code,
-and ``gradcheck`` loads no evaluation or training code.
+benchmark harness ``synthbench``, ``synth`` loads only its generator (no
+training or evaluation code), ``personalize`` loads no evaluation code, and
+``gradcheck`` loads no evaluation or training code.
 Only ``errors`` and ``snapshot``, which ``main`` and ``--data`` need, are
 imported here. A config is built from the flags the user gave alone, so each
 default is written once, in its dataclass.

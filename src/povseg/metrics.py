@@ -162,14 +162,23 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
     over images instead of aggregating counts. A sample whose forward pass
     is non-finite, or does not fit the state, raises an error that names it,
     so no metric is reported from it; the first failing sample in order is
-    the one reported.
+    the one reported. A worker stops at its own first failing sample: it
+    neither reads nor scores the samples left in its share.
     """
+    stopped = False  # set in a worker by its first failing sample
+
+    def score(i: int) -> tuple | None:
+        nonlocal stopped
+        if stopped:  # never reached: the loop below raises at an earlier sample
+            return None
+        scored = _score(samples, i, personal_class_name, state)
+        stopped = isinstance(scored[3], Exception)
+        return scored
+
     vocab_names = None
     scalars = []
     n_pos = n_neg = 0
-    scored = map_in_workers(
-        lambda i: _score(samples, i, personal_class_name, state), len(samples))
-    for where, names, positive, counts in scored:
+    for where, names, positive, counts in map_in_workers(score, len(samples)):
         if names is None:  # the sample could not be read
             raise counts
         if vocab_names is None:

@@ -41,13 +41,11 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantError
-from .head import PersonalState
-from .metrics import MetricsReport, evaluate_samples
-from .personalize import TrainConfig, run_personalization
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
@@ -56,7 +54,11 @@ from .snapshot import (
     save_mask,
     save_snapshot,
 )
-from .workers import map_in_workers
+
+if TYPE_CHECKING:  # annotations only: synth loads only the generator
+    from .head import PersonalState
+    from .metrics import MetricsReport
+    from .personalize import TrainConfig
 
 LOGIT_SCALE = 10.0
 # Share of the instance offset carried by a class's text embedding. The
@@ -348,14 +350,33 @@ def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sam
     kept for ``ablate`` and ``kshot`` only because the benchmark times their
     training under the per-layer name ``synthbench.train_on_manifest.ms``.
     """
+    from .personalize import run_personalization  # here, so synth loads only the generator
+
     return run_personalization(samples, config, manifest.personal_class_name)
 
 
-def _train_and_score(manifest: Manifest, config: TrainConfig, train: list[Sample],
-                     samples: list[Sample]) -> MetricsReport:
-    """Personalize on ``train``, then evaluate the state on ``samples``."""
-    state, _ = train_on_manifest(manifest, config, train)
-    return evaluate_samples(samples, manifest.personal_class_name, state=state)
+def _score_runs(manifest: Manifest, runs: list[tuple[TrainConfig | None, int]]
+                ) -> list[MetricsReport]:
+    """The test-split report of each ``(config, k)`` run, in order.
+
+    A run with ``config`` None scores the frozen baseline; any other trains
+    on the first ``k`` train entries and scores that state. Both splits are
+    read once. The runs are computed by ``map_in_workers``, one forked worker
+    per usable CPU; a run's own evaluation then stays in its worker.
+    """
+    # Imported here, so that synth loads only the generator.
+    from .metrics import evaluate_samples
+    from .workers import map_in_workers
+
+    samples = load_samples(manifest, "test")
+    train = load_samples(manifest, "train")
+
+    def score(i: int) -> MetricsReport:
+        config, k = runs[i]
+        state = None if config is None else train_on_manifest(manifest, config, train[:k])[0]
+        return evaluate_samples(samples, manifest.personal_class_name, state=state)
+
+    return map_in_workers(score, len(runs))
 
 
 @dataclass
@@ -368,14 +389,7 @@ class AblationRow:
 
 
 def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
-    """Train and evaluate the five module combinations under one seed.
-
-    The rows are computed by ``map_in_workers``, one forked worker per usable
-    CPU; a row's own evaluation then stays in its worker.
-    """
-    samples = load_samples(manifest, "test")
-    train = load_samples(manifest, "train")
-
+    """Train on the whole train split and evaluate the five module combinations."""
     toggles = [
         ("frozen", False, False, False),
         ("prompt", True, False, False),
@@ -383,19 +397,11 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
         ("prompt+inject", True, False, True),
         ("full", True, True, True),
     ]
-
-    def row(i: int) -> AblationRow:
-        label, prompt, neg, inject = toggles[i]
-        if not prompt:
-            report = evaluate_samples(samples, manifest.personal_class_name, state=None)
-        else:
-            run_cfg = replace(config, negative_enabled=neg,
-                              alpha=config.alpha if inject else 0.0)
-            report = _train_and_score(manifest, run_cfg, train, samples)
-        return AblationRow(label=label, text_prompt=prompt, neg_mask=neg,
-                           visual_inject=inject, report=report)
-
-    return map_in_workers(row, len(toggles))
+    n_train = len(manifest.split("train"))
+    runs = [(replace(config, negative_enabled=neg, alpha=config.alpha if inject else 0.0)
+             if prompt else None, n_train) for _, prompt, neg, inject in toggles]
+    reports = _score_runs(manifest, runs)
+    return [AblationRow(*toggle, report) for toggle, report in zip(toggles, reports)]
 
 
 def format_ablation_table(rows: list[AblationRow]) -> str:
@@ -419,24 +425,16 @@ class KShotRow:
 
 def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
               ) -> list[KShotRow]:
-    """Full-method runs at each K, on the first K train entries, plus the mean row.
-
-    The runs are computed by ``map_in_workers``, one forked worker per usable CPU.
-    """
+    """Full-method runs at each K, on the first K train entries, plus the mean row."""
     if not k_list or min(k_list) < 1:
         raise InvariantError(f"K values must be >= 1, got {k_list}")
     n_train = len(manifest.split("train"))
     if max(k_list) > n_train:
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
-    samples = load_samples(manifest, "test")
-    train = load_samples(manifest, "train")
-
-    def row(i: int) -> KShotRow:
-        report = _train_and_score(manifest, config, train[:k_list[i]], samples)
-        return KShotRow(label=str(k_list[i]), iou_per=report.iou_per, miou=report.miou)
-
-    rows = map_in_workers(row, len(k_list))
+    reports = _score_runs(manifest, [(config, k) for k in k_list])
+    rows = [KShotRow(label=str(k), iou_per=r.iou_per, miou=r.miou)
+            for k, r in zip(k_list, reports)]
     rows.append(KShotRow(label="Avg.",
                          iou_per=sum(r.iou_per for r in rows) / len(rows),
                          miou=sum(r.miou for r in rows) / len(rows)))

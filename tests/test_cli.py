@@ -850,7 +850,9 @@ def loaded_modules(cwd, code, *argv):
     (["gradcheck"], {"metrics", "workers", "personalize", "synthbench"}),
     (["personalize", "--data", "data", "--out", "p.povp", *FAST_TRAIN],
      {"synthbench", "metrics", "workers"}),
-], ids=["eval_state", "eval_frozen", "concat_eval", "gradcheck", "personalize"])
+    (["synth", "--out", "synth-data", *FAST_SYNTH],
+     {"head", "metrics", "workers", "personalize", "grad", "losses"}),
+], ids=["eval_state", "eval_frozen", "concat_eval", "gradcheck", "personalize", "synth"])
 def test_each_command_imports_only_what_it_runs(trained, argv, unloaded):
     loaded = loaded_modules(trained, IMPORT_PROBE, *argv)
     assert "cli" in loaded and not loaded & unloaded, sorted(loaded)

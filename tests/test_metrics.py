@@ -1,3 +1,4 @@
+import shutil
 import weakref
 from dataclasses import replace
 from functools import cached_property
@@ -5,7 +6,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from povseg.errors import InvariantError
+from povseg import metrics
+from povseg.errors import InvariantError, TruncatedPayloadError
 from povseg.head import PersonalState, build_forward, build_frozen_forward, decode
 from povseg.metrics import (
     accumulate,
@@ -306,6 +308,32 @@ def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cp
         evaluate(manifest)
     assert len(refs) == len(manifest.split("test"))
     assert most == 1
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_worker_stops_scoring_after_its_first_failure(bench_dir, tmp_path, monkeypatch,
+                                                      usable_cpus, cpus):
+    usable_cpus(cpus)
+    data = shutil.copytree(bench_dir, tmp_path / "data")
+    manifest = load_manifest(data / "manifest.tsv")
+    first = manifest.split("test")[0]
+    first.snapshot.write_bytes(first.snapshot.read_bytes()[:-1])
+    with pytest.raises(TruncatedPayloadError) as alone:
+        load_sample(first)
+    scored = []
+    real = metrics._confusion
+
+    def counting(sample, where, *args):
+        scored.append(where)
+        return real(sample, where, *args)
+
+    monkeypatch.setattr(metrics, "_confusion", counting)
+    with pytest.raises(TruncatedPayloadError) as caught:
+        evaluate(manifest)
+    assert str(caught.value) == str(alone.value)
+    # this process's share begins with the unreadable sample, so it scores none
+    assert scored == []
 
 
 def test_report_format(tmp_path):
