@@ -8,7 +8,10 @@ Each ``_cmd_*`` function imports the modules its subcommand runs, so a
 process loads only those: only ``synth``, ``ablate`` and ``kshot`` load the
 benchmark harness ``synthbench``, ``synth`` loads only its generator (no
 training or evaluation code), ``personalize`` loads no evaluation code, and
-``gradcheck`` loads no evaluation or training code.
+``gradcheck`` loads no evaluation or training code. ``eval``, ``ablate`` and
+``kshot`` score a test split the same way, through ``metrics.evaluate``:
+``ablate`` and ``kshot`` train every run first, then score all their states
+in one pass.
 Only ``errors`` and ``snapshot``, which ``main`` and ``--data`` need, are
 imported here. A config is built from the flags the user gave alone, so each
 default is written once, in its dataclass.
@@ -134,7 +137,7 @@ def _cmd_eval(args) -> int:
         from .personalize import load_state
 
         state = load_state(args.state)
-    _write_report(evaluate(manifest, state=state, per_image=args.per_image), args.report)
+    _write_report(evaluate(manifest, [state], per_image=args.per_image)[0], args.report)
     return 0
 
 

@@ -96,37 +96,48 @@ class MetricsReport:
     n_negative: int
 
 
-def _confusion(sample: Sample, where: str, personal_class_name: str,
-               state: PersonalState | None) -> np.ndarray:
-    """One image's confusion matrix. Its frozen label map is decoded once: it
-    is the ground truth and, for the frozen baseline, the prediction."""
+def _confusions(sample: Sample, where: str, personal_class_name: str,
+                states: list[PersonalState | None]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One image's confusion counts under each state, in order.
+
+    Each is the nonzero cells of the image's confusion matrix, as flat
+    indices and values: an image shows few of the (V+1)^2 label pairs, and a
+    worker sends every image's counts back. The frozen label map is decoded
+    once: it is the ground truth and, for the frozen baseline (``None``),
+    the prediction. Each trained state's labels are decoded once.
+    """
     snap = sample.snapshot
     k = snap.vocab_size
+    gt = None
+    counts = []
     try:
         frozen = decode(build_frozen_forward(snap))
-        pred = None if state is None else decode(
-            build_forward(snap, state, sample.partner_z))
+        for state in states:
+            if state is not None:
+                pred = decode(build_forward(snap, state, sample.partner_z))
+            elif personal_class_name in snap.vocab_names:
+                proxy = snap.vocab_names.index(personal_class_name)
+                pred = np.where(frozen == proxy, k, frozen)
+            else:
+                pred = frozen
+            if gt is None:  # after the first prediction, whose forward arrays are freed by then
+                gt = (pseudo_label(frozen, sample.personal_mask, k)
+                      if sample.polarity == "positive" else frozen)
+            matrix = accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
+            cells = np.flatnonzero(matrix)
+            counts.append((cells, matrix.flat[cells]))
     except NonFiniteError as exc:
         raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
     except InvariantError as exc:  # e.g. a state trained on another V or D
         raise InvariantError(f"{where}: {exc}") from exc
-    gt = (pseudo_label(frozen, sample.personal_mask, k)
-          if sample.polarity == "positive" else frozen)
-    if pred is None:
-        pred = frozen
-        if personal_class_name in snap.vocab_names:
-            proxy = snap.vocab_names.index(personal_class_name)
-            pred = np.where(frozen == proxy, k, frozen)
-    return accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
+    return counts
 
 
 def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
-           state: PersonalState | None) -> tuple:
+           states: list[PersonalState | None]) -> tuple:
     """``(where, vocab_names, positive, counts)`` of sample ``i``.
 
-    ``counts`` holds the nonzero cells of the image's confusion matrix, as
-    flat indices and values: an image shows few of the (V+1)^2 label pairs,
-    and a worker sends every image's counts back. A failure is returned as
+    ``counts`` is ``_confusions``'s list. A failure is returned as
     ``counts``, with ``vocab_names`` None when the sample could not be read.
     Nothing is raised, so that the caller checks each sample's vocabulary
     before its error, as a serial loop would.
@@ -140,30 +151,32 @@ def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
     # check_finite sees every forward and decode array; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            counts = _confusion(sample, where, personal_class_name, state)
+            counts = _confusions(sample, where, personal_class_name, states)
         except Exception as exc:
             return where, names, None, exc
-    cells = np.flatnonzero(counts)
-    return where, names, sample.polarity == "positive", (cells, counts.flat[cells])
+    return where, names, sample.polarity == "positive", counts
 
 
 def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
-                     state: PersonalState | None = None,
-                     per_image: bool = False) -> MetricsReport:
+                     states: list[PersonalState | None],
+                     per_image: bool = False) -> list[MetricsReport]:
     """Score decoded labels against combined pseudo-label ground truth.
 
-    The samples are scored by ``map_in_workers``, one forked worker per
-    usable CPU. Each worker indexes and scores its own samples and keeps
-    none, so over a ``LazySamples`` it holds one image in memory at a time.
-    Their confusion counts are integers and are summed in sample order, so
-    the report does not depend on the worker count. ``state=None`` evaluates
+    Returns one report per entry of ``states``, in order; ``None`` evaluates
     the frozen baseline (with the class-name proxy when the vocabulary
-    contains ``personal_class_name``). ``per_image`` averages scalar metrics
-    over images instead of aggregating counts. A sample whose forward pass
-    is non-finite, or does not fit the state, raises an error that names it,
-    so no metric is reported from it; the first failing sample in order is
-    the one reported. A worker stops at its own first failing sample: it
-    neither reads nor scores the samples left in its share.
+    contains ``personal_class_name``). The samples are scored by
+    ``map_in_workers``, one forked worker per usable CPU. Each worker indexes
+    and scores its own samples and keeps none, so over a ``LazySamples`` it
+    holds one image in memory at a time. An image's frozen labels are
+    decoded once for all the states, and its labels under each trained state
+    once. Each state's confusion counts are integers and are summed in sample
+    order, so the reports do not depend on the worker count. ``per_image``
+    averages scalar metrics over images instead of aggregating counts. A
+    sample whose forward pass is non-finite, or does not fit a state, raises
+    an error that names it, so no metric is reported from it; the first
+    failing sample in order is the one reported. A worker stops at its own
+    first failing sample: it neither reads nor scores the samples left in
+    its share.
     """
     stopped = False  # set in a worker by its first failing sample
 
@@ -171,12 +184,12 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
         nonlocal stopped
         if stopped:  # never reached: the loop below raises at an earlier sample
             return None
-        scored = _score(samples, i, personal_class_name, state)
+        scored = _score(samples, i, personal_class_name, states)
         stopped = isinstance(scored[3], Exception)
         return scored
 
     vocab_names = None
-    scalars = []
+    scalars = [[] for _ in states]
     n_pos = n_neg = 0
     for where, names, positive, counts in map_in_workers(score, len(samples)):
         if names is None:  # the sample could not be read
@@ -184,33 +197,37 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
         if vocab_names is None:
             vocab_names = names
             k = len(names)
-            total = np.zeros((k + 1, k + 1), np.int64)
+            totals = [np.zeros((k + 1, k + 1), np.int64) for _ in states]
         elif names != vocab_names:
             raise InvariantError(f"{where} vocabulary differs from sample 0")
         if isinstance(counts, Exception):
             raise counts
-        cells, values = counts
         if positive:
             n_pos += 1
         else:
             n_neg += 1
-        if per_image:
-            image_counts = np.zeros_like(total)
-            image_counts.flat[cells] = values
-            scalars.append(_scalars(image_counts, k))
-        total.flat[cells] += values
+        for total, state_scalars, (cells, values) in zip(totals, scalars, counts):
+            if per_image:
+                image_counts = np.zeros_like(total)
+                image_counts.flat[cells] = values
+                state_scalars.append(_scalars(image_counts, k))
+            total.flat[cells] += values
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
     names = list(vocab_names) + [f"<{personal_class_name}>"]
-    ious = class_iou(total)
-    table = [(names[c], float(ious[c])) for c in range(k + 1)
-             if not np.isnan(ious[c])]
-    iou, mean_iou, precision, recall = (np.mean(scalars, axis=0) if per_image
-                                        else _scalars(total, k))
-    return MetricsReport(iou_per=float(iou), miou=float(mean_iou),
-                         precision_per=float(precision), recall_per=float(recall),
-                         class_table=table, n_positive=n_pos, n_negative=n_neg)
+    reports = []
+    for total, state_scalars in zip(totals, scalars):
+        ious = class_iou(total)
+        table = [(names[c], float(ious[c])) for c in range(k + 1)
+                 if not np.isnan(ious[c])]
+        iou, mean_iou, precision, recall = (np.mean(state_scalars, axis=0) if per_image
+                                            else _scalars(total, k))
+        reports.append(MetricsReport(
+            iou_per=float(iou), miou=float(mean_iou), precision_per=float(precision),
+            recall_per=float(recall), class_table=table, n_positive=n_pos,
+            n_negative=n_neg))
+    return reports
 
 
 class LazySamples(Sequence):
@@ -230,11 +247,15 @@ class LazySamples(Sequence):
         return self._load(self._entries[i])
 
 
-def evaluate(manifest: Manifest, state: PersonalState | None = None,
-             per_image: bool = False) -> MetricsReport:
-    """Score the test split, reading one image at a time."""
+def evaluate(manifest: Manifest, states: list[PersonalState | None],
+             per_image: bool = False) -> list[MetricsReport]:
+    """Score the test split under each state, reading each image once.
+
+    ``eval`` passes its one state, and ``ablate`` and ``kshot`` every state
+    they trained, so a test split is scored one way.
+    """
     return evaluate_samples(LazySamples(manifest.split("test"), load_sample),
-                            manifest.personal_class_name, state=state, per_image=per_image)
+                            manifest.personal_class_name, states, per_image)
 
 
 def concat_pairs(manifest: Manifest) -> LazySamples:
@@ -270,7 +291,7 @@ def _load_with_partner(pair: tuple[ManifestEntry, ManifestEntry]) -> Sample:
 
 def concat_evaluate(manifest: Manifest, state: PersonalState) -> MetricsReport:
     return evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
-                            state=state)
+                            [state])[0]
 
 
 def format_report(report: MetricsReport) -> str:

@@ -340,11 +340,10 @@ def load_mask(path: str | Path, h: int, w: int) -> np.ndarray:
         if rd.size != h * w:
             raise FormatError(f"{rd.size} bytes, expected {h * w} for {h}x{w}")
         arr = rd.raw(h * w, "u1").reshape(h, w)
-    bad = (arr > 1)
-    if bad.any():
-        raise FormatError(
-            f"{path}: mask byte {int(arr[bad][0])} at flat index "
-            f"{int(np.flatnonzero(bad)[0])} is not 0/1")
+        bad = (arr > 1)
+        if bad.any():
+            raise FormatError(f"mask byte {int(arr[bad][0])} at flat index "
+                              f"{int(np.flatnonzero(bad)[0])} is not 0/1")
     return arr
 
 

@@ -360,23 +360,25 @@ def _score_runs(manifest: Manifest, runs: list[tuple[TrainConfig | None, int]]
     """The test-split report of each ``(config, k)`` run, in order.
 
     A run with ``config`` None scores the frozen baseline; any other trains
-    on the first ``k`` train entries and scores that state. Both splits are
-    read once. The runs are computed by ``map_in_workers``, one forked worker
-    per usable CPU; a run's own evaluation then stays in its worker.
+    on the first ``k`` train entries and scores that state. The runs are
+    trained first, by ``map_in_workers``, one forked worker per usable CPU,
+    from one read of the train split, which is released before scoring. Then
+    one ``evaluate`` call scores every state in one pass over the test
+    split, as ``eval`` scores its one state.
     """
     # Imported here, so that synth loads only the generator.
-    from .metrics import evaluate_samples
+    from .metrics import evaluate
     from .workers import map_in_workers
 
-    samples = load_samples(manifest, "test")
     train = load_samples(manifest, "train")
 
-    def score(i: int) -> MetricsReport:
+    def fit(i: int) -> PersonalState | None:
         config, k = runs[i]
-        state = None if config is None else train_on_manifest(manifest, config, train[:k])[0]
-        return evaluate_samples(samples, manifest.personal_class_name, state=state)
+        return None if config is None else train_on_manifest(manifest, config, train[:k])[0]
 
-    return map_in_workers(score, len(runs))
+    states = map_in_workers(fit, len(runs))
+    del train  # no training sample stays in memory while the test split is scored
+    return evaluate(manifest, states)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from output_tree import build as build_output_tree
 
 from povseg import metrics
 from povseg.cli import _config, build_parser, main
+from povseg.errors import TruncatedPayloadError
 from povseg.personalize import _STATE_HEADER, TrainConfig, load_state, save_state
 from povseg.snapshot import _HEADER as _SNAPSHOT_HEADER
 from povseg.snapshot import FrozenSnapshot, load_manifest, load_snapshot, save_mask, save_snapshot
@@ -510,7 +511,12 @@ def renamed_vocabulary(snap):
      "disagrees on (V, D, N) or vocabulary names"),
     ("test", renamed_vocabulary, ["eval", "--frozen-only", "--report", "r.tsv"],
      "vocabulary differs from sample 0"),
-], ids=["no_feature_map", "train_vocabulary", "test_vocabulary"])
+    ("test", renamed_vocabulary, ["ablate", "--out", "t.tsv"],
+     "vocabulary differs from sample 0"),
+    ("test", renamed_vocabulary, ["kshot", "--k", "1,2", "--out", "t.tsv"],
+     "vocabulary differs from sample 0"),
+], ids=["no_feature_map", "train_vocabulary", "test_vocabulary", "ablate_test_vocabulary",
+        "kshot_test_vocabulary"])
 def test_per_sample_errors_name_the_snapshot_file(tmp_path, capsys, monkeypatch, split,
                                                   change, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -523,6 +529,45 @@ def test_per_sample_errors_name_the_snapshot_file(tmp_path, capsys, monkeypatch,
     assert main([*argv, "--data", str(data)]) == 1
     assert f"povseg: validation error: {path} {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+def truncate(path):
+    """Cut the last byte off ``path``; return the error its loader then raises."""
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedPayloadError) as caught:
+        load_snapshot(path)
+    return caught.value
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("argv", [["eval", "--frozen-only", "--report", "r.tsv"],
+                                  ["ablate", "--out", "t.tsv"],
+                                  ["kshot", "--k", "1,2", "--out", "t.tsv"]],
+                         ids=lambda argv: argv[0])
+def test_truncated_test_snapshot_exits_one_naming_it(tmp_path, capsys, monkeypatch,
+                                                    usable_cpus, argv, cpus):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), *FAST_SYNTH]) == 0
+    error = truncate(load_manifest(data / "manifest.tsv").split("test")[1].snapshot)
+    usable_cpus(cpus)
+    capsys.readouterr()
+    assert main([*argv, "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"povseg: validation error: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+def test_training_error_comes_before_a_scoring_error(tmp_path, capsys, usable_cpus):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), *FAST_SYNTH]) == 0
+    manifest = load_manifest(data / "manifest.tsv")
+    truncate(manifest.split("test")[0].snapshot)
+    error = truncate(manifest.split("train")[1].snapshot)
+    usable_cpus(1)
+    capsys.readouterr()
+    assert main(["ablate", "--data", str(data), "--out", str(tmp_path / "t.tsv")]) == 1
+    assert capsys.readouterr().err == f"povseg: validation error: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "concat-eval"])

@@ -365,7 +365,7 @@ def test_vocabulary_permutation_permutes_labels(seed):
         dropped += int((~keep).sum())
         np.testing.assert_array_equal(decode(p_cache)[keep], relabel[decode(cache)][keep])
     print(f"seed {seed}: margin filter dropped {dropped} of {2 * gt.size} pixels")
-    iou = [evaluate_samples([Sample(snap, gt, "positive")], "none", state).iou_per
+    iou = [evaluate_samples([Sample(snap, gt, "positive")], "none", [state])[0].iou_per
            for snap in (snapshot, permuted)]
     assert iou[1] == iou[0]
 

@@ -23,7 +23,8 @@ from povseg.metrics import (
     write_report,
 )
 from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
-from povseg.synthbench import SynthConfig
+from povseg.personalize import TrainConfig
+from povseg.synthbench import SynthConfig, run_ablation, run_kshot
 
 rng = np.random.default_rng(23)
 
@@ -177,7 +178,7 @@ def test_frozen_eval_with_empty_masks():
     snap = crafted_snapshot()
     empty = np.zeros((2, 2), dtype=np.uint8)
     samples = [Sample(snap, empty, "positive")]
-    report = evaluate_samples(samples, "my_thing", state=None)
+    report, = evaluate_samples(samples, "my_thing", [None])
     assert report.iou_per == 0.0
     assert report.miou > 0.0
 
@@ -187,17 +188,17 @@ def test_frozen_proxy_via_class_name():
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)  # covers the class-0 band
     samples = [Sample(snap, mask, "positive")]
     # class name present in the vocabulary: its predictions stand in for k
-    with_proxy = evaluate_samples(samples, "zero", state=None)
+    with_proxy, = evaluate_samples(samples, "zero", [None])
     assert with_proxy.iou_per == 1.0
     # unknown class name: the baseline never predicts the personal class
-    without = evaluate_samples(samples, "my_thing", state=None)
+    without, = evaluate_samples(samples, "my_thing", [None])
     assert without.iou_per == 0.0
 
 
 def test_frozen_never_fp_on_negatives():
     snap = crafted_snapshot()
     samples = [Sample(snap, None, "negative")]
-    report = evaluate_samples(samples, "my_thing", state=None)
+    report, = evaluate_samples(samples, "my_thing", [None])
     assert report.precision_per == 0.0 and report.recall_per == 0.0
 
 
@@ -210,9 +211,9 @@ def test_two_sample_hand_trace():
     state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
                           w_m=np.zeros(2), b_m=-50.0, k=2, alpha=0.0,
                           f_per=None, negative_enabled=True)
-    report = evaluate_samples(
+    report, = evaluate_samples(
         [Sample(snap_pos, mask, "positive"), Sample(snap_neg, None, "negative")],
-        "my_thing", state=state)
+        "my_thing", [state])
     # the personal class claims the top band in both images: 2 TP (positive),
     # 2 FP (negative), no FN
     assert report.recall_per == 1.0
@@ -221,17 +222,42 @@ def test_two_sample_hand_trace():
     assert report.n_positive == 1 and report.n_negative == 1
 
 
+@pytest.mark.parametrize("per_image", [False, True])
+def test_states_scored_together_match_each_alone(per_image):
+    mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+    samples = [Sample(crafted_snapshot(), mask, "positive"),
+               Sample(crafted_snapshot(), None, "negative")]
+    fires = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
+                          w_m=np.zeros(2), b_m=-50.0, k=2)
+    silent = replace(fires, t_per=np.array([-3.0, 0.0]))
+    states = [fires, None, silent, fires]
+    together = evaluate_samples(samples, "zero", states, per_image)
+    assert together == [evaluate_samples(samples, "zero", [state], per_image)[0]
+                        for state in states]
+    assert together[0] != together[2]  # the states are not mixed up
+
+
 def test_mixed_vocabularies_refused():
     # same vocabulary size, two names swapped: the class table would be mislabelled
     swapped = replace(crafted_snapshot(), vocab_names=["one", "zero"])
     samples = [Sample(crafted_snapshot(), None, "negative"),
                Sample(swapped, None, "negative")]
     with pytest.raises(InvariantError, match="sample 1 vocabulary differs"):
-        evaluate_samples(samples, "my_thing", state=None)
+        evaluate_samples(samples, "my_thing", [None])
 
 
-@pytest.mark.parametrize("with_state", [False, True])
-def test_one_frozen_decode_per_sample(monkeypatch, usable_cpus, with_state):
+def run_study(manifest, command):
+    """Train and score ``ablate``'s or ``kshot``'s runs, one iteration each."""
+    config = TrainConfig(iterations=1)
+    if command == "ablate":
+        return run_ablation(manifest, config)
+    return run_kshot(manifest, [1, 3, 5], config)
+
+
+# ``False`` and ``True`` score crafted samples without and with a state.
+@pytest.mark.parametrize("scored", [pytest.param("frozen", id="False"),
+                                    pytest.param("state", id="True"), "ablate", "kshot"])
+def test_one_frozen_decode_per_sample(bench_dir, monkeypatch, usable_cpus, scored):
     usable_cpus(1)
     calls = []
     personal = []
@@ -241,24 +267,35 @@ def test_one_frozen_decode_per_sample(monkeypatch, usable_cpus, with_state):
         return build_frozen_forward(snapshot)
 
     def recording(snapshot, state, partner_z=None):
-        personal.append((snapshot, build_forward(snapshot, state, partner_z)))
-        return personal[-1][1]
+        personal.append((snapshot, state, build_forward(snapshot, state, partner_z)))
+        return personal[-1][2]
 
     monkeypatch.setattr("povseg.metrics.build_frozen_forward", counting)
     monkeypatch.setattr("povseg.metrics.build_forward", recording)
-    mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-    samples = [Sample(crafted_snapshot(), mask, "positive"),
-               Sample(crafted_snapshot(), None, "negative"),
-               Sample(crafted_snapshot(), mask, "positive")]
-    state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
-                          w_m=np.zeros(2), b_m=-50.0, k=2) if with_state else None
-    evaluate_samples(samples, "zero", state=state)
-    assert [id(c) for c in calls] == [id(s.snapshot) for s in samples]
-    # one personalized forward per image, and decoding never computes the
-    # personal channel that only the training losses read
-    expected = [id(s.snapshot) for s in samples] if with_state else []
-    assert [id(snap) for snap, _ in personal] == expected
-    for _, cache in personal:
+    if scored in ("ablate", "kshot"):
+        manifest = load_manifest(bench_dir / "manifest.tsv")
+        run_study(manifest, scored)
+        assert len(calls) == len(manifest.split("test"))
+        # the trained states, each decoding every image once, in state order
+        trained = [state for _, state, _ in personal[:4 if scored == "ablate" else 3]]
+        assert len({id(state) for state in trained}) == len(trained)
+        assert [id(state) for _, state, _ in personal] == [id(s) for s in trained] * len(calls)
+        assert [id(snap) for snap, _, _ in personal] == [
+            id(snap) for snap in calls for _ in trained]
+    else:
+        mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+        samples = [Sample(crafted_snapshot(), mask, "positive"),
+                   Sample(crafted_snapshot(), None, "negative"),
+                   Sample(crafted_snapshot(), mask, "positive")]
+        state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
+                              w_m=np.zeros(2), b_m=-50.0, k=2) if scored == "state" else None
+        evaluate_samples(samples, "zero", [state])
+        assert [id(c) for c in calls] == [id(s.snapshot) for s in samples]
+        # one personalized forward per image
+        expected = [id(s.snapshot) for s in samples] if state is not None else []
+        assert [id(snap) for snap, _, _ in personal] == expected
+    # decoding never computes the personal channel that only the training losses read
+    for _, _, cache in personal:
         assert "coverage" not in vars(cache) and "q_per" not in vars(cache)
 
 
@@ -280,13 +317,14 @@ def test_tiles_computed_once_per_snapshot(monkeypatch, usable_cpus):
     state = PersonalState(t_per=np.array([3.0, 0.0]), w_z=np.zeros(2),
                           w_m=np.zeros(2), b_m=-50.0, k=2)
     # each image is decoded twice, frozen and personalized
-    evaluate_samples(samples, "zero", state=state)
+    evaluate_samples(samples, "zero", [state])
     assert [id(s) for s in counted] == [id(sample.snapshot) for sample in samples]
 
 
-@pytest.mark.parametrize("concatenated", [False, True])
-def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cpus,
-                                                concatenated):
+# ``False`` scores the test split with ``evaluate``, ``True`` with ``concat_evaluate``.
+@pytest.mark.parametrize("scored", [pytest.param("eval", id="False"),
+                                    pytest.param("concat-eval", id="True"), "ablate", "kshot"])
+def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cpus, scored):
     usable_cpus(1)  # each worker runs this loop over its own samples
     refs = []
     most = 0
@@ -300,12 +338,14 @@ def test_evaluation_holds_one_sample_at_a_time(bench_dir, monkeypatch, usable_cp
 
     monkeypatch.setattr("povseg.metrics.load_sample", tracking)
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    if concatenated:
+    if scored == "concat-eval":
         cfg = SynthConfig()
         concat_evaluate(manifest, PersonalState(t_per=np.zeros(cfg.d), w_z=np.zeros(cfg.n),
                                                 w_m=np.zeros(cfg.n), b_m=0.0, k=cfg.v))
-    else:
-        evaluate(manifest)
+    elif scored == "eval":
+        evaluate(manifest, [None])
+    else:  # the train split is read through snapshot, the test split through metrics
+        run_study(manifest, scored)
     assert len(refs) == len(manifest.split("test"))
     assert most == 1
 
@@ -322,15 +362,15 @@ def test_worker_stops_scoring_after_its_first_failure(bench_dir, tmp_path, monke
     with pytest.raises(TruncatedPayloadError) as alone:
         load_sample(first)
     scored = []
-    real = metrics._confusion
+    real = metrics._confusions
 
     def counting(sample, where, *args):
         scored.append(where)
         return real(sample, where, *args)
 
-    monkeypatch.setattr(metrics, "_confusion", counting)
+    monkeypatch.setattr(metrics, "_confusions", counting)
     with pytest.raises(TruncatedPayloadError) as caught:
-        evaluate(manifest)
+        evaluate(manifest, [None])
     assert str(caught.value) == str(alone.value)
     # this process's share begins with the unreadable sample, so it scores none
     assert scored == []
@@ -339,7 +379,7 @@ def test_worker_stops_scoring_after_its_first_failure(bench_dir, tmp_path, monke
 def test_report_format(tmp_path):
     snap = crafted_snapshot()
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-    report = evaluate_samples([Sample(snap, mask, "positive")], "zero", state=None)
+    report, = evaluate_samples([Sample(snap, mask, "positive")], "zero", [None])
     text = format_report(report)
     lines = text.splitlines()
     assert lines[0] == "metric\tvalue"
@@ -360,8 +400,8 @@ def test_per_image_averaging():
     wider = np.array([[1, 1], [1, 0]], dtype=np.uint8)        # one pixel missed
     samples = [Sample(snap, full_band, "positive"),
                Sample(snap, wider, "positive")]
-    agg = evaluate_samples(samples, "zero", state=None)
-    per = evaluate_samples(samples, "zero", state=None, per_image=True)
+    agg, = evaluate_samples(samples, "zero", [None])
+    per, = evaluate_samples(samples, "zero", [None], per_image=True)
     # aggregate counts: TP=4, FN=1 -> 4/5; image means: (1 + 2/3)/2 = 5/6
     assert agg.iou_per == pytest.approx(4.0 / 5.0)
     assert per.iou_per == pytest.approx(5.0 / 6.0)

@@ -471,8 +471,9 @@ def test_mask_file_shrinking_while_read(tmp_path, monkeypatch):
 def test_mask_bad_byte(tmp_path):
     path = tmp_path / "m.mask"
     path.write_bytes(bytes([0, 1, 2, 0]))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as caught:
         load_mask(path, 2, 2)
+    assert str(caught.value) == f"{path}: mask byte 2 at flat index 2 is not 0/1"
 
 
 # --- downsampling ---

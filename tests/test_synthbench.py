@@ -343,10 +343,11 @@ def test_concat_eval_matches_joined_bank(bench_dir, bench_state, monkeypatch, us
 
     # concat_evaluate requires a state; the frozen variant scores the pairs directly
     run = (partial(concat_evaluate, manifest, state) if state is not None else
-           partial(evaluate_samples, concat_pairs(manifest), manifest.personal_class_name))
+           lambda: evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
+                                    [None])[0])
     report, counts = scored(monkeypatch, run)
     expected, expected_counts = scored(monkeypatch, lambda: evaluate_samples(
-        joined, manifest.personal_class_name, state=tiled))
+        joined, manifest.personal_class_name, [tiled])[0])
     np.testing.assert_array_equal(counts, expected_counts)
     assert (report.iou_per, report.miou, report.precision_per, report.recall_per,
             report.class_table) == (expected.iou_per, expected.miou,
@@ -378,7 +379,7 @@ def test_frozen_row_without_vocab_entry_scores_zero(tmp_path):
     manifest_path.write_text(rewritten)
     manifest = load_manifest(manifest_path)
     samples = load_samples(manifest, "test")
-    report = evaluate_samples(samples, manifest.personal_class_name, state=None)
+    report, = evaluate_samples(samples, manifest.personal_class_name, [None])
     assert report.iou_per == 0.0
     assert report.precision_per == 0.0 and report.recall_per == 0.0
 
@@ -451,7 +452,7 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     mask = load_mask(entry.mask, *snap.grid_shape)
     direct, _ = run_personalization([Sample(snap, mask, "positive")], config,
                                     manifest.personal_class_name)
-    report = evaluate(manifest, state=direct)
+    report, = evaluate(manifest, [direct])
     assert (rows[0].iou_per, rows[0].miou) == (report.iou_per, report.miou)
     assert (rows[1].iou_per, rows[1].miou) != (report.iou_per, report.miou)
 

@@ -134,11 +134,11 @@ def test_evaluation_raises_the_first_failing_sample(usable_cpus, cpus):
                Sample(overflowing(crafted_snapshot()), None, "negative"),
                Sample(overflowing(renamed), None, "negative")]
     with pytest.raises(NonFiniteError, match="^sample 2: non-finite") as caught:
-        evaluate_samples(samples, "zero")
+        evaluate_samples(samples, "zero", [None])
     assert caught.value.stage == "forward"
     # the vocabulary is checked before the sample's own error
     with pytest.raises(InvariantError, match="^sample 2 vocabulary differs from sample 0$"):
-        evaluate_samples([samples[0], samples[1], samples[3], samples[2]], "zero")
+        evaluate_samples([samples[0], samples[1], samples[3], samples[2]], "zero", [None])
 
 
 @pytest.mark.parametrize("per_image", [False, True])
@@ -155,13 +155,14 @@ def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir, 
                                  load_samples(manifest, "train"))
     n_pairs = len(manifest.split("test")) // 2
     for run, counts in (
-            (lambda: evaluate_samples(samples, "zero", per_image=per_image), (3, 2)),
-            # concat_evaluate's pairs, each a positive and a negative
+            (lambda: evaluate_samples(samples, "zero", [None], per_image), (3, 2)),
+            # concat_evaluate's pairs, each a positive and a negative, under two states
             (lambda: evaluate_samples(concat_pairs(manifest), manifest.personal_class_name,
-                                      state=state, per_image=per_image), (n_pairs, n_pairs))):
+                                      [state, None], per_image), (n_pairs, n_pairs))):
         reports = []
         for cpus in (1, 2, 3):
             usable_cpus(cpus)
             reports.append(run())
         assert reports[0] == reports[1] == reports[2]
-        assert (reports[0].n_positive, reports[0].n_negative) == counts
+        for report in reports[0]:
+            assert (report.n_positive, report.n_negative) == counts
