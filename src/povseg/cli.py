@@ -110,11 +110,11 @@ def _cmd_personalize(args) -> int:
     return 0
 
 
-def _write_report(report, path: str) -> None:
-    """Write the ``MetricsReport`` file and print its four scalars."""
-    from .metrics import write_report
+def _write_report(report, path: str, per_image: bool = False) -> None:
+    """Write the report, or its per-image rows, and print its four scalars."""
+    from .metrics import format_image_rows, format_report
 
-    write_report(report, path)
+    Path(path).write_text((format_image_rows if per_image else format_report)(report))
     print(f"iou_per={report.iou_per:.4f} miou={report.miou:.4f} "
           f"precision_per={report.precision_per:.4f} recall_per={report.recall_per:.4f}")
 
@@ -137,7 +137,7 @@ def _cmd_eval(args) -> int:
         from .personalize import load_state
 
         state = load_state(args.state)
-    _write_report(evaluate(manifest, [state], per_image=args.per_image)[0], args.report)
+    _write_report(evaluate(manifest, [state])[0], args.report, args.per_image)
     return 0
 
 
@@ -225,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--state")
     source.add_argument("--frozen-only", action="store_true")
     p.add_argument("--per-image", action="store_true",
-                   help="average per-image metrics; a negative image scores 0 on "
-                        "iou_per, precision_per and recall_per whatever it predicts")
+                   help="write one row per test image to --report: its snapshot "
+                        "file, polarity, personal tp/fp/fn pixel counts and, for a "
+                        "positive, its own iou_per")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="Analytic vs finite-difference gradients")

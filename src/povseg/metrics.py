@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -73,11 +72,6 @@ def precision_recall(counts: np.ndarray, k: int) -> tuple[float, float]:
     return precision, recall
 
 
-def _scalars(counts: np.ndarray, k: int) -> tuple[float, float, float, float]:
-    """(iou_per, miou, precision_per, recall_per) of one confusion matrix."""
-    return (iou_per(counts, k), miou(counts), *precision_recall(counts, k))
-
-
 def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.ndarray:
     """The frozen model's label map, with the personal region overridden to ``k``."""
     labels = labels.copy()
@@ -87,24 +81,30 @@ def pseudo_label(labels: np.ndarray, personal_mask: np.ndarray, k: int) -> np.nd
 
 @dataclass
 class MetricsReport:
+    """Aggregate metrics of a test set, and its images' personal pixel counts.
+
+    ``images`` holds one ``(snapshot file, polarity, tp, fp, fn)`` per image,
+    in sample order, counted for the personal class; their sums are the
+    personal counts behind ``iou_per``, ``precision_per`` and ``recall_per``.
+    """
     iou_per: float
     miou: float
     precision_per: float
     recall_per: float
     class_table: list[tuple[str, float]]
-    n_positive: int
-    n_negative: int
+    images: list[tuple[str, str, int, int, int]]
 
 
 def _confusions(sample: Sample, where: str, personal_class_name: str,
-                states: list[PersonalState | None]) -> list[tuple[np.ndarray, np.ndarray]]:
+                states: list[PersonalState | None]) -> list[tuple]:
     """One image's confusion counts under each state, in order.
 
     Each is the nonzero cells of the image's confusion matrix, as flat
-    indices and values: an image shows few of the (V+1)^2 label pairs, and a
-    worker sends every image's counts back. The frozen label map is decoded
-    once: it is the ground truth and, for the frozen baseline (``None``),
-    the prediction. Each trained state's labels are decoded once.
+    indices and values, and the personal class's ``(tp, fp, fn)``: an image
+    shows few of the (V+1)^2 label pairs, and a worker sends every image's
+    counts back. The frozen label map is decoded once: it is the ground
+    truth and, for the frozen baseline (``None``), the prediction. Each
+    trained state's labels are decoded once.
     """
     snap = sample.snapshot
     k = snap.vocab_size
@@ -125,7 +125,9 @@ def _confusions(sample: Sample, where: str, personal_class_name: str,
                       if sample.polarity == "positive" else frozen)
             matrix = accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
             cells = np.flatnonzero(matrix)
-            counts.append((cells, matrix.flat[cells]))
+            tp = int(matrix[k, k])
+            counts.append((cells, matrix.flat[cells],
+                           (tp, int(matrix[:, k].sum()) - tp, int(matrix[k].sum()) - tp)))
     except NonFiniteError as exc:
         raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
     except InvariantError as exc:  # e.g. a state trained on another V or D
@@ -135,7 +137,7 @@ def _confusions(sample: Sample, where: str, personal_class_name: str,
 
 def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
            states: list[PersonalState | None]) -> tuple:
-    """``(where, vocab_names, positive, counts)`` of sample ``i``.
+    """``(where, vocab_names, polarity, counts)`` of sample ``i``.
 
     ``counts`` is ``_confusions``'s list. A failure is returned as
     ``counts``, with ``vocab_names`` None when the sample could not be read.
@@ -154,12 +156,11 @@ def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
             counts = _confusions(sample, where, personal_class_name, states)
         except Exception as exc:
             return where, names, None, exc
-    return where, names, sample.polarity == "positive", counts
+    return where, names, sample.polarity, counts
 
 
 def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
-                     states: list[PersonalState | None],
-                     per_image: bool = False) -> list[MetricsReport]:
+                     states: list[PersonalState | None]) -> list[MetricsReport]:
     """Score decoded labels against combined pseudo-label ground truth.
 
     Returns one report per entry of ``states``, in order; ``None`` evaluates
@@ -170,13 +171,12 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
     holds one image in memory at a time. An image's frozen labels are
     decoded once for all the states, and its labels under each trained state
     once. Each state's confusion counts are integers and are summed in sample
-    order, so the reports do not depend on the worker count. ``per_image``
-    averages scalar metrics over images instead of aggregating counts. A
-    sample whose forward pass is non-finite, or does not fit a state, raises
-    an error that names it, so no metric is reported from it; the first
-    failing sample in order is the one reported. A worker stops at its own
-    first failing sample: it neither reads nor scores the samples left in
-    its share.
+    order, so the reports do not depend on the worker count; each report
+    also lists every image's own personal counts. A sample whose forward
+    pass is non-finite, or does not fit a state, raises an error that names
+    it, so no metric is reported from it; the first failing sample in order
+    is the one reported. A worker stops at its own first failing sample: it
+    neither reads nor scores the samples left in its share.
     """
     stopped = False  # set in a worker by its first failing sample
 
@@ -189,44 +189,34 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
         return scored
 
     vocab_names = None
-    scalars = [[] for _ in states]
-    n_pos = n_neg = 0
-    for where, names, positive, counts in map_in_workers(score, len(samples)):
+    for where, names, polarity, counts in map_in_workers(score, len(samples)):
         if names is None:  # the sample could not be read
             raise counts
         if vocab_names is None:
             vocab_names = names
             k = len(names)
             totals = [np.zeros((k + 1, k + 1), np.int64) for _ in states]
+            images = [[] for _ in states]
         elif names != vocab_names:
             raise InvariantError(f"{where} vocabulary differs from sample 0")
         if isinstance(counts, Exception):
             raise counts
-        if positive:
-            n_pos += 1
-        else:
-            n_neg += 1
-        for total, state_scalars, (cells, values) in zip(totals, scalars, counts):
-            if per_image:
-                image_counts = np.zeros_like(total)
-                image_counts.flat[cells] = values
-                state_scalars.append(_scalars(image_counts, k))
+        for total, rows, (cells, values, personal) in zip(totals, images, counts):
             total.flat[cells] += values
+            rows.append((str(where), polarity, *personal))
     if vocab_names is None:
         raise InvariantError("empty evaluation sample set")
 
     names = list(vocab_names) + [f"<{personal_class_name}>"]
     reports = []
-    for total, state_scalars in zip(totals, scalars):
+    for total, rows in zip(totals, images):
         ious = class_iou(total)
         table = [(names[c], float(ious[c])) for c in range(k + 1)
                  if not np.isnan(ious[c])]
-        iou, mean_iou, precision, recall = (np.mean(state_scalars, axis=0) if per_image
-                                            else _scalars(total, k))
+        precision, recall = precision_recall(total, k)
         reports.append(MetricsReport(
-            iou_per=float(iou), miou=float(mean_iou), precision_per=float(precision),
-            recall_per=float(recall), class_table=table, n_positive=n_pos,
-            n_negative=n_neg))
+            iou_per=iou_per(total, k), miou=miou(total), precision_per=precision,
+            recall_per=recall, class_table=table, images=rows))
     return reports
 
 
@@ -247,15 +237,14 @@ class LazySamples(Sequence):
         return self._load(self._entries[i])
 
 
-def evaluate(manifest: Manifest, states: list[PersonalState | None],
-             per_image: bool = False) -> list[MetricsReport]:
+def evaluate(manifest: Manifest, states: list[PersonalState | None]) -> list[MetricsReport]:
     """Score the test split under each state, reading each image once.
 
     ``eval`` passes its one state, and ``ablate`` and ``kshot`` every state
     they trained, so a test split is scored one way.
     """
     return evaluate_samples(LazySamples(manifest.split("test"), load_sample),
-                            manifest.personal_class_name, states, per_image)
+                            manifest.personal_class_name, states)
 
 
 def concat_pairs(manifest: Manifest) -> LazySamples:
@@ -304,5 +293,17 @@ def format_report(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(format_report(report))
+def format_image_rows(report: MetricsReport) -> str:
+    """``eval --per-image``'s table: one row of personal pixel counts per image.
+
+    ``iou_per`` is a positive's own tp / (tp + fp + fn), 0 when both its
+    ground truth and its prediction lack the personal class, as ``iou_per``
+    counts it. A negative has no personal ground truth, so its IoU is ``-``
+    and its ``fp`` are the false positives it shows.
+    """
+    lines = ["file\tpolarity\ttp\tfp\tfn\tiou_per"]
+    for where, polarity, tp, fp, fn in report.images:
+        iou = (f"{tp / (tp + fp + fn) if tp + fp + fn else 0.0:.4f}"
+               if polarity == "positive" else "-")
+        lines.append(f"{where}\t{polarity}\t{tp}\t{fp}\t{fn}\t{iou}")
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ rerun reproduces the same trajectory bit for bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ class TrainConfig:
     learning_rate: float = 5e-4
     iterations: int = 200
     alpha: float = 0.1
-    weights: LossWeights = field(default_factory=LossWeights)
     negative_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -96,7 +95,8 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
 
     The personal embedding starts from the text row of ``personal_class_name``
     in the first sample's vocabulary. ``f_per`` is computed, and injected, only
-    when ``config.alpha > 0``. Returns the final state and the per-step
+    when ``config.alpha > 0``. Every step weighs the loss terms by the
+    default ``LossWeights``. Returns the final state and the per-step
     total-loss trace.
     """
     if not samples:
@@ -117,13 +117,14 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
 
     trace: list[float] = []
     lr = config.learning_rate
+    weights = LossWeights()
     # check_finite sees every array a step makes; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.iterations):
             sample = samples[step % len(samples)]
             try:
                 breakdown, grads = backward(sample.snapshot, state, sample.personal_mask,
-                                            config.weights)
+                                            weights)
                 trace.append(breakdown.total)
                 state = replace(state, **{name: getattr(state, name) - lr * getattr(grads, name)
                                           for name in TRAINED})

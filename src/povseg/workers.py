@@ -9,9 +9,9 @@ so it never unwinds into its caller's stack nor flushes stdio buffers it
 inherited. The results come back in index order, and the failure with the
 lowest index is raised, the one a serial loop would have met first.
 
-Everything runs in the calling process, in index order, inside a worker (no
-nesting), when one worker would do, and where the platform cannot say which
-CPUs are usable. ``taskset`` restricts the CPUs, and with them the workers.
+Everything runs in the calling process, in index order, when one worker
+would do, and where the platform cannot say which CPUs are usable.
+``taskset`` restricts the CPUs, and with them the workers.
 
 Forking is safe here because a povseg process runs no threads of its own.
 OpenBLAS's thread pool is stopped by OpenBLAS's ``pthread_atfork`` handler
@@ -26,9 +26,6 @@ from collections.abc import Callable
 from typing import TypeVar
 
 T = TypeVar("T")
-
-# True in a worker while it computes its share: a nested call stays serial.
-_in_worker = False
 
 
 def usable_cpus() -> int:
@@ -62,8 +59,6 @@ def _fork(fn: Callable[[int], T], indices: range) -> tuple[int, int]:
     if pid:
         os.close(write_end)
         return pid, read_end
-    global _in_worker
-    _in_worker = True
     code = 1
     try:
         os.close(read_end)
@@ -86,20 +81,15 @@ def map_in_workers(fn: Callable[[int], T], n: int) -> list[T]:
     raises ``ChildProcessError``, ahead of any error ``fn`` raised. Every
     child is reaped before this returns or raises.
     """
-    global _in_worker
     workers = min(n, usable_cpus())
-    if _in_worker or workers <= 1:
+    if workers <= 1:
         return [fn(i) for i in range(n)]
     children: list[tuple[int, int]] = []
     received = []
     try:
         for w in range(1, workers):
             children.append(_fork(fn, range(w, n, workers)))
-        _in_worker = True
-        try:
-            shares = [_share(fn, range(0, n, workers), Exception)]
-        finally:
-            _in_worker = False
+        shares = [_share(fn, range(0, n, workers), Exception)]
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 received.append(pipe.read())

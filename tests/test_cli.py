@@ -52,7 +52,7 @@ def test_personalize_rejects_zero_iters(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--lr", "nan", "learning rate must be finite and positive, got nan"),
     ("--alpha", "2", "alpha 2.0 outside [0, 1]"),
-    # The loss weights are TrainConfig.weights in Python, not flags; their
+    # The loss weights are losses.LossWeights' defaults, not flags; their
     # checks are test_losses.py::test_weights_validation.
     ("--lambda-bce", "-1", "unrecognized arguments: --lambda-bce -1"),
     ("--lambda-negm", "nan", "unrecognized arguments: --lambda-negm nan"),
@@ -115,6 +115,36 @@ def test_full_workflow(tmp_path):
     assert main(["kshot", "--data", str(data), "--k", "1,2",
                  "--out", str(kshot)]) == 0
     assert len(kshot.read_text().splitlines()) == 4
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_per_image_rows_sum_to_the_report(bench_dir, tmp_path, capsys, usable_cpus, cpus):
+    state = tmp_path / "state.povp"
+    assert main(["personalize", "--data", str(bench_dir), "--out", str(state)]) == 0
+    usable_cpus(cpus)
+    outputs = []
+    for flags in ([], ["--per-image"]):
+        report = tmp_path / f"report{len(flags)}.tsv"
+        assert main(["eval", "--data", str(bench_dir), "--state", str(state), *flags,
+                     "--report", str(report)]) == 0
+        outputs.append((report.read_text(), capsys.readouterr().out.splitlines()[-1]))
+    (report, printed), (table, printed_with_rows) = outputs
+    assert printed_with_rows == printed  # the same four aggregate scalars
+    header, *rows = [line.split("\t") for line in table.splitlines()]
+    assert header == ["file", "polarity", "tp", "fp", "fn", "iou_per"]
+    entries = load_manifest(bench_dir / "manifest.tsv").split("test")
+    assert [(file, polarity) for file, polarity, *_ in rows] == \
+        [(str(e.snapshot), e.polarity) for e in entries]
+    tp, fp, fn = (sum(int(row[col]) for row in rows) for col in (2, 3, 4))
+    assert fp > 0  # the trained state's false positives are in the rows
+    scalars = dict(line.split("\t") for line in report.splitlines()[1:5])
+    assert (scalars["iou_per"], scalars["precision_per"], scalars["recall_per"]) == (
+        f"{tp / (tp + fp + fn):.4f}", f"{tp / (tp + fp):.4f}", f"{tp / (tp + fn):.4f}")
+    for _, polarity, row_tp, row_fp, row_fn, iou in rows:
+        denom = int(row_tp) + int(row_fp) + int(row_fn)
+        assert iou == ("-" if polarity == "negative"
+                       else f"{int(row_tp) / denom if denom else 0.0:.4f}")
 
 
 @pytest.mark.parametrize("flag, value, named", [

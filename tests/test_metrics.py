@@ -15,12 +15,12 @@ from povseg.metrics import (
     concat_evaluate,
     evaluate,
     evaluate_samples,
+    format_image_rows,
     format_report,
     iou_per,
     miou,
     precision_recall,
     pseudo_label,
-    write_report,
 )
 from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
 from povseg.personalize import TrainConfig
@@ -219,11 +219,10 @@ def test_two_sample_hand_trace():
     assert report.recall_per == 1.0
     assert report.precision_per == pytest.approx(0.5)
     assert report.iou_per == pytest.approx(0.5)
-    assert report.n_positive == 1 and report.n_negative == 1
+    assert [polarity for _, polarity, *_ in report.images] == ["positive", "negative"]
 
 
-@pytest.mark.parametrize("per_image", [False, True])
-def test_states_scored_together_match_each_alone(per_image):
+def test_states_scored_together_match_each_alone():
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     samples = [Sample(crafted_snapshot(), mask, "positive"),
                Sample(crafted_snapshot(), None, "negative")]
@@ -231,8 +230,8 @@ def test_states_scored_together_match_each_alone(per_image):
                           w_m=np.zeros(2), b_m=-50.0, k=2)
     silent = replace(fires, t_per=np.array([-3.0, 0.0]))
     states = [fires, None, silent, fires]
-    together = evaluate_samples(samples, "zero", states, per_image)
-    assert together == [evaluate_samples(samples, "zero", [state], per_image)[0]
+    together = evaluate_samples(samples, "zero", states)
+    assert together == [evaluate_samples(samples, "zero", [state])[0]
                         for state in states]
     assert together[0] != together[2]  # the states are not mixed up
 
@@ -376,7 +375,7 @@ def test_worker_stops_scoring_after_its_first_failure(bench_dir, tmp_path, monke
     assert scored == []
 
 
-def test_report_format(tmp_path):
+def test_report_format():
     snap = crafted_snapshot()
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     report, = evaluate_samples([Sample(snap, mask, "positive")], "zero", [None])
@@ -389,19 +388,30 @@ def test_report_format(tmp_path):
     for line in lines[1:]:
         name, value = line.split("\t")
         assert len(value.split(".")[1]) == 4
-    path = tmp_path / "report.tsv"
-    write_report(report, path)
-    assert path.read_text() == text
 
 
-def test_per_image_averaging():
+def test_per_image_rows():
     snap = crafted_snapshot()
     full_band = np.array([[1, 1], [0, 0]], dtype=np.uint8)    # proxy hits exactly
     wider = np.array([[1, 1], [1, 0]], dtype=np.uint8)        # one pixel missed
     samples = [Sample(snap, full_band, "positive"),
                Sample(snap, wider, "positive")]
-    agg, = evaluate_samples(samples, "zero", [None])
-    per, = evaluate_samples(samples, "zero", [None], per_image=True)
-    # aggregate counts: TP=4, FN=1 -> 4/5; image means: (1 + 2/3)/2 = 5/6
-    assert agg.iou_per == pytest.approx(4.0 / 5.0)
-    assert per.iou_per == pytest.approx(5.0 / 6.0)
+    report, = evaluate_samples(samples, "zero", [None])
+    assert report.images == [("sample 0", "positive", 2, 0, 0),
+                             ("sample 1", "positive", 2, 0, 1)]
+    assert format_image_rows(report) == ("file\tpolarity\ttp\tfp\tfn\tiou_per\n"
+                                         "sample 0\tpositive\t2\t0\t0\t1.0000\n"
+                                         "sample 1\tpositive\t2\t0\t1\t0.6667\n")
+    # the rows sum to the aggregate counts: TP=4, FN=1 -> 4/5
+    assert report.iou_per == pytest.approx(4.0 / 5.0)
+    assert report.recall_per == pytest.approx(4.0 / 5.0)
+
+
+def test_a_negative_row_counts_its_false_positives():
+    # 4x4: proposal 0 (class "zero", the proxy) covers the top half
+    snap = crafted_snapshot()
+    snap = replace(snap, m_open=snap.m_open.repeat(2, axis=0).repeat(2, axis=1))
+    report, = evaluate_samples([Sample(snap, None, "negative")], "zero", [None])
+    assert report.images == [("sample 0", "negative", 0, 8, 0)]
+    assert format_image_rows(report).splitlines()[1] == "sample 0\tnegative\t0\t8\t0\t-"
+    assert report.precision_per == 0.0 and report.iou_per == 0.0

@@ -15,6 +15,7 @@ from povseg.errors import (
 )
 from povseg.grad import backward, random_instance
 from povseg.head import build_forward, decode
+from povseg.losses import LossWeights
 from povseg.personalize import (
     TrainConfig,
     compute_visual_embedding,
@@ -192,7 +193,7 @@ def test_single_step_is_one_gradient_update():
 
     first = samples[0]
     fresh = init_state(first.snapshot, "b", config)
-    _, grads = backward(first.snapshot, fresh, first.personal_mask, config.weights)
+    _, grads = backward(first.snapshot, fresh, first.personal_mask, LossWeights())
     lr = config.learning_rate
     np.testing.assert_array_equal(state.t_per, first.snapshot.t_open[1] - lr * grads.t_per)
     np.testing.assert_array_equal(state.w_z, -lr * grads.w_z)
@@ -241,7 +242,7 @@ def test_injection_disabled_equals_alpha_zero():
     assert off.f_per is None and off.alpha == 0.0
     # f_per at interpolation weight 0 is neutral, bit for bit
     with_f = replace(off, f_per=compute_visual_embedding(a))
-    weights = TrainConfig().weights
+    weights = LossWeights()
     for sample in a:
         loss_off, grads_off = backward(sample.snapshot, off, sample.personal_mask, weights)
         loss_f, grads_f = backward(sample.snapshot, with_f, sample.personal_mask, weights)
@@ -284,8 +285,9 @@ def test_defaults_match_reported_settings():
     assert config.learning_rate == 5e-4
     assert config.iterations == 200
     assert config.alpha == 0.1
-    assert config.weights.neg_z == 0.1
-    assert config.weights.dice == config.weights.bce == config.weights.cls == 1.0
+    weights = LossWeights()
+    assert weights.neg_z == 0.1
+    assert weights.dice == weights.bce == weights.cls == 1.0
 
 
 def test_descent_on_bundled_benchmark(bench_dir):
