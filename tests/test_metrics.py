@@ -222,7 +222,9 @@ def test_two_sample_hand_trace():
     assert [polarity for _, polarity, *_ in report.images] == ["positive", "negative"]
 
 
-def test_states_scored_together_match_each_alone():
+# ``per_image`` picks the text ``eval`` writes: the summary or, with ``--per-image``, the rows.
+@pytest.mark.parametrize("per_image", [False, True])
+def test_states_scored_together_match_each_alone(per_image):
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     samples = [Sample(crafted_snapshot(), mask, "positive"),
                Sample(crafted_snapshot(), None, "negative")]
@@ -231,9 +233,11 @@ def test_states_scored_together_match_each_alone():
     silent = replace(fires, t_per=np.array([-3.0, 0.0]))
     states = [fires, None, silent, fires]
     together = evaluate_samples(samples, "zero", states)
-    assert together == [evaluate_samples(samples, "zero", [state])[0]
-                        for state in states]
-    assert together[0] != together[2]  # the states are not mixed up
+    alone = [evaluate_samples(samples, "zero", [state])[0] for state in states]
+    assert together == alone
+    written = format_image_rows if per_image else format_report
+    assert [written(report) for report in together] == [written(report) for report in alone]
+    assert written(together[0]) != written(together[2])  # the states are not mixed up
 
 
 def test_mixed_vocabularies_refused():

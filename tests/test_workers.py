@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from povseg.errors import InvariantError, NonFiniteError
-from povseg.metrics import concat_pairs, evaluate_samples
+from povseg.metrics import concat_pairs, evaluate_samples, format_image_rows, format_report
 from povseg.personalize import TrainConfig
 from povseg.snapshot import Sample, load_manifest, load_samples
 from povseg.synthbench import train_on_manifest
@@ -133,7 +133,9 @@ def test_evaluation_raises_the_first_failing_sample(usable_cpus, cpus):
         evaluate_samples([samples[0], samples[1], samples[3], samples[2]], "zero", [None])
 
 
-def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir):
+# ``per_image`` picks the text ``eval`` writes: the summary or, with ``--per-image``, the rows.
+@pytest.mark.parametrize("per_image", [False, True])
+def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir, per_image):
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
     wider = np.array([[1, 1], [1, 0]], dtype=np.uint8)
     samples = [Sample(crafted_snapshot(), mask, "positive"),
@@ -156,5 +158,7 @@ def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir):
             usable_cpus(cpus)
             reports.append(run())
         assert reports[0] == reports[1] == reports[2]
+        written = format_image_rows if per_image else format_report
+        assert [written(report) for report in reports[0]] == [written(report) for report in reports[2]]
         for report in reports[0]:
             assert [polarity for _, polarity, *_ in report.images] == polarities
