@@ -53,14 +53,8 @@ class LossBreakdown:
     total: float
 
 
-def _check_shapes(prob: np.ndarray, gt: np.ndarray) -> None:
-    if prob.shape != gt.shape:
-        raise InvariantError(f"shape mismatch {prob.shape} vs {gt.shape}")
-
-
 def dice_loss(prob: np.ndarray, gt: np.ndarray,
               weight: float = 1.0) -> tuple[float, np.ndarray]:
-    _check_shapes(prob, gt)
     g = gt.astype(np.float64)
     num = 2.0 * float((prob * g).sum()) + DICE_EPS
     denom = float(prob.sum()) + float(g.sum()) + DICE_EPS
@@ -69,7 +63,6 @@ def dice_loss(prob: np.ndarray, gt: np.ndarray,
 
 def bce_loss(prob: np.ndarray, gt: np.ndarray,
              weight: float = 1.0) -> tuple[float, np.ndarray]:
-    _check_shapes(prob, gt)
     g = gt.astype(bool)
     p = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
     # One log per pixel: for a 0/1 mask the other term of -g log p - (1 - g) log(1 - p)
@@ -81,7 +74,6 @@ def bce_loss(prob: np.ndarray, gt: np.ndarray,
 def cls_loss(prob: np.ndarray, gt: np.ndarray,
              weight: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean over foreground pixels of -log prob; 0 on empty foreground."""
-    _check_shapes(prob, gt)
     g = gt.astype(np.float64)
     n_fg = float(g.sum())
     if n_fg == 0:
@@ -123,6 +115,9 @@ def total_loss(cache: ForwardCache, gt: np.ndarray, weights: LossWeights
     """
     if cache.k is None:
         raise InvariantError("total_loss needs a personalized forward pass")
+    if gt.shape != cache.q_per.shape:
+        raise InvariantError(f"mask shape {gt.shape} != personal channel shape "
+                             f"{cache.q_per.shape}")
     dice, g_q_per = dice_loss(cache.q_per, gt, weights.dice)
     bce, g_term = bce_loss(cache.q_per, gt, weights.bce)
     g_q_per += g_term

@@ -46,11 +46,11 @@ class TrainConfig:
 
 def init_state(snapshot: FrozenSnapshot, personal_class_name: str,
                config: TrainConfig) -> PersonalState:
-    """Fresh state: personal embedding from the class's text row, zeros elsewhere."""
-    if personal_class_name not in snapshot.vocab_names:
-        raise InvariantError(
-            f"personal class {personal_class_name!r} not in the snapshot vocabulary; "
-            "cannot initialize the personal embedding")
+    """Fresh state: personal embedding from the class's text row, zeros elsewhere.
+
+    ``personal_class_name`` is in ``snapshot``'s vocabulary: ``run_personalization``
+    checks it, naming the snapshot's file.
+    """
     n = snapshot.num_proposals
     row = snapshot.t_open[snapshot.vocab_names.index(personal_class_name)]
     return PersonalState(t_per=row.astype(np.float64),
@@ -102,6 +102,11 @@ def run_personalization(samples: list[Sample], config: TrainConfig,
     if not samples:
         raise InvariantError("empty training sample set")
     first = samples[0].snapshot
+    if personal_class_name not in first.vocab_names:
+        where = samples[0].snapshot_path or "sample 0"
+        raise InvariantError(
+            f"{where}: personal class {personal_class_name!r} not in the snapshot "
+            "vocabulary; cannot initialize the personal embedding")
     state = init_state(first, personal_class_name, config)
     for idx, sample in enumerate(samples):
         snap = sample.snapshot

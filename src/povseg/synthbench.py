@@ -49,7 +49,6 @@ from .errors import InvariantError
 from .snapshot import (
     FrozenSnapshot,
     Manifest,
-    Sample,
     load_samples,
     save_mask,
     save_snapshot,
@@ -342,43 +341,27 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def train_on_manifest(manifest: Manifest, config: TrainConfig, samples: list[Sample]
-                      ) -> tuple[PersonalState, list[float]]:
-    """Personalize on ``samples``, the train split or a prefix of it.
+def train_on_manifest(manifest: Manifest, runs: list[tuple[TrainConfig, int]]
+                      ) -> list[PersonalState]:
+    """The state of each ``(config, k)`` run, trained on the first ``k`` train entries.
 
-    ``personalize`` calls ``run_personalization`` itself. This one call is
-    kept for ``ablate`` and ``kshot`` only because the benchmark times their
-    training under the per-layer name ``synthbench.train_on_manifest.ms``.
-    """
-    from .personalize import run_personalization  # here, so synth loads only the generator
-
-    return run_personalization(samples, config, manifest.personal_class_name)
-
-
-def _score_runs(manifest: Manifest, runs: list[tuple[TrainConfig | None, int]]
-                ) -> list[MetricsReport]:
-    """The test-split report of each ``(config, k)`` run, in order.
-
-    A run with ``config`` None scores the frozen baseline; any other trains
-    on the first ``k`` train entries and scores that state. The runs are
-    trained first, by ``map_in_workers``, one forked worker per usable CPU,
-    from one read of the train split, which is released before scoring. Then
-    one ``evaluate`` call scores every state in one pass over the test
-    split, as ``eval`` scores its one state.
+    The train split is read once, and ``map_in_workers`` trains the runs, one
+    forked worker per usable CPU. The states come back in run order, and no
+    training sample stays in memory once this returns. ``ablate`` and
+    ``kshot`` train only through here, so the benchmark's per-layer name
+    ``synthbench.train_on_manifest.ms`` times their whole training phase.
     """
     # Imported here, so that synth loads only the generator.
-    from .metrics import evaluate
+    from .personalize import run_personalization
     from .workers import map_in_workers
 
     train = load_samples(manifest, "train")
 
-    def fit(i: int) -> PersonalState | None:
+    def fit(i: int) -> PersonalState:
         config, k = runs[i]
-        return None if config is None else train_on_manifest(manifest, config, train[:k])[0]
+        return run_personalization(train[:k], config, manifest.personal_class_name)[0]
 
-    states = map_in_workers(fit, len(runs))
-    del train  # no training sample stays in memory while the test split is scored
-    return evaluate(manifest, states)
+    return map_in_workers(fit, len(runs))
 
 
 @dataclass
@@ -392,6 +375,8 @@ class AblationRow:
 
 def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
     """Train on the whole train split and evaluate the five module combinations."""
+    from .metrics import evaluate  # here, so synth loads only the generator
+
     toggles = [
         ("frozen", False, False, False),
         ("prompt", True, False, False),
@@ -400,9 +385,9 @@ def run_ablation(manifest: Manifest, config: TrainConfig) -> list[AblationRow]:
         ("full", True, True, True),
     ]
     n_train = len(manifest.split("train"))
-    runs = [(replace(config, negative_enabled=neg, alpha=config.alpha if inject else 0.0)
-             if prompt else None, n_train) for _, prompt, neg, inject in toggles]
-    reports = _score_runs(manifest, runs)
+    trained = [(replace(config, negative_enabled=neg, alpha=config.alpha if inject else 0.0),
+                n_train) for _, _, neg, inject in toggles[1:]]
+    reports = evaluate(manifest, [None, *train_on_manifest(manifest, trained)])
     return [AblationRow(*toggle, report) for toggle, report in zip(toggles, reports)]
 
 
@@ -434,7 +419,9 @@ def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
     if max(k_list) > n_train:
         raise InvariantError(
             f"K={max(k_list)} exceeds the {n_train} available training samples")
-    reports = _score_runs(manifest, [(config, k) for k in k_list])
+    from .metrics import evaluate  # here, so synth loads only the generator
+
+    reports = evaluate(manifest, train_on_manifest(manifest, [(config, k) for k in k_list]))
     rows = [KShotRow(label=str(k), iou_per=r.iou_per, miou=r.miou)
             for k, r in zip(k_list, reports)]
     rows.append(KShotRow(label="Avg.",

@@ -219,7 +219,7 @@ def test_criterion_5_kshot_trend(bench_dir):
 def test_criterion_6_frozen_model_preservation(bench_dir):
     """Removing the personal row and negative branch reproduces the frozen labels."""
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(), load_samples(manifest, "train"))
+    state, = train_on_manifest(manifest, [(TrainConfig(), len(manifest.split("train")))])
     checked = 0
     for entry in manifest.split("test"):
         snapshot = load_snapshot(entry.snapshot)

@@ -829,8 +829,10 @@ def test_personal_class_missing_from_vocabulary_exits_one(tmp_path, capsys, comm
     code = main([command, "--data", str(data), "--out", str(out), *(
         FAST_TRAIN if command == "personalize" else [])])
     assert code == 1
-    assert ("povseg: validation error: personal class 'missing' not in the snapshot "
-            "vocabulary; cannot initialize the personal embedding") in capsys.readouterr().err
+    first = data / "snapshots" / "train_000.povs"
+    assert capsys.readouterr().err == (
+        f"povseg: validation error: {first}: personal class 'missing' not in the snapshot "
+        "vocabulary; cannot initialize the personal embedding\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 

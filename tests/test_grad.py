@@ -9,7 +9,7 @@ from dense_bank import full_bank
 from output_tree import child_env
 
 import povseg.grad as grad_mod
-from povseg.errors import NonFiniteError
+from povseg.errors import InvariantError, NonFiniteError
 from povseg.grad import (
     GRADCHECK_TOL,
     TRAINED,
@@ -58,6 +58,13 @@ def test_zero_weights_zero_gradients():
     assert not grads.w_z.any()
     assert not grads.w_m.any()
     assert grads.b_m == 0.0
+
+
+def test_mask_of_another_shape_refused():
+    snapshot, state, gt, weights = random_instance(0, h=16, w=12)
+    with pytest.raises(InvariantError,
+                       match=r"^mask shape \(12, 16\) != personal channel shape \(16, 12\)$"):
+        backward(snapshot, state, gt.T, weights)
 
 
 def test_alpha_one_kills_text_gradient():

@@ -71,11 +71,10 @@ def test_init_from_vocab_row():
 
 
 def test_init_class_not_in_vocabulary():
-    snap = make_samples(count=1)[0].snapshot
-    with pytest.raises(InvariantError, match=re.escape(
-            "personal class 'missing' not in the snapshot vocabulary; "
-            "cannot initialize the personal embedding")):
-        init_state(snap, "missing", TrainConfig())
+    with pytest.raises(InvariantError, match="^" + re.escape(
+            "sample 0: personal class 'missing' not in the snapshot vocabulary; "
+            "cannot initialize the personal embedding") + "$"):
+        run_personalization(make_samples(count=1), TrainConfig(), "missing")
 
 
 def test_visual_embedding_constant_field():

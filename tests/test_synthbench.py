@@ -260,8 +260,8 @@ def test_concat_structure(tmp_path):
 
 def test_concat_with_itself_decodes_side_by_side(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20),
-                                 load_samples(manifest, "train"))
+    n_train = len(manifest.split("train"))
+    state, = train_on_manifest(manifest, [(TrainConfig(iterations=20), n_train)])
     tiled = tile_state(state, 2)
     positives = [s for s in load_samples(manifest, "test") if s.polarity == "positive"]
     for sample in positives:
@@ -278,8 +278,8 @@ def test_concat_with_itself_decodes_side_by_side(bench_dir):
 
 def test_concat_eval_runs_with_trained_state(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(iterations=20),
-                                 load_samples(manifest, "train"))
+    n_train = len(manifest.split("train"))
+    state, = train_on_manifest(manifest, [(TrainConfig(iterations=20), n_train)])
     report = concat_evaluate(manifest, state)
     assert "positive" in [polarity for _, polarity, *_ in report.images]
     assert 0.0 <= report.iou_per <= 1.0
@@ -299,8 +299,8 @@ def test_concat_partner_z_is_the_partners_loaded_z_open(bench_dir):
 @pytest.fixture(scope="module")
 def bench_state(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    return train_on_manifest(manifest, TrainConfig(iterations=20),
-                             load_samples(manifest, "train"))[0]
+    n_train = len(manifest.split("train"))
+    return train_on_manifest(manifest, [(TrainConfig(iterations=20), n_train)])[0]
 
 
 def scored(monkeypatch, run):
@@ -408,11 +408,12 @@ def test_ablation_and_kshot_rows_do_not_depend_on_the_worker_count(bench_dir, us
 
 @pytest.mark.usefixtures("worker_guard")
 def test_training_error_in_a_worker_row_is_raised(bench_dir, usable_cpus):
-    usable_cpus(3)  # this process computes the frozen row; forked workers train the others
+    usable_cpus(2)  # this process trains rows 0 and 2; a forked worker trains rows 1 and 3
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    # an update of 1e308 overflows at the first step of every trained row
+    # an update of 1e307 overflows at the first step of the rows with the
+    # negative branch, 1 and 3, and of no other
     with pytest.raises(NonFiniteError, match="^step 0: ") as caught:
-        run_ablation(manifest, TrainConfig(iterations=1, learning_rate=1e308, alpha=0.0))
+        run_ablation(manifest, TrainConfig(iterations=1, learning_rate=1e307, alpha=0.0))
     assert caught.value.stage == "update"
 
 
@@ -460,4 +461,4 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
 def test_train_on_empty_sample_set_refused(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     with pytest.raises(InvariantError, match="empty training sample set"):
-        train_on_manifest(manifest, TrainConfig(iterations=1), [])
+        train_on_manifest(manifest, [(TrainConfig(iterations=1), 0)])

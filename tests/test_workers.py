@@ -1,14 +1,14 @@
 import os
 import signal
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from povseg.errors import InvariantError, NonFiniteError
 from povseg.metrics import concat_pairs, evaluate_samples, format_image_rows, format_report
-from povseg.personalize import TrainConfig
+from povseg.personalize import TrainConfig, run_personalization
 from povseg.snapshot import Sample, load_manifest, load_samples
 from povseg.synthbench import train_on_manifest
 from povseg.workers import map_in_workers, usable_cpus
@@ -144,8 +144,8 @@ def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir, 
                Sample(crafted_snapshot(), mask, "positive"),
                Sample(crafted_snapshot(), None, "negative")]
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    state, _ = train_on_manifest(manifest, TrainConfig(iterations=5),
-                                 load_samples(manifest, "train"))
+    n_train = len(manifest.split("train"))
+    state, = train_on_manifest(manifest, [(TrainConfig(iterations=5), n_train)])
     n_pairs = len(manifest.split("test")) // 2
     for run, polarities in (
             (lambda: evaluate_samples(samples, "zero", [None]),
@@ -162,3 +162,24 @@ def test_evaluation_does_not_depend_on_the_worker_count(usable_cpus, bench_dir, 
         assert [written(report) for report in reports[0]] == [written(report) for report in reports[2]]
         for report in reports[0]:
             assert [polarity for _, polarity, *_ in report.images] == polarities
+
+
+def test_training_does_not_depend_on_the_worker_count(usable_cpus, bench_dir):
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    config = TrainConfig(iterations=5)
+    runs = [(config, 1), (replace(config, negative_enabled=False), 3),
+            (replace(config, alpha=0.0), 5), (config, 2)]
+
+    def bits(state):
+        return [None if value is None else np.asarray(value).tobytes()
+                for value in astuple(state)]
+
+    trained = []
+    for cpus in (1, 2, 3):
+        usable_cpus(cpus)
+        trained.append([bits(state) for state in train_on_manifest(manifest, runs)])
+    assert trained[0] == trained[1] == trained[2]
+    train = load_samples(manifest, "train")
+    assert trained[0] == [
+        bits(run_personalization(train[:k], config, manifest.personal_class_name)[0])
+        for config, k in runs]
