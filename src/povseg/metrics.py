@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError, NonFiniteError
 from .head import PersonalState, build_forward, build_frozen_forward, decode
-from .snapshot import Manifest, ManifestEntry, Sample, _load_z_open, load_sample
+from .snapshot import (Manifest, ManifestEntry, Sample, _load_vocab_names, _load_z_open,
+                       load_sample)
 from .workers import map_in_workers
 
 
@@ -100,9 +102,10 @@ def _confusions(sample: Sample, where: str, personal_class_name: str,
     """One image's confusion counts under each state, in order.
 
     Each is the nonzero cells of the image's confusion matrix, as flat
-    indices and values, and the personal class's ``(tp, fp, fn)``: an image
-    shows few of the (V+1)^2 label pairs, and a worker sends every image's
-    counts back. The frozen label map is decoded once: it is the ground
+    indices and values, and the image's row of ``MetricsReport.images``,
+    ``(where, polarity, tp, fp, fn)`` for the personal class: an image shows
+    few of the (V+1)^2 label pairs, and a worker sends every image's counts
+    back. The frozen label map is decoded once: it is the ground
     truth and, for the frozen baseline (``None``), the prediction. Each
     trained state's labels are decoded once.
     """
@@ -126,37 +129,13 @@ def _confusions(sample: Sample, where: str, personal_class_name: str,
             matrix = accumulate(pred, gt, np.zeros((k + 1, k + 1), np.int64))
             cells = np.flatnonzero(matrix)
             tp = int(matrix[k, k])
-            counts.append((cells, matrix.flat[cells],
-                           (tp, int(matrix[:, k].sum()) - tp, int(matrix[k].sum()) - tp)))
+            counts.append((cells, matrix.flat[cells], (str(where), sample.polarity, tp,
+                           int(matrix[:, k].sum()) - tp, int(matrix[k].sum()) - tp)))
     except NonFiniteError as exc:
         raise NonFiniteError(exc.stage, f"{where}: {exc}") from exc
     except InvariantError as exc:  # e.g. a state trained on another V or D
         raise InvariantError(f"{where}: {exc}") from exc
     return counts
-
-
-def _score(samples: Sequence[Sample], i: int, personal_class_name: str,
-           states: list[PersonalState | None]) -> tuple:
-    """``(where, vocab_names, polarity, counts)`` of sample ``i``.
-
-    ``counts`` is ``_confusions``'s list. A failure is returned as
-    ``counts``, with ``vocab_names`` None when the sample could not be read.
-    Nothing is raised, so that the caller checks each sample's vocabulary
-    before its error, as a serial loop would.
-    """
-    try:
-        sample = samples[i]
-    except Exception as exc:  # raised again by the caller, in order
-        return None, None, None, exc
-    where = sample.snapshot_path or f"sample {i}"
-    names = sample.snapshot.vocab_names
-    # check_finite sees every forward and decode array; numpy's warnings would repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            counts = _confusions(sample, where, personal_class_name, states)
-        except Exception as exc:
-            return where, names, None, exc
-    return where, names, sample.polarity, counts
 
 
 def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
@@ -165,47 +144,43 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
 
     Returns one report per entry of ``states``, in order; ``None`` evaluates
     the frozen baseline (with the class-name proxy when the vocabulary
-    contains ``personal_class_name``). The samples are scored by
-    ``map_in_workers``, one forked worker per usable CPU. Each worker indexes
-    and scores its own samples and keeps none, so over a ``LazySamples`` it
-    holds one image in memory at a time. An image's frozen labels are
-    decoded once for all the states, and its labels under each trained state
-    once. Each state's confusion counts are integers and are summed in sample
-    order, so the reports do not depend on the worker count; each report
-    also lists every image's own personal counts. A sample whose forward
-    pass is non-finite, or does not fit a state, raises an error that names
-    it, so no metric is reported from it; the first failing sample in order
-    is the one reported. A worker stops at its own first failing sample: it
-    neither reads nor scores the samples left in its share.
+    contains ``personal_class_name``). Sample 0's vocabulary names are read
+    first, without its arrays. Then the samples are scored by
+    ``map_in_workers``, one forked worker per usable CPU. Each worker reads
+    its own samples one at a time and keeps none; it checks each sample's
+    vocabulary against sample 0's and computes the image's confusion counts.
+    An image's frozen labels are decoded once for all the states, and its
+    labels under each trained state once. A sample that cannot be read, has
+    another vocabulary, or whose forward pass is non-finite or does not fit
+    a state raises an error that names it, and its worker stops there:
+    ``map_in_workers`` raises the first failing sample in order, as a serial
+    loop would. This process only sums each state's integer counts, in
+    sample order, and collects the images' rows, so the reports do not
+    depend on the worker count; each report lists every image's own
+    personal counts.
     """
-    stopped = False  # set in a worker by its first failing sample
-
-    def score(i: int) -> tuple | None:
-        nonlocal stopped
-        if stopped:  # never reached: the loop below raises at an earlier sample
-            return None
-        scored = _score(samples, i, personal_class_name, states)
-        stopped = isinstance(scored[3], Exception)
-        return scored
-
-    vocab_names = None
-    for where, names, polarity, counts in map_in_workers(score, len(samples)):
-        if names is None:  # the sample could not be read
-            raise counts
-        if vocab_names is None:
-            vocab_names = names
-            k = len(names)
-            totals = [np.zeros((k + 1, k + 1), np.int64) for _ in states]
-            images = [[] for _ in states]
-        elif names != vocab_names:
-            raise InvariantError(f"{where} vocabulary differs from sample 0")
-        if isinstance(counts, Exception):
-            raise counts
-        for total, rows, (cells, values, personal) in zip(totals, images, counts):
-            total.flat[cells] += values
-            rows.append((str(where), polarity, *personal))
-    if vocab_names is None:
+    if not samples:
         raise InvariantError("empty evaluation sample set")
+    vocab_names = _first_vocab_names(samples)
+
+    def score(i: int) -> tuple:
+        sample = samples[i]
+        where = sample.snapshot_path or f"sample {i}"
+        if sample.snapshot.vocab_names != vocab_names:
+            raise InvariantError(f"{where} vocabulary differs from sample 0")
+        # check_finite sees every forward and decode array; numpy's warnings would repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _confusions(sample, where, personal_class_name, states)
+
+    scored = map_in_workers(score, len(samples))
+    # Made once the workers have ended, so that none carries them in its RSS.
+    k = len(vocab_names)
+    totals = [np.zeros((k + 1, k + 1), np.int64) for _ in states]
+    images = [[] for _ in states]
+    for counts in scored:
+        for total, rows, (cells, values, row) in zip(totals, images, counts):
+            total.flat[cells] += values
+            rows.append(row)
 
     names = list(vocab_names) + [f"<{personal_class_name}>"]
     reports = []
@@ -223,12 +198,15 @@ def evaluate_samples(samples: Sequence[Sample], personal_class_name: str,
 class LazySamples(Sequence):
     """Samples read when indexed: ``samples[i]`` is ``load(entries[i])``.
 
-    Nothing is kept once a sample has been handed out.
+    Nothing is kept once a sample has been handed out. ``first_snapshot`` is
+    sample 0's snapshot file, whose vocabulary names ``evaluate_samples``
+    reads before it forks.
     """
 
-    def __init__(self, entries: list, load: Callable[..., Sample]):
+    def __init__(self, entries: list, load: Callable[..., Sample], first_snapshot: Path):
         self._entries = entries
         self._load = load
+        self.first_snapshot = first_snapshot
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -237,13 +215,29 @@ class LazySamples(Sequence):
         return self._load(self._entries[i])
 
 
+def _first_vocab_names(samples: Sequence[Sample]) -> list[str]:
+    """Sample 0's vocabulary names; a ``LazySamples`` reads them without its arrays.
+
+    When that read fails, sample 0 is read whole, here, so that its own error
+    is raised, as a serial loop would raise it: a concat pair reads its
+    partner's ``z_open`` first.
+    """
+    if isinstance(samples, LazySamples):
+        try:
+            return _load_vocab_names(samples.first_snapshot)
+        except Exception:  # raised again, in order, by reading sample 0
+            pass
+    return samples[0].snapshot.vocab_names
+
+
 def evaluate(manifest: Manifest, states: list[PersonalState | None]) -> list[MetricsReport]:
     """Score the test split under each state, reading each image once.
 
     ``eval`` passes its one state, and ``ablate`` and ``kshot`` every state
     they trained, so a test split is scored one way.
     """
-    return evaluate_samples(LazySamples(manifest.split("test"), load_sample),
+    entries = manifest.split("test")
+    return evaluate_samples(LazySamples(entries, load_sample, entries[0].snapshot),
                             manifest.personal_class_name, states)
 
 
@@ -265,7 +259,8 @@ def concat_pairs(manifest: Manifest) -> LazySamples:
     for entry in positives[paired:] + negatives[paired:]:
         load_sample(entry)
     return LazySamples([order for pair in zip(positives, negatives)
-                        for order in (pair, pair[::-1])], _load_with_partner)
+                        for order in (pair, pair[::-1])], _load_with_partner,
+                       positives[0].snapshot)
 
 
 def _load_with_partner(pair: tuple[ManifestEntry, ManifestEntry]) -> Sample:

@@ -302,13 +302,33 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
         m_open = rd.raw(h * w * n, "<f4").reshape(h, w, n)
         features = rd.raw(hf * wf * d, "<f4").reshape(hf, wf, d) if has_f else None
 
-        (count,) = struct.unpack("<I", rd.take(4))
-        if count != v:
-            raise FormatError(f"vocab count {count} != V {v}")
-        names = [rd.text(struct.unpack("<H", rd.take(2))[0]) for _ in range(count)]
-        rd.finish()
+        names = _read_vocab(rd, v)
         return FrozenSnapshot(t_open=t_open, z_open=z_open, m_open=m_open,
                               vocab_names=names, logit_scale=logit_scale, features=features)
+
+
+def _read_vocab(rd: _Reader, v: int) -> list[str]:
+    """The vocabulary block that closes a POVS file: its count ``v``, each name, then no byte."""
+    (count,) = struct.unpack("<I", rd.take(4))
+    if count != v:
+        raise FormatError(f"vocab count {count} != V {v}")
+    names = [rd.text(struct.unpack("<H", rd.take(2))[0]) for _ in range(count)]
+    rd.finish()
+    return names
+
+
+def _load_vocab_names(path: Path) -> list[str]:
+    """The vocabulary names of a POVS file, read without its arrays.
+
+    The arrays are skipped one by one, in the order ``load_snapshot`` reads
+    them, so a truncated file is refused with ``load_snapshot``'s message.
+    """
+    with _Reader(path) as rd:
+        _, v, d, n, h, w, hf, wf, _ = rd.header(_HEADER, MAGIC, VERSION)
+        # t_open, z_open, m_open and features; hf = wf = 0 when the file has no feature map
+        for count in (v * d, n * d, h * w * n, hf * wf * d):
+            rd.skip(4 * count)
+        return _read_vocab(rd, v)
 
 
 def _load_z_open(path: Path) -> np.ndarray:

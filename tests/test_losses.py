@@ -44,6 +44,12 @@ def test_dice_perfect_overlap():
     assert dice_loss(gt.astype(float), gt)[0] <= 1e-6
 
 
+def test_dice_of_two_empty_masks_is_exactly_zero():
+    # (0 + eps) / (0 + 0 + eps): a flipped sign of eps in either place gives 2
+    zeros = np.zeros((4, 4))
+    assert dice_loss(zeros, zeros.astype(np.uint8))[0] == 0.0
+
+
 def test_dice_disjoint():
     gt = np.zeros((4, 4), dtype=np.uint8)
     gt[:2] = 1

@@ -13,6 +13,7 @@ from povseg.metrics import (
     accumulate,
     class_iou,
     concat_evaluate,
+    concat_pairs,
     evaluate,
     evaluate_samples,
     format_image_rows,
@@ -22,7 +23,14 @@ from povseg.metrics import (
     precision_recall,
     pseudo_label,
 )
-from povseg.snapshot import FrozenSnapshot, Sample, load_manifest, load_sample
+from povseg.snapshot import (
+    _HEADER,
+    FrozenSnapshot,
+    Sample,
+    _load_z_open,
+    load_manifest,
+    load_sample,
+)
 from povseg.personalize import TrainConfig
 from povseg.synthbench import SynthConfig, run_ablation, run_kshot
 
@@ -377,6 +385,25 @@ def test_worker_stops_scoring_after_its_first_failure(bench_dir, tmp_path, monke
     assert str(caught.value) == str(alone.value)
     # this process's share begins with the unreadable sample, so it scores none
     assert scored == []
+
+
+@pytest.mark.usefixtures("worker_guard")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_concat_pair_reports_its_partner_first(bench_dir, tmp_path, usable_cpus, cpus):
+    usable_cpus(cpus)
+    data = shutil.copytree(bench_dir, tmp_path / "data")
+    manifest = load_manifest(data / "manifest.tsv")
+    entries = manifest.split("test")
+    pair = [next(e for e in entries if e.polarity == polarity)
+            for polarity in ("positive", "negative")]
+    for entry in pair:  # both cut inside t_open
+        entry.snapshot.write_bytes(entry.snapshot.read_bytes()[:_HEADER.size + 8])
+    # sample 0, the first positive, is read after its partner's z_open
+    with pytest.raises(TruncatedPayloadError) as partner:
+        _load_z_open(pair[1].snapshot)
+    with pytest.raises(TruncatedPayloadError) as caught:
+        evaluate_samples(concat_pairs(manifest), manifest.personal_class_name, [None])
+    assert str(caught.value) == str(partner.value)
 
 
 def test_report_format():

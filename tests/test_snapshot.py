@@ -24,6 +24,7 @@ from povseg.snapshot import (
     _HEADER,
     FrozenSnapshot,
     Sample,
+    _load_vocab_names,
     _load_z_open,
     downsample_mask,
     load_manifest,
@@ -370,6 +371,27 @@ def test_every_read_closes_its_file(tmp_path, tiny_snapshot):
             gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before, index
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)], index
+
+
+def test_vocabulary_names_read_alone_refuse_what_a_whole_load_refuses(tmp_path, bench_dir):
+    blob = (bench_dir / "snapshots" / "train_000.povs").read_bytes()
+    path = tmp_path / "s.povs"
+    path.write_bytes(blob)
+    assert _load_vocab_names(path) == load_snapshot(path).vocab_names
+    _, _, flags, v, d, n, h, w, hf, wf, _ = _HEADER.unpack_from(blob)
+    assert flags & _FLAG_FEATURES  # so the feature map is skipped too
+    # the vocabulary count follows t_open, z_open, m_open and the feature map
+    count_at = _HEADER.size + 4 * (v * d + n * d + h * w * n + hf * wf * d)
+    # every 97th cut, and every cut from the last payload's end, through the names
+    cuts = sorted({*range(0, len(blob), 97), *range(count_at - 1, len(blob))})
+    cases = [blob[:cut] for cut in cuts] + [_spliced(blob, count_at, struct.pack("<I", 3))]
+    for case in cases:
+        path.write_bytes(case)
+        with pytest.raises(FormatError) as whole:
+            load_snapshot(path)
+        with pytest.raises(FormatError) as alone:
+            _load_vocab_names(path)
+        assert (type(alone.value), str(alone.value)) == (type(whole.value), str(whole.value))
 
 
 def test_bad_utf8_vocab_name_rejected(tmp_path):

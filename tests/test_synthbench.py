@@ -458,6 +458,17 @@ def test_kshot_first_entry_used_for_k1(bench_dir):
     assert (rows[1].iou_per, rows[1].miou) != (report.iou_per, report.miou)
 
 
+def test_train_on_manifest_refuses_k_beyond_the_split_before_reading(bench_dir, monkeypatch):
+    read = []
+    monkeypatch.setattr("povseg.snapshot.load_snapshot", read.append)
+    manifest = load_manifest(bench_dir / "manifest.tsv")
+    n_train = len(manifest.split("train"))
+    with pytest.raises(InvariantError,
+                       match=f"^K=99 exceeds the {n_train} available training samples$"):
+        train_on_manifest(manifest, [(TrainConfig(iterations=1), 99)])
+    assert read == []
+
+
 def test_train_on_empty_sample_set_refused(bench_dir):
     manifest = load_manifest(bench_dir / "manifest.tsv")
     with pytest.raises(InvariantError, match="empty training sample set"):
