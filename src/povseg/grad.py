@@ -96,7 +96,8 @@ def backward(snapshot: FrozenSnapshot, state: PersonalState, gt: np.ndarray,
         gm_neg += gm_loss
         ga = gm_neg * cache.m_neg * (1.0 - cache.m_neg)
         g_m = np.einsum("ij,ijn->n", ga, snapshot.m_open)  # einsum: see _composition_row
-        grads = replace(grads, w_z=snapshot.z_open @ g_z_neg, w_m=g_m, b_m=float(ga.sum()))
+        # z_full's first j rows: the snapshot's z_open, already promoted by build_forward
+        grads = replace(grads, w_z=cache.z_full[:j] @ g_z_neg, w_m=g_m, b_m=float(ga.sum()))
     check_finite("negative-branch", *(getattr(grads, name) for name in TRAINED))
     return breakdown, grads
 

@@ -16,8 +16,11 @@ channels, in channel order, and an exact-zero term leaves that chain
 unchanged. This was verified on OpenBLAS only. It is also why no block is
 one pixel: numpy sends a one-row product to gemv, which sums in another order.
 
-A loaded mask bank is binary32 (see ``snapshot``), and every product with it
-is computed in float64 without a float64 copy of the whole bank. ``predict``
+A loaded snapshot is binary32 (see ``snapshot``), and every product with it
+is computed in float64. The embeddings are promoted whole just before their
+products: numpy casting inside ``@`` copies a transposed view in another
+memory order, so BLAS may take another kernel and give other bits. The mask
+bank is never copied whole to float64. ``predict``
 promotes each tile's slice. ``negative_mask`` and ``q_per`` multiply
 BANK_ROWS pixel rows at a time through ``_bank_product``, which numpy
 computes one pixel row per gemv either way, so the bits equal those of the
@@ -210,17 +213,18 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
     # The personal row: t_per, with f_per interpolated in when training set alpha > 0.
     t_eff = state.t_per if state.f_per is None else (
         state.alpha * state.f_per + (1.0 - state.alpha) * state.t_per)
-    t_full = np.vstack([snapshot.t_open, t_eff[None, :]])
+    t_full = np.vstack([snapshot.t_open, t_eff[None, :]])  # float64, as t_eff is
+    z_open = snapshot.z_open.astype(np.float64, copy=False)
 
     if state.negative_enabled:
-        z_neg = state.w_z @ snapshot.z_open
+        z_neg = state.w_z @ z_open
         if partner_z is not None:
-            z_neg = (z_neg + state.w_z @ partner_z) / 2
-        z_full = np.vstack([snapshot.z_open, z_neg[None, :]])
+            z_neg = (z_neg + state.w_z @ partner_z.astype(np.float64, copy=False)) / 2
+        z_full = np.vstack([z_open, z_neg[None, :]])
         m_neg = negative_mask(snapshot.m_open, state.w_m, state.b_m)
         j = n
     else:
-        z_full = snapshot.z_open
+        z_full = z_open
         m_neg = None
         j = None
 
@@ -232,8 +236,13 @@ def build_forward(snapshot: FrozenSnapshot, state: PersonalState,
 
 
 def build_frozen_forward(snapshot: FrozenSnapshot) -> ForwardCache:
-    """Run the unmodified pipeline (no personal row, no negative branch)."""
-    s = similarity(snapshot.t_open, snapshot.z_open, snapshot.logit_scale)
+    """Run the unmodified pipeline (no personal row, no negative branch).
+
+    The cache keeps the snapshot's own embeddings: no reader of a frozen
+    pass reads them, so only the product promotes them.
+    """
+    s = similarity(snapshot.t_open.astype(np.float64, copy=False),
+                   snapshot.z_open.astype(np.float64, copy=False), snapshot.logit_scale)
     c = class_probs(s)
     check_finite("forward", s, c)
     return ForwardCache(snapshot=snapshot, t_full=snapshot.t_open,

@@ -85,7 +85,8 @@ def compute_visual_embedding(samples: list[Sample]) -> np.ndarray:
     norm = float(np.linalg.norm(pooled))
     if norm == 0.0:
         raise InvariantError("masked visual embedding is the zero vector")
-    target = float(np.linalg.norm(samples[0].snapshot.t_open, axis=1).mean())
+    t_open = samples[0].snapshot.t_open.astype(np.float64, copy=False)
+    target = float(np.linalg.norm(t_open, axis=1).mean())
     return pooled / norm * target
 
 

@@ -7,14 +7,13 @@ with entries in [0, 1], a logit scale, the vocabulary names, and optionally
 an image feature map ``f`` (Hf x Wf x D) for visual-embedding extraction.
 
 On disk everything floating is IEEE-754 binary32 (POVS format, little
-endian). A loaded snapshot's ``t_open`` and ``z_open`` are promoted to
-float64 in memory, the type decoding and training compute in. Its mask bank
-and feature map, nearly all of its bytes, keep the file's binary32, as
-``synth`` builds them. Promoting binary32 to float64 is exact, so each
-consumer promotes only the pixel rows or gathered rows it reads, and sums
-them in the same order as it would a float64 bank: its bits do not depend
-on the bank's type. Every snapshot's arrays are read-only, however the
-snapshot was built.
+endian), and a loaded snapshot keeps every payload in the file's binary32,
+as ``synth`` builds them. Decoding and training compute in float64.
+Promoting binary32 to float64 is exact, so each product promotes what it
+reads just before it: the embeddings whole, the mask bank and feature map
+only the pixel rows or gathered rows it reads, summed in the same order as
+for float64 arrays. So no product's bits depend on the snapshot's type.
+Every snapshot's arrays are read-only, however the snapshot was built.
 
 This module also holds the one reader and the one writer of both binary
 formats, the snapshot here and the personal state (POVP) in ``personalize``.
@@ -54,14 +53,12 @@ _HEADER = struct.Struct("<4sBB7Id")
 _NAME_BREAKS = "\t\r\n"
 # Side of the square pixel blocks that head.predict composes one at a time.
 TILE = 16
-# Elements per read when a binary32 payload is promoted to float64.
-READ_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
 class FrozenSnapshot:
-    t_open: np.ndarray            # (V, D)
-    z_open: np.ndarray            # (N, D)
+    t_open: np.ndarray            # (V, D), binary32 when loaded
+    z_open: np.ndarray            # (N, D), binary32 when loaded
     m_open: np.ndarray            # (H, W, N), entries in [0, 1], binary32 when loaded
     vocab_names: list[str]
     logit_scale: float = 1.0
@@ -205,11 +202,9 @@ class _Reader:
     and puts the path in front of any ``FormatError`` or ``InvariantError``
     raised inside it, those of the object the loader builds there included.
     ``header`` checks the magic and version that lead the header ``struct``
-    and returns its other fields. A payload kept at its file type (``raw``),
-    such as a snapshot's mask bank and feature map, is read straight into its
-    array. A binary32 payload promoted to float64 (``promoted``) is cast
-    through the reader's one buffer of ``READ_CHUNK`` elements, so no copy of
-    the file's bytes, whole or per payload, is held.
+    and returns its other fields. Every payload is read straight into an
+    array of its file type (``raw``), so no copy of the file's bytes, whole
+    or per payload, is held.
     """
 
     def __init__(self, path: Path):
@@ -217,9 +212,6 @@ class _Reader:
         self.fh = path.open("rb")
         self.size = os.fstat(self.fh.fileno()).st_size
         self.off = 0
-        # One staging buffer per file: a buffer per payload would leave holes
-        # in the heap that the next image's mask bank no longer fits.
-        self.buf = np.empty(READ_CHUNK, "<f4")
 
     def __enter__(self) -> _Reader:
         return self
@@ -262,17 +254,6 @@ class _Reader:
         self._advance(count * np.dtype(dtype).itemsize)  # before np.empty trusts count
         return self._read_into(np.empty(count, dtype))
 
-    def promoted(self, count: int) -> np.ndarray:
-        """``count`` binary32 values, cast to float64 a bounded chunk at a time."""
-        self._advance(4 * count)
-        out = np.empty(count, np.float64)
-        # A signaling-NaN pattern warns on the cast; FrozenSnapshot names the field.
-        with np.errstate(invalid="ignore"):
-            for start in range(0, count, READ_CHUNK):
-                chunk = self._read_into(self.buf[:count - start])
-                out[start:start + chunk.size] = chunk
-        return out
-
     def text(self, count: int) -> str:
         start = self.off
         try:
@@ -297,8 +278,8 @@ def load_snapshot(path: str | Path) -> FrozenSnapshot:
         if not has_f and (hf or wf):
             raise FormatError("feature dims set but feature flag clear")
 
-        t_open = rd.promoted(v * d).reshape(v, d)
-        z_open = rd.promoted(n * d).reshape(n, d)
+        t_open = rd.raw(v * d, "<f4").reshape(v, d)
+        z_open = rd.raw(n * d, "<f4").reshape(n, d)
         m_open = rd.raw(h * w * n, "<f4").reshape(h, w, n)
         features = rd.raw(hf * wf * d, "<f4").reshape(hf, wf, d) if has_f else None
 
@@ -332,11 +313,11 @@ def _load_vocab_names(path: Path) -> list[str]:
 
 
 def _load_z_open(path: Path) -> np.ndarray:
-    """The float64 ``z_open`` of a POVS file, read without the payloads around it."""
+    """The binary32 ``z_open`` of a POVS file, read without the payloads around it."""
     with _Reader(path) as rd:
         _, v, d, n, *_ = rd.header(_HEADER, MAGIC, VERSION)
         rd.skip(4 * v * d)
-        z_open = rd.promoted(n * d).reshape(n, d)
+        z_open = rd.raw(n * d, "<f4").reshape(n, d)
         if not np.isfinite(z_open).all():
             raise InvariantError("non-finite value in z_open")
     z_open.setflags(write=False)

@@ -345,21 +345,24 @@ def train_on_manifest(manifest: Manifest, runs: list[tuple[TrainConfig, int]]
                       ) -> list[PersonalState]:
     """The state of each ``(config, k)`` run, trained on the first ``k`` train entries.
 
-    A ``k`` beyond the train split is refused before any file is read. The
-    train split is read once, and ``map_in_workers`` trains the runs, one
-    forked worker per usable CPU. The states come back in run order, and no
-    training sample stays in memory once this returns. ``ablate`` and
-    ``kshot`` train only through here, so the benchmark's per-layer name
-    ``synthbench.train_on_manifest.ms`` times their whole training phase.
+    An empty run list, and a ``k`` below 1 or beyond the train split, are
+    refused before any file is read. The train split is read once, and
+    ``map_in_workers`` trains the runs, one forked worker per usable CPU.
+    The states come back in run order, and no training sample stays in
+    memory once this returns. ``ablate`` and ``kshot`` train only through
+    here, so the benchmark's per-layer name ``synthbench.train_on_manifest.ms``
+    times their whole training phase.
     """
     # Imported here, so that synth loads only the generator.
     from .personalize import run_personalization
     from .workers import map_in_workers
 
+    k_list = [k for _, k in runs]
+    if not k_list or min(k_list) < 1:
+        raise InvariantError(f"K values must be >= 1, got {k_list}")
     n_train = len(manifest.split("train"))
-    most = max((k for _, k in runs), default=0)
-    if most > n_train:
-        raise InvariantError(f"K={most} exceeds the {n_train} available training samples")
+    if max(k_list) > n_train:
+        raise InvariantError(f"K={max(k_list)} exceeds the {n_train} available training samples")
     train = load_samples(manifest, "train")
 
     def fit(i: int) -> PersonalState:
@@ -418,8 +421,6 @@ class KShotRow:
 def run_kshot(manifest: Manifest, k_list: list[int], config: TrainConfig
               ) -> list[KShotRow]:
     """Full-method runs at each K, on the first K train entries, plus the mean row."""
-    if not k_list or min(k_list) < 1:
-        raise InvariantError(f"K values must be >= 1, got {k_list}")
     from .metrics import evaluate  # here, so synth loads only the generator
 
     reports = evaluate(manifest, train_on_manifest(manifest, [(config, k) for k in k_list]))

@@ -10,6 +10,10 @@ then lists every file in ``OUT`` in ``sha256sum`` format. Two trees whose
 ``SHA256SUMS`` are equal hold the same bytes: compare one made before a
 change with one made after it, or runs at two ``--threads`` values, which
 set ``OPENBLAS_NUM_THREADS`` for every command.
+
+``DESK_SUMS`` holds the lines of a desk tree's ``SHA256SUMS`` that
+``pinned`` keeps, and tier-1 checks them. A change that moves one of those
+files on purpose writes that file anew from ``pinned`` of its desk tree.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DESK_SUMS = Path(__file__).resolve().with_name("desk_tree.sha256")
 
 # Backbone shapes: V=150, D=512, N=100, a 128x128 proposal grid, 32x32 features.
 SCALES = {
@@ -65,6 +70,21 @@ def sha256sums(root: Path) -> str:
     files = sorted(p for p in root.rglob("*") if p.is_file() and p.name != "SHA256SUMS")
     return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
                    f"{p.relative_to(root).as_posix()}\n" for p in files)
+
+
+def pinned(sums: str) -> str:
+    """The lines of ``sums`` for every ``.tsv``, ``data/`` and ``stdout/`` file but gradcheck's.
+
+    Their bytes stayed the same under OpenBLAS's Prescott kernels and under
+    numpy's dispatch held to baseline. The states, their traces and
+    gradcheck's printed errors did not.
+    """
+    def kept(name: str) -> bool:
+        return ((name.endswith(".tsv") or name.startswith(("data/", "stdout/")))
+                and not name.startswith("stdout/gradcheck_"))
+
+    return "".join(line for line in sums.splitlines(keepends=True)
+                   if kept(line.rstrip("\n").split("  ", 1)[1]))
 
 
 def build(out: Path, scale: str = "desk", threads: int | None = None) -> str:

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from output_tree import SRC
+from output_tree import DESK_SUMS, SRC, pinned
 from output_tree import build as build_output_tree
 
 from povseg import metrics
@@ -210,6 +210,8 @@ def test_output_tree_same_at_one_and_two_blas_threads(tmp_path):
                  "eval_per_image.tsv", "concat_eval.tsv", "ablate.tsv", "kshot.tsv",
                  "stdout/gradcheck_3.txt", "data/manifest.tsv"):
         assert f"  {name}\n" in one
+    # the reports, the data and the stdout that do not depend on the CPU hold their pinned bytes
+    assert pinned(one) == DESK_SUMS.read_text()
 
 
 def test_failed_gradcheck_exits_two(capsys, monkeypatch):

@@ -161,9 +161,9 @@ def test_snapshot_arrays_are_read_only(tmp_path, tiny_snapshot, loaded):
     if loaded:
         save_snapshot(snap, tmp_path / "s.povs")
         snap = load_snapshot(tmp_path / "s.povs")
-        # the mask bank and features keep the file's binary32; the embeddings are promoted
-        assert {a.dtype for a in (snap.m_open, snap.features)} == {np.dtype(np.float32)}
-        assert {a.dtype for a in (snap.t_open, snap.z_open)} == {np.dtype(np.float64)}
+        # every payload keeps the file's binary32; products promote what they read
+        assert {a.dtype for a in (snap.t_open, snap.z_open, snap.m_open, snap.features)} == {
+            np.dtype(np.float32)}
     coverage = snap.coverage.copy()
     for name in ("t_open", "z_open", "m_open", "features"):
         with pytest.raises(ValueError, match="read-only"):

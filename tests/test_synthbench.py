@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -466,10 +467,18 @@ def test_train_on_manifest_refuses_k_beyond_the_split_before_reading(bench_dir, 
     with pytest.raises(InvariantError,
                        match=f"^K=99 exceeds the {n_train} available training samples$"):
         train_on_manifest(manifest, [(TrainConfig(iterations=1), 99)])
+    # a negative k would otherwise slice train[:-1] and train on all but the last
+    with pytest.raises(InvariantError, match=re.escape("K values must be >= 1, got [-1]")):
+        train_on_manifest(manifest, [(TrainConfig(iterations=3), -1)])
     assert read == []
 
 
-def test_train_on_empty_sample_set_refused(bench_dir):
+def test_train_on_empty_sample_set_refused(bench_dir, monkeypatch):
+    read = []
+    monkeypatch.setattr("povseg.snapshot.load_snapshot", read.append)
     manifest = load_manifest(bench_dir / "manifest.tsv")
-    with pytest.raises(InvariantError, match="empty training sample set"):
+    with pytest.raises(InvariantError, match=re.escape("K values must be >= 1, got [0]")):
         train_on_manifest(manifest, [(TrainConfig(iterations=1), 0)])
+    with pytest.raises(InvariantError, match=re.escape("K values must be >= 1, got []")):
+        train_on_manifest(manifest, [])
+    assert read == []
